@@ -10,8 +10,12 @@ all: build vet fmt docs-check test
 build:
 	$(GO) build ./...
 
+# bench/ is its own module (the ledger, see bench/README.md), invisible to
+# ./... — test and vet it here too, so deleting an internal/ symbol the
+# ledger uses fails in this repository's own checks first.
 test:
 	$(GO) test ./...
+	$(GO) test -C bench .
 
 # Race-enabled run; -short skips the slowest training tests so this stays
 # within CI minutes (the plain `test` target runs everything).
@@ -35,15 +39,16 @@ docs-check:
 # BENCH_serving.json: per-event serving latency over the wire — stateless
 # v1 protocol (state rebuilt per request, cache can't hit) vs the v2
 # session protocol (server-side mirror, embedding cache on), plus the
-# 16-concurrent-session benchmarks with the coalescing dispatcher on and
-# off; the "ns/event" extra metric is the comparison that matters.
+# 16-concurrent-session benchmark; the "ns/event" extra metric is the
+# comparison that matters.
 # BENCH_training.json: full training-iteration cost (inference rollouts +
 # episode replay backward) on the batched replay vs the per-decision
 # direct-tape reference; ns/op, allocs/op and the "episodes/sec" extra
 # metric are the numbers the ≥3× training-throughput bar is judged on.
 # BENCH_kernels.json: raw matmul kernel throughput (the "GFLOP/s" extra
-# metric) at the stack's decision/batch/replay shapes, float64 vs float32
-# storage, plus the -matmul-workers scaling sweep; see docs/KERNELS.md.
+# metric) at the stack's decision and replay shapes, the fused MLP forward
+# at the same row counts, plus the -matmul-workers scaling sweep; see
+# docs/KERNELS.md.
 # BENCH_fleet.json: aggregate serving throughput through the
 # session-sharding router at 1/2/4 replicas ("events/sec"), with the
 # "migrations" metric pinning the steady state at zero; see docs/FLEET.md.
@@ -139,3 +144,4 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C bench .

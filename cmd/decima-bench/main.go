@@ -51,11 +51,9 @@ func main() {
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		listScheds = flag.Bool("list-schedulers", false, "list registered scheduler names and exit")
 		listFails  = flag.Bool("list-failures", false, "list failure regime names and exit")
-		f32        = flag.Bool("f32", false, "float32 inference storage for no-grad forwards (tolerance-bounded, see docs/KERNELS.md)")
 		matmulWk   = flag.Int("matmul-workers", 0, "matmul kernel workers for tall stacked forwards (0 = one per CPU; results identical for any value)")
 	)
 	flag.Parse()
-	nn.SetInference32(*f32)
 	nn.SetMatMulWorkers(*matmulWk)
 
 	if *list {

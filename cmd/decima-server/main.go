@@ -7,10 +7,8 @@
 // ⟨stage, parallelism limit(, class)⟩ per scheduling event.
 //
 // Any policy from the scheduler registry can be served; sessions may also
-// select a policy per OpenSession call. Concurrent decima sessions coalesce
-// their decisions into stacked inference forwards (`-max-batch`,
-// `-batch-window`; see docs/PROTOCOL.md) with per-session results
-// bit-identical to unbatched serving.
+// select a policy per OpenSession call. Every session decides on its own
+// agent clone, concurrently with and independently of every other session.
 //
 // As a fleet replica (`-replica-id`, `-http`; see docs/FLEET.md) the server
 // announces its identity in Open replies and exposes /healthz and /metrics
@@ -74,23 +72,14 @@ func main() {
 		seed         = flag.Int64("seed", 1, "random seed for schedulers (per-session seeds from OpenSession take precedence)")
 		maxSessions  = flag.Int("max-sessions", rpcsvc.DefaultMaxSessions, "bound on concurrent sessions (LRU eviction beyond it; <0 unbounded)")
 		idleTimeout  = flag.Duration("idle-timeout", rpcsvc.DefaultIdleTimeout, "evict sessions idle for this long (<0 never)")
-		maxBatch     = flag.Int("max-batch", rpcsvc.DefaultMaxBatch, "max concurrent decima decisions coalesced into one stacked forward (<=1 disables batching)")
-		batchWindow  = flag.Duration("batch-window", 0, "extra wait for stragglers once >=2 decisions are queued (0 = adaptive only; lone requests are never delayed)")
-		f32          = flag.Bool("f32", false, "float32 inference storage (tolerance-bounded, see docs/KERNELS.md; off = bitwise float64)")
-		matmulWk     = flag.Int("matmul-workers", 0, "matmul kernel workers for tall stacked forwards (0 = one per CPU; results identical for any value)")
+		matmulWk     = flag.Int("matmul-workers", 0, "matmul kernel workers for tall forwards such as the -online trainer's replay (0 = one per CPU; results identical for any value)")
 		replicaID    = flag.String("replica-id", "", "fleet replica identity announced in Open replies and metrics (empty for standalone)")
 		httpAddr     = flag.String("http", "", "ops HTTP address serving /healthz and /metrics (empty disables)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max wait for sessions to leave after SIGTERM before exiting anyway")
 		maxInflight  = flag.Int("max-inflight", 0, "admission bound on in-flight events; beyond it requests are shed with the typed overloaded error (0 = unbounded)")
 	)
 	flag.Parse()
-	nn.SetInference32(*f32)
 	nn.SetMatMulWorkers(*matmulWk)
-	if *maxBatch < 1 {
-		// SessionConfig treats 0 as "default"; the flag contract is that
-		// anything ≤1 disables batching, so normalise before building it.
-		*maxBatch = 1
-	}
 
 	// The decima agent is built (and its model loaded) once; sessions get
 	// clones, so concurrent sessions share no mutable state while serving
@@ -120,7 +109,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("load model %q from registry: %v", *model, err)
 		}
-		if err := ck.Install(base); err != nil {
+		if err := ck.LoadInto(base.Params()); err != nil {
 			log.Fatalf("install model %q: %v", *model, err)
 		}
 		modelName, modelVersion = ck.Name, ck.Version
@@ -137,8 +126,6 @@ func main() {
 		Default:     *schedName,
 		MaxSessions: *maxSessions,
 		IdleTimeout: *idleTimeout,
-		MaxBatch:    *maxBatch,
-		BatchWindow: *batchWindow,
 		MaxInflight: *maxInflight,
 		ReplicaID:   *replicaID,
 		New: func(name string, sessSeed int64) (scheduler.Scheduler, error) {
@@ -174,11 +161,6 @@ func main() {
 	}
 	fmt.Printf("decima scheduling service listening on %s\n", srv.Addr())
 	fmt.Printf("default scheduler %q, max %d sessions, idle timeout %s\n", *schedName, *maxSessions, *idleTimeout)
-	if *maxBatch > 1 {
-		fmt.Printf("decision batching on: max batch %d, window %s\n", *maxBatch, *batchWindow)
-	} else {
-		fmt.Println("decision batching off")
-	}
 
 	logger := slog.Default().With("replica", *replicaID)
 
@@ -186,8 +168,8 @@ func main() {
 		// The online loop: drain finished episodes into gradient updates;
 		// every publishEvery episodes publish a registry version, reload it,
 		// and hot-swap every live session onto the published parameters. The
-		// reload (rather than syncing from the still-training agent) is what
-		// keeps served lineages immutable — see rpcsvc.(*Decima).SwapAgents.
+		// reload (rather than syncing from the still-training agent) means
+		// sessions serve exactly the checksummed bytes the registry holds.
 		stop := make(chan struct{})
 		defer close(stop)
 		go func() {
@@ -221,7 +203,7 @@ func main() {
 					continue
 				}
 				baseMu.Lock()
-				err = ck.Install(base)
+				err = ck.LoadInto(base.Params())
 				var swapped int
 				if err == nil {
 					swapped = srv.Service().SwapAgents(base, ck.Name, ck.Version)

@@ -46,13 +46,11 @@ func main() {
 		curve     = flag.String("curve", "", "optional learning-curve CSV output path")
 		logEvery  = flag.Int("log-every", 10, "print stats every N iterations")
 		evalVs    = flag.String("eval-against", "", "after training, evaluate the model head-to-head against these comma-separated registry schedulers on held-out sequences")
-		f32       = flag.Bool("f32", false, "float32 storage for no-grad evaluation forwards (tolerance-bounded; training gradients always run float64)")
 		matmulWk  = flag.Int("matmul-workers", 0, "matmul kernel workers for tall stacked forwards (0 = one per CPU; results identical for any value)")
 		regDir    = flag.String("registry", "", "model registry directory; with -publish the trained model is published there as a new version")
 		publish   = flag.String("publish", "", "registry model name to publish the trained model under (requires -registry)")
 	)
 	flag.Parse()
-	nn.SetInference32(*f32)
 	nn.SetMatMulWorkers(*matmulWk)
 
 	acfg := core.DefaultConfig(*executors)

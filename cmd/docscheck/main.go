@@ -1,10 +1,10 @@
 // Command docscheck verifies documentation consistency: every repository
 // file referenced from the core documents (README.md, DESIGN.md,
 // EXPERIMENTS.md, docs/PROTOCOL.md, docs/KERNELS.md, docs/FLEET.md,
-// docs/ROBUSTNESS.md, docs/ONLINE.md, doc.go) must exist. It exists because
-// docs rot silently — doc.go once pointed readers at an EXPERIMENTS.md
-// that was never written — and CI runs it (make docs-check) so a renamed
-// or deleted file fails the build instead of stranding readers.
+// docs/ROBUSTNESS.md, docs/ONLINE.md, docs/RENT.md, doc.go) must exist. It
+// exists because docs rot silently — doc.go once pointed readers at an
+// EXPERIMENTS.md that was never written — and CI runs it (make docs-check)
+// so a renamed or deleted file fails the build instead of stranding readers.
 //
 // A reference is any token ending in .md, .json, .go or .yml. URLs are
 // ignored; tokens containing glob or brace-expansion metacharacters are
@@ -36,6 +36,7 @@ var docs = []string{
 	"docs/FLEET.md",
 	"docs/ROBUSTNESS.md",
 	"docs/ONLINE.md",
+	"docs/RENT.md",
 	"doc.go",
 }
 

@@ -21,12 +21,10 @@
 // The forward pass batches nodes level by level (children before parents,
 // grouped by height), so cost scales with DAG depth rather than node count.
 //
-// Four forwards share that arithmetic bit for bit: the tracked Forward
+// Three forwards share that arithmetic bit for bit: the tracked Forward
 // (autograd, training), ForwardInference (no-grad fused kernels + scratch
-// arena, the per-decision fast path), ForwardBatch (many graphs in one
-// tracked multi-graph pass, the training replay), and
-// ForwardBatchInference (the no-grad twin of ForwardBatch, cross-session
-// batched serving).
+// arena, the per-decision fast path), and ForwardBatch (many graphs in one
+// tracked multi-graph pass, the training replay).
 package gnn
 
 import (

@@ -2,11 +2,10 @@ package nn
 
 // This file is the raw-speed matmul kernel layer: register-tiled,
 // cache-blocked inner loops shared by the tracked MatMul op (ops.go) and the
-// fused no-grad forwards (fused.go, inference32.go), plus the pooled
-// goroutine parallelism that kicks in for the tall stacked matrices the
-// training replay and batched-serving paths produce. docs/KERNELS.md
-// documents the scheme; BenchmarkKernel* (kernel_bench_test.go →
-// BENCH_kernels.json) measures it.
+// fused no-grad forwards (fused.go), plus the pooled goroutine parallelism
+// that kicks in for the tall stacked matrices the training replay produces.
+// docs/KERNELS.md documents the scheme; BenchmarkKernel*
+// (kernel_bench_test.go → BENCH_kernels.json) measures it.
 //
 // Equivalence contract: every kernel partitions OUTPUT elements, never input
 // reductions. A worker owns a block of output rows and computes each of its

@@ -7,21 +7,19 @@ import (
 )
 
 // The BenchmarkKernel* family feeds BENCH_kernels.json (make bench-json):
-// raw matmul kernel throughput in GFLOP/s at the stack's real shapes, f64 vs
-// f32, single-decision vs stacked. docs/KERNELS.md explains how to read the
+// raw matmul kernel throughput in GFLOP/s at the stack's real shapes,
+// single-decision vs stacked. docs/KERNELS.md explains how to read the
 // numbers.
 
 // kernelShapes are the matmul shapes that dominate the stack's flop budget:
 // "decision" is one event's fused policy forward (a few dozen candidate
-// rows), "batch" the coalesced serving round (16 sessions' stacked rows),
-// "replay" the batched episode replay (every decision of an episode stacked
-// into one forward).
+// rows), "replay" the batched episode replay (every decision of an episode
+// stacked into one forward).
 var kernelShapes = []struct {
 	name    string
 	n, k, m int
 }{
 	{"decision_64x32x16", 64, 32, 16},
-	{"batch_512x32x16", 512, 32, 16},
 	{"replay_8192x32x16", 8192, 32, 16},
 }
 
@@ -53,66 +51,28 @@ func BenchmarkKernelMatMulF64(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelMatMulF32 measures the float32 twin on identical shapes —
-// the storage half of the f32 speedup, isolated from conversions.
-func BenchmarkKernelMatMulF32(b *testing.B) {
-	for _, sh := range kernelShapes {
-		b.Run(sh.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			a := make([]float32, sh.n*sh.k)
-			w := make([]float32, sh.k*sh.m)
-			for i := range a {
-				a[i] = float32(rng.NormFloat64())
-			}
-			for i := range w {
-				w[i] = float32(rng.NormFloat64())
-			}
-			out := make([]float32, sh.n*sh.m)
+// BenchmarkKernelMLPInference measures the full fused MLP forward (matmul +
+// bias + activation per layer, arena-backed) at the decision and replay row
+// counts — the end-to-end cost the serving and replay paths pay.
+func BenchmarkKernelMLPInference(b *testing.B) {
+	for _, rows := range []int{64, 8192} {
+		b.Run(fmt.Sprintf("rows%d", rows), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(2))
+			m := NewMLP([]int{24, 32, 16, 1}, ActLeakyReLU, rng)
+			x := randTensor(rng, rows, 24)
+			var s Scratch
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				matmulRowsF32(out, a, w, sh.k, sh.m, 0, sh.n)
+				s.Reset()
+				m.ForwardInference(x, &s)
 			}
-			reportGFLOPs(b, sh.n, sh.k, sh.m)
+			// One forward is three layers: 24→32→16→1.
+			flops := 2 * float64(rows) * float64(24*32+32*16+16*1) * float64(b.N)
+			if sec := b.Elapsed().Seconds(); sec > 0 {
+				b.ReportMetric(flops/sec/1e9, "GFLOP/s")
+			}
 		})
-	}
-}
-
-// BenchmarkKernelMLPInference measures the full fused MLP forward (matmul +
-// bias + activation per layer, arena-backed) at the stacked shapes, float64
-// vs float32 storage — the end-to-end cost the serving and replay paths pay.
-func BenchmarkKernelMLPInference(b *testing.B) {
-	for _, mode := range []string{"f64", "f32"} {
-		for _, rows := range []int{64, 512, 8192} {
-			b.Run(fmt.Sprintf("%s/rows%d", mode, rows), func(b *testing.B) {
-				rng := rand.New(rand.NewSource(2))
-				m := NewMLP([]int{24, 32, 16, 1}, ActLeakyReLU, rng)
-				x := randTensor(rng, rows, 24)
-				var s Scratch
-				run := func() {
-					s.Reset()
-					m.ForwardInference(x, &s)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				if mode == "f32" {
-					Inference32(func() {
-						for i := 0; i < b.N; i++ {
-							run()
-						}
-					})
-				} else {
-					for i := 0; i < b.N; i++ {
-						run()
-					}
-				}
-				// One forward is three layers: 24→32→16→1.
-				flops := 2 * float64(rows) * float64(24*32+32*16+16*1) * float64(b.N)
-				if sec := b.Elapsed().Seconds(); sec > 0 {
-					b.ReportMetric(flops/sec/1e9, "GFLOP/s")
-				}
-			})
-		}
 	}
 }
 
@@ -122,7 +82,7 @@ func BenchmarkKernelMLPInference(b *testing.B) {
 // parallel speedup.
 func BenchmarkKernelMatMulWorkers(b *testing.B) {
 	defer SetMatMulWorkers(0)
-	sh := kernelShapes[2] // replay
+	sh := kernelShapes[1] // replay
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			SetMatMulWorkers(workers)

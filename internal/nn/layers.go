@@ -35,11 +35,6 @@ func (a Activation) apply(t *Tensor) *Tensor {
 type Linear struct {
 	W *Tensor
 	B *Tensor
-
-	// s32 caches the float32 conversion of W and B for the tolerance-bounded
-	// inference storage mode; see inference32.go. Rebuilt lazily when the
-	// parameters' mutation counts move.
-	s32 linearShadow32
 }
 
 // NewLinear returns a Xavier-initialised in→out linear layer.

@@ -48,13 +48,6 @@ type Scratch struct {
 	slabs [][]float64
 	slab  int // index of the slab Alloc currently fills
 	off   int // write offset into that slab
-
-	// Separate float32 slabs for the tolerance-bounded inference storage
-	// mode (inference32.go); kept apart from the float64 slabs so the f64
-	// path's layout is untouched when the mode is off.
-	slabs32 [][]float32
-	slab32  int
-	off32   int
 }
 
 // Alloc returns a zeroed length-n slice carved from the arena.
@@ -85,35 +78,6 @@ func (s *Scratch) Alloc(n int) []float64 {
 	}
 }
 
-// Alloc32 returns a zeroed length-n float32 slice carved from the arena's
-// float32 slabs. Same lifetime rules as Alloc.
-func (s *Scratch) Alloc32(n int) []float32 {
-	for {
-		if s.slab32 < len(s.slabs32) {
-			sl := s.slabs32[s.slab32]
-			if s.off32+n <= len(sl) {
-				b := sl[s.off32 : s.off32+n : s.off32+n]
-				s.off32 += n
-				for i := range b {
-					b[i] = 0
-				}
-				return b
-			}
-			s.slab32++
-			s.off32 = 0
-			continue
-		}
-		size := 1 << 12
-		if len(s.slabs32) > 0 {
-			size = 2 * len(s.slabs32[len(s.slabs32)-1])
-		}
-		if size < n {
-			size = n
-		}
-		s.slabs32 = append(s.slabs32, make([]float32, size))
-	}
-}
-
 // AllocTensor returns a zeroed rows×cols tensor backed by the arena.
 func (s *Scratch) AllocTensor(rows, cols int) *Tensor {
 	return New(rows, cols, s.Alloc(rows*cols))
@@ -121,4 +85,4 @@ func (s *Scratch) AllocTensor(rows, cols int) *Tensor {
 
 // Reset recycles every buffer handed out since the last Reset. The slabs
 // themselves are retained, so a warmed-up Scratch allocates nothing.
-func (s *Scratch) Reset() { s.slab, s.off, s.slab32, s.off32 = 0, 0, 0, 0 }
+func (s *Scratch) Reset() { s.slab, s.off = 0, 0 }

@@ -7,8 +7,8 @@ import (
 
 // MatMul returns a×b for a (n×k) and b (k×m). Forward and both backwards run
 // on the blocked kernels in kernel.go: register-tiled inner loops, spread
-// over the kernel worker pool for the tall stacked matrices the replay and
-// batch paths produce (small shapes stay single-threaded). Results and
+// over the kernel worker pool for the tall stacked matrices the training
+// replay produces (small shapes stay single-threaded). Results and
 // gradients are bit-identical to the scalar kernels for any worker count —
 // see kernel.go's equivalence contract.
 func MatMul(a, b *Tensor) *Tensor {

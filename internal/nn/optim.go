@@ -69,7 +69,6 @@ func (s *SGD) Step(params []*Tensor) {
 		if p.Grad == nil {
 			continue
 		}
-		p.NoteMutation()
 		if s.Momentum == 0 {
 			for i, g := range p.Grad {
 				p.Data[i] -= s.LR * g
@@ -119,7 +118,6 @@ func (a *Adam) Step(params []*Tensor) {
 		if p.Grad == nil {
 			continue
 		}
-		p.NoteMutation()
 		m := a.m[p]
 		v := a.v[p]
 		if m == nil {

@@ -44,7 +44,6 @@ func LoadParams(r io.Reader, params []*Tensor) error {
 	}
 	for i, p := range params {
 		copy(p.Data, s.Data[i])
-		p.NoteMutation()
 	}
 	return nil
 }

@@ -88,7 +88,7 @@ func onlineLoopCheckpoint(t *testing.T, workers int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ck.Install(base); err != nil {
+	if err := ck.LoadInto(base.Params()); err != nil {
 		t.Fatal(err)
 	}
 	srv.Service().SwapAgents(base, ck.Name, ck.Version)

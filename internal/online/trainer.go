@@ -230,9 +230,9 @@ func (t *Trainer) Drain() int {
 
 // Publish writes the trainer's current parameters to the registry as the
 // next version of name and returns that version. The caller then loads the
-// checkpoint back (registry.Checkpoint.Install) to hot-swap serving agents
-// — the round-trip is what mints the version's interned lineage, so
-// publishes from a continuously mutating trainer can never alias.
+// checkpoint back (registry.Checkpoint.LoadInto) into a staging agent to
+// hot-swap serving agents — the trainer keeps mutating its own agent, never
+// the parameters a swap reads.
 func (t *Trainer) Publish(reg *registry.Registry, name, note string) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

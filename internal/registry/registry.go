@@ -19,13 +19,6 @@
 // verifies a SHA-256 over (name, version, payload): truncated or
 // bit-flipped files fail with ErrCorrupt — typed, never a silent load of
 // wrong weights.
-//
-// A checkpoint's identity (name, version, checksum) also names its
-// parameter lineage: Checkpoint.Install interns one lineage marker per
-// identity (core.Agent.SetLineageKey), so every replica in a process that
-// loads the same checkpoint batches in core.DecideBatch — a bare
-// Agent.Load cannot grant that, because a file path proves nothing about
-// the bytes behind it.
 package registry
 
 import (
@@ -43,7 +36,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/nn"
 )
 
@@ -185,26 +177,9 @@ type Checkpoint struct {
 	payload []byte
 }
 
-// LineageKey names the checkpoint's parameter identity. Install interns
-// one core lineage per key, so replicas loading the same checkpoint batch.
-func (c *Checkpoint) LineageKey() string {
-	return fmt.Sprintf("%s@%d:%x", c.Name, c.Version, c.Sum)
-}
-
 // LoadInto copies the checkpoint's parameters into params (shape-checked).
 func (c *Checkpoint) LoadInto(params []*nn.Tensor) error {
 	return nn.LoadParams(bytes.NewReader(c.payload), params)
-}
-
-// Install loads the checkpoint's parameters into the agent and assigns the
-// interned lineage for this (name, version, checksum) — unlike Agent.Load,
-// which must mint a fresh lineage because a path proves nothing.
-func (c *Checkpoint) Install(a *core.Agent) error {
-	if err := c.LoadInto(a.Params()); err != nil {
-		return err
-	}
-	a.SetLineageKey(c.LineageKey())
-	return nil
 }
 
 // EncodeCheckpoint serialises params as a checkpoint file image for

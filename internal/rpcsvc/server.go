@@ -30,21 +30,10 @@ type SessionConfig struct {
 	// IdleTimeout evicts sessions with no event for this long. 0 selects
 	// DefaultIdleTimeout, negative disables idle eviction.
 	IdleTimeout time.Duration
-	// MaxBatch caps how many concurrent session decisions coalesce into one
-	// stacked inference forward (see batcher.go). 0 selects DefaultMaxBatch;
-	// 1 or negative disables coalescing entirely (every event decides on its
-	// own goroutine, the pre-batching behaviour).
-	MaxBatch int
-	// BatchWindow adds one optional wait — only when a drained batch already
-	// holds at least two requests but fewer than MaxBatch — for stragglers
-	// to join. 0 (the default) relies purely on adaptive coalescing; a lone
-	// request is never delayed either way.
-	BatchWindow time.Duration
-	// MaxInflight bounds admitted work — Events currently executing or parked
-	// in the batcher, across all sessions. Beyond it the server sheds new
-	// Events (and Opens) with ErrOverloaded instead of queueing unboundedly
-	// behind the dispatcher. 0 (the default) disables admission control, the
-	// pre-overload behaviour.
+	// MaxInflight bounds admitted work — Events currently executing or
+	// waiting on a session lock, across all sessions. Beyond it the server
+	// sheds new Events (and Opens) with ErrOverloaded instead of queueing
+	// unboundedly. 0 (the default) disables admission control.
 	MaxInflight int
 	// ReplicaID names this server instance in Open replies and metrics, so
 	// fleet clients can observe which replica serves a session. Empty is
@@ -88,14 +77,10 @@ type Decima struct {
 	shim   scheduler.Scheduler
 	shimMu sync.Mutex
 	tbl    *sessionTable
-	// batch, when non-nil, coalesces concurrent per-session agent decisions
-	// into stacked forwards (factory mode only; the legacy shared-scheduler
-	// mode serialises decisions and cannot batch).
-	batch *batcher
 	// replicaID names this instance in Open replies (see SessionConfig).
 	replicaID string
-	// maxInflight, when positive, bounds admitted Events (executing or
-	// parked); the gate compares it against stats.Inflight.
+	// maxInflight, when positive, bounds admitted Events; the gate compares
+	// it against stats.Inflight.
 	maxInflight int
 	// draining, once set, rejects new Opens while existing sessions keep
 	// serving — the SIGTERM graceful-drain mode of cmd/decima-server and
@@ -150,27 +135,14 @@ func NewDecimaSessions(cfg SessionConfig) *Decima {
 		d.recordMax = DefaultRecordMaxSteps
 	}
 	d.tbl = newSessionTable(max, idle, &d.stats)
-	maxBatch := cfg.MaxBatch
-	if maxBatch == 0 {
-		maxBatch = DefaultMaxBatch
-	}
-	if maxBatch > 1 {
-		d.batch = newBatcher(cfg.BatchWindow, maxBatch)
-	}
 	return d
 }
 
-// Stop shuts down the service object's background machinery (the
-// coalescing dispatcher goroutine NewDecimaSessions starts when batching
-// is enabled). Parked decisions are served before it returns; events
-// arriving afterwards decide inline on the sequential path. Idempotent.
-// Server.Close calls it; callers registering a Decima on their own
-// rpc.Server must call it themselves when done.
-func (d *Decima) Stop() {
-	if d.batch != nil {
-		d.batch.close()
-	}
-}
+// Stop does nothing: the service object owns no goroutine (every event is
+// decided on the goroutine that delivered it). The method remains only
+// because bench/ calls it and that directory is frozen between benchmark
+// PRs; ROADMAP item 1 removes both.
+func (d *Decima) Stop() {}
 
 // newScheduler mints the scheduler for one session (or one stateless
 // request). In legacy mode it returns the shared instance plus the mutex
@@ -200,7 +172,7 @@ func (d *Decima) Open(req *OpenRequest, resp *OpenResponse) error {
 	}
 	// Opens pass the same admission gate as Events: a saturated replica must
 	// not bind new sessions it cannot serve. Opens are not counted in-flight
-	// themselves (they are cheap and hold no locks the batcher waits on).
+	// themselves (they are cheap and hold no session lock).
 	if d.maxInflight > 0 && d.stats.Inflight.Load() >= int64(d.maxInflight) {
 		d.stats.Shed.Add(1)
 		return fmt.Errorf("rpcsvc: replica %q: admission queue full: %w", d.replicaID, ErrOverloaded)
@@ -230,8 +202,6 @@ func (d *Decima) Open(req *OpenRequest, resp *OpenResponse) error {
 		// Recording rides the agent's fast-path Record hook; non-agent
 		// schedulers (fifo, fair) have no trajectory to record and the flag
 		// is silently ignored — as it is on servers with no sink at all.
-		// Setting Record also excludes this session's decisions from the
-		// coalescing batcher (core.DecideBatch's non-batchable fallback).
 		if ag, ok := sched.(*core.Agent); ok && decideMu == nil {
 			rec := &recorder{max: d.recordMax}
 			ag.Record = rec.record
@@ -261,8 +231,7 @@ func (d *Decima) Event(req *EventRequest, resp *EventResponse) error {
 		return fmt.Errorf("rpcsvc: replica %q: admission queue full (%d in flight): %w", d.replicaID, in-1, ErrOverloaded)
 	}
 	// The deadline budget is relative to arrival; resolve it to an instant
-	// now so time spent waiting on the session lock or parked in the batcher
-	// counts against it.
+	// now so time spent waiting on the session lock counts against it.
 	var deadline time.Time
 	if req.Deadline > 0 {
 		deadline = time.Now().Add(req.Deadline)
@@ -272,7 +241,7 @@ func (d *Decima) Event(req *EventRequest, resp *EventResponse) error {
 	if err != nil {
 		return err
 	}
-	r, err := sess.event(req, d.batch, deadline)
+	r, err := sess.event(req, deadline)
 	if err != nil {
 		if IsSeqGap(err) {
 			d.stats.SeqGaps.Add(1)
@@ -327,7 +296,7 @@ func (d *Decima) Schedule(req *ScheduleRequest, resp *ScheduleResponse) error {
 	for i := range req.Jobs {
 		ev.Order = append(ev.Order, req.Jobs[i].ID)
 	}
-	r, err := sess.event(ev, nil, time.Time{}) // shim shares one scheduler: never batched
+	r, err := sess.event(ev, time.Time{})
 	if err != nil {
 		return err
 	}
@@ -484,8 +453,5 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 	err := s.lis.Close()
 	s.wg.Wait()
-	// Connections are severed; stop the dispatcher (it serves anything
-	// still parked, and any straggling handler decides inline).
-	s.svc.Stop()
 	return err
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
 )
@@ -43,10 +42,8 @@ type session struct {
 // event applies one delta to the mirror and asks the scheduler for the next
 // action. It holds the session lock for the whole apply+decide so
 // concurrent events on one session serialise; events on different sessions
-// run in parallel (unless they share a scheduler via decideMu). When b is
-// non-nil and the session's scheduler is a per-session Decima agent, the
-// decision detours through the coalescing dispatcher so concurrent events
-// share one stacked forward — with bit-identical per-session results.
+// run in parallel (unless they share a scheduler via decideMu), each on the
+// goroutine that delivered it.
 //
 // The request is validated in full before anything mutates — a rejected
 // event leaves the mirror (and seq) exactly as the client's shadow has it,
@@ -55,14 +52,15 @@ type session struct {
 // on s.mu behind a slow decide, or in the admission backlog) answers
 // ErrOverloaded before seq advances or a job materialises, so the client's
 // retry of the identical request is valid.
-func (s *session) event(req *EventRequest, b *batcher, deadline time.Time) (*ScheduleResponse, error) {
+func (s *session) event(req *EventRequest, deadline time.Time) (*ScheduleResponse, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		// An eviction won the race against this in-flight event.
 		return nil, fmt.Errorf("rpcsvc: session %d: %w", s.id, ErrSessionEvicted)
 	}
-	if err := s.validate(req); err != nil {
+	arrivals, err := s.validate(req)
+	if err != nil {
 		return nil, err
 	}
 	if !deadline.IsZero() && time.Now().After(deadline) {
@@ -78,10 +76,9 @@ func (s *session) event(req *EventRequest, b *batcher, deadline time.Time) (*Sch
 		s.total = req.TotalExecutors
 	}
 
-	// Arrivals: materialise previously unseen jobs.
-	for i := range req.NewJobs {
-		ji := &req.NewJobs[i]
-		s.jobs[ji.ID] = jobStateFromInfo(ji)
+	// Arrivals: previously unseen jobs, materialised by validate.
+	for _, js := range arrivals {
+		s.jobs[js.Job.ID] = js
 	}
 	// Order: rebuild the observation-order job list; jobs absent from it
 	// have left the system.
@@ -148,20 +145,6 @@ func (s *session) event(req *EventRequest, b *batcher, deadline time.Time) (*Sch
 		defer s.decideMu.Unlock()
 	}
 	start := time.Now()
-	if b != nil && s.decideMu == nil {
-		// Per-session agent instances may coalesce: the event keeps holding
-		// s.mu while parked, so nothing else touches this agent (or mirror)
-		// until the batch answers. A stopped batcher falls through to the
-		// sequential decide below — same result.
-		if ag, ok := s.sched.(*core.Agent); ok {
-			if act, served := b.decide(ag, state, deadline); served {
-				if s.stats != nil {
-					s.stats.Decide.Observe(time.Since(start))
-				}
-				return ResponseFromAction(act), nil
-			}
-		}
-	}
 	act, err := s.sched.Decide(state)
 	if err != nil {
 		return nil, err
@@ -173,40 +156,51 @@ func (s *session) event(req *EventRequest, b *batcher, deadline time.Time) (*Sch
 }
 
 // validate checks a whole event request against the mirror without
-// mutating anything, so apply cannot fail halfway. Called under s.mu.
-func (s *session) validate(req *EventRequest) error {
+// mutating anything, so apply cannot fail halfway. It returns the request's
+// NewJobs materialised as mirror job states: building one is what it takes to
+// check its DAG (dag.Job.Validate — stage ids, edge index ranges, symmetric
+// adjacency, acyclicity), and a DAG that fails that check would panic the
+// scheduler mid-decide rather than fail this one request. Only arrivals pay
+// for it; delta-only events carry no NewJobs. Called under s.mu.
+func (s *session) validate(req *EventRequest) ([]*sim.JobState, error) {
 	if req.Seq != s.seq+1 {
-		return fmt.Errorf("rpcsvc: session %d: event seq %d (want %d): %w", s.id, req.Seq, s.seq+1, ErrSeqGap)
+		return nil, fmt.Errorf("rpcsvc: session %d: event seq %d (want %d): %w", s.id, req.Seq, s.seq+1, ErrSeqGap)
 	}
 	// stages[id] = stage count the mirror will have for each known job.
 	stages := make(map[int]int, len(s.jobs)+len(req.NewJobs))
 	for id, js := range s.jobs {
 		stages[id] = len(js.Stages)
 	}
+	var arrivals []*sim.JobState
 	for i := range req.NewJobs {
 		ji := &req.NewJobs[i]
 		if _, dup := stages[ji.ID]; dup {
-			return fmt.Errorf("rpcsvc: session %d: job %d opened twice", s.id, ji.ID)
+			return nil, fmt.Errorf("rpcsvc: session %d: job %d opened twice", s.id, ji.ID)
 		}
+		js := jobStateFromInfo(ji)
+		if err := js.Job.Validate(); err != nil {
+			return nil, fmt.Errorf("rpcsvc: session %d: new job %d: %w", s.id, ji.ID, err)
+		}
+		arrivals = append(arrivals, js)
 		stages[ji.ID] = len(ji.Stages)
 	}
 	for _, id := range req.Order {
 		if _, ok := stages[id]; !ok {
-			return fmt.Errorf("rpcsvc: session %d: order references unknown job %d", s.id, id)
+			return nil, fmt.Errorf("rpcsvc: session %d: order references unknown job %d", s.id, id)
 		}
 	}
 	for _, d := range req.Deltas {
 		n, ok := stages[d.ID]
 		if !ok {
-			return fmt.Errorf("rpcsvc: session %d: delta for unknown job %d", s.id, d.ID)
+			return nil, fmt.Errorf("rpcsvc: session %d: delta for unknown job %d", s.id, d.ID)
 		}
 		for _, sd := range d.Stages {
 			if sd.Stage < 0 || sd.Stage >= n {
-				return fmt.Errorf("rpcsvc: session %d: stage %d out of range for job %d", s.id, sd.Stage, d.ID)
+				return nil, fmt.Errorf("rpcsvc: session %d: stage %d out of range for job %d", s.id, sd.Stage, d.ID)
 			}
 		}
 	}
-	return nil
+	return arrivals, nil
 }
 
 // reset marks the session closed and lets the scheduler drop its caches.

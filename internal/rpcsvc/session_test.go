@@ -24,6 +24,14 @@ func agentFactory(executors int) func(name string, seed int64) (scheduler.Schedu
 	}
 }
 
+// cloneFactory mints per-session clones of one base agent, each sampling
+// from its session seed — the cmd/decima-server deployment shape.
+func cloneFactory(base *core.Agent) func(name string, seed int64) (scheduler.Scheduler, error) {
+	return func(name string, seed int64) (scheduler.Scheduler, error) {
+		return base.Clone(rand.New(rand.NewSource(seed))), nil
+	}
+}
+
 // startSessionServer launches a session-serving service on a random port.
 func startSessionServer(t testing.TB, cfg SessionConfig) (*Server, *Client) {
 	t.Helper()
@@ -146,6 +154,63 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 }
 
+// TestConcurrentSessionsBitIdentical drives 8 concurrent sampled sessions
+// through one server and compares every session's full noisy run against an
+// in-process reference using an identically seeded clone: the schedules and
+// metrics — and therefore every RNG draw along the way — must match exactly,
+// however the sessions' events interleave on the server. Run under -race
+// (make race) this also guards that sessions share no mutable state.
+func TestConcurrentSessionsBitIdentical(t *testing.T) {
+	const executors = 8
+	const sessions = 8
+	base := core.New(core.DefaultConfig(executors), rand.New(rand.NewSource(77)))
+	base.Greedy = false // sampled: any probability or RNG drift changes the run
+
+	_, cli := startSessionServer(t, SessionConfig{Default: "decima", New: cloneFactory(base)})
+
+	// In-process references, sequentially.
+	want := make([]string, sessions)
+	for k := 0; k < sessions; k++ {
+		a := base.Clone(rand.New(rand.NewSource(int64(k + 1))))
+		jobs := workload.Batch(rand.New(rand.NewSource(int64(20+k))), 5)
+		res := sim.New(sim.SparkDefaults(executors), jobs, scheduler.Sim(a), rand.New(rand.NewSource(int64(k)))).Run()
+		if res.Unfinished != 0 || res.Deadlock {
+			t.Fatalf("reference run %d incomplete", k)
+		}
+		want[k] = runKey(res)
+	}
+
+	got := make([]string, sessions)
+	var wg sync.WaitGroup
+	errs := make(chan error, sessions)
+	for k := 0; k < sessions; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			var rpcErr error
+			ss := &SessionScheduler{Client: cli, Seed: int64(k + 1), OnError: func(e error) { rpcErr = e }}
+			defer ss.Close()
+			jobs := workload.Batch(rand.New(rand.NewSource(int64(20+k))), 5)
+			res := sim.New(sim.SparkDefaults(executors), jobs, ss, rand.New(rand.NewSource(int64(k)))).Run()
+			if rpcErr != nil {
+				errs <- rpcErr
+				return
+			}
+			got[k] = runKey(res)
+		}(k)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for k := 0; k < sessions; k++ {
+		if got[k] != want[k] {
+			t.Fatalf("session %d: concurrent serving diverged from in-process reference:\n%s\nvs\n%s", k, got[k], want[k])
+		}
+	}
+}
+
 // TestSessionLRUEviction fills the session table past its bound and checks
 // that the least recently used sessions are evicted: their next Event fails
 // with an unknown-session error while fresher sessions keep serving.
@@ -202,18 +267,15 @@ func TestSessionLRUEviction(t *testing.T) {
 	}
 }
 
-// TestSessionEvictionUnderLoad hammers a tiny session table from many
-// goroutines that keep opening sessions and driving events, so evictions
-// race live traffic; the invariants are "no session-table corruption" (race
-// detector), "table never exceeds its bound", and "errors are only ever the
+// hammerEviction drives a tiny session table from many goroutines that keep
+// opening sessions and sending events, so evictions race live traffic; the
+// invariants are "no session-table corruption" (race detector), "table never
+// exceeds its bound", "nothing deadlocks", and "errors are only ever the
 // documented unknown-session kind, after which reopening works".
-func TestSessionEvictionUnderLoad(t *testing.T) {
+func hammerEviction(t *testing.T, cfg SessionConfig) {
 	const executors = 4
-	srv, cli := startSessionServer(t, SessionConfig{
-		Default:     "fifo",
-		MaxSessions: 3,
-		IdleTimeout: -1,
-	})
+	cfg.IdleTimeout = -1
+	srv, cli := startSessionServer(t, cfg)
 
 	st := func() *sim.State {
 		js := jobStateFromInfo(&JobInfo{ID: 1, Stages: []StageInfo{{ID: 0, NumTasks: 2, TaskDuration: 1, CPUReq: 1}}})
@@ -229,10 +291,10 @@ func TestSessionEvictionUnderLoad(t *testing.T) {
 	fails := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				sess, err := cli.OpenSession(&OpenRequest{TotalExecutors: executors})
+				sess, err := cli.OpenSession(&OpenRequest{TotalExecutors: executors, Seed: int64(w + 1)})
 				if err != nil {
 					fails <- err
 					return
@@ -245,16 +307,32 @@ func TestSessionEvictionUnderLoad(t *testing.T) {
 					}
 				}
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 	close(fails)
 	for err := range fails {
 		t.Fatal(err)
 	}
-	if got := srv.Sessions(); got > 3 {
-		t.Fatalf("session table exceeded bound: %d > 3", got)
+	if got := srv.Sessions(); got > cfg.MaxSessions {
+		t.Fatalf("session table exceeded bound: %d > %d", got, cfg.MaxSessions)
 	}
+}
+
+// TestSessionEvictionUnderLoad races evictions against cheap fifo traffic,
+// where the table lock is the contended resource.
+func TestSessionEvictionUnderLoad(t *testing.T) {
+	hammerEviction(t, SessionConfig{Default: "fifo", MaxSessions: 3})
+}
+
+// TestEvictionRacesInflightDecide is the same hammer with per-session decima
+// agents on a table of two: a decide holds its session lock long enough that
+// LRU evictions routinely land on a session whose event is in flight. The
+// eviction must wait for that decision and then reset the agent; the event
+// that lost the race must fail cleanly.
+func TestEvictionRacesInflightDecide(t *testing.T) {
+	base := core.New(core.DefaultConfig(4), rand.New(rand.NewSource(99)))
+	hammerEviction(t, SessionConfig{Default: "decima", New: cloneFactory(base), MaxSessions: 2})
 }
 
 // TestEventOnResetSessionFailsCleanly pins the eviction race down at the
@@ -278,7 +356,7 @@ func TestEventOnResetSessionFailsCleanly(t *testing.T) {
 		NewJobs:       []JobInfo{{ID: 1, Stages: []StageInfo{{ID: 0, NumTasks: 1, TaskDuration: 1, CPUReq: 1}}}},
 		Order:         []int{1},
 		FreeExecutors: []ExecutorInfo{{ID: 0, Mem: 1, LocalJob: -1}},
-	}, nil, time.Time{})
+	}, time.Time{})
 	if err == nil {
 		t.Fatal("event on a reset session succeeded")
 	}
@@ -312,6 +390,58 @@ func TestInvalidEventLeavesSessionUsable(t *testing.T) {
 	// have bumped seq or inserted job 1.
 	if err := cli.rpc.Call("Decima.Event", good(1), &resp); err != nil {
 		t.Fatalf("session wedged after rejected event: %v", err)
+	}
+}
+
+// TestMalformedNewJobIsRejected sends well-formed gob whose NewJobs describe
+// a structurally invalid DAG — a parent index out of range, then a two-stage
+// cycle. Either used to panic the replica inside the decide (taking every
+// session on it down); both must now be refused before the mirror mutates,
+// after which the same session accepts a normal event under the same seq and
+// the server still opens and serves a fresh session.
+func TestMalformedNewJobIsRejected(t *testing.T) {
+	const executors = 4
+	_, cli := startSessionServer(t, SessionConfig{Default: "decima", New: agentFactory(executors)})
+	event := func(sid uint64, stages []StageInfo) error {
+		var resp EventResponse
+		return cli.rpc.Call("Decima.Event", &EventRequest{
+			SID:           sid,
+			Seq:           1,
+			NewJobs:       []JobInfo{{ID: 1, Stages: stages}},
+			Order:         []int{1},
+			FreeExecutors: []ExecutorInfo{{ID: 0, Mem: 1, LocalJob: -1}},
+		}, &resp)
+	}
+	stage := func(id int, parents, children []int) StageInfo {
+		return StageInfo{ID: id, NumTasks: 2, TaskDuration: 1, CPUReq: 1, Parents: parents, Children: children}
+	}
+	sess, err := cli.OpenSession(&OpenRequest{TotalExecutors: executors})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stage 0 is a runnable root in both shapes, so the agent does embed the
+	// job (with no candidate it would return before touching the DAG).
+	for _, bad := range []struct {
+		name   string
+		stages []StageInfo
+	}{
+		{"parent out of range", []StageInfo{stage(0, nil, nil), stage(1, []int{7}, nil)}},
+		{"cycle", []StageInfo{stage(0, nil, nil), stage(1, []int{2}, []int{2}), stage(2, []int{1}, []int{1})}},
+	} {
+		if err := event(sess.SID(), bad.stages); err == nil {
+			t.Fatalf("%s: malformed job accepted", bad.name)
+		}
+	}
+	chain := []StageInfo{stage(0, nil, []int{1}), stage(1, []int{0}, nil)}
+	if err := event(sess.SID(), chain); err != nil {
+		t.Fatalf("session unusable after rejected jobs: %v", err)
+	}
+	fresh, err := cli.OpenSession(&OpenRequest{TotalExecutors: executors})
+	if err != nil {
+		t.Fatalf("server unusable after rejected jobs: %v", err)
+	}
+	if err := event(fresh.SID(), chain); err != nil {
+		t.Fatalf("fresh session after rejected jobs: %v", err)
 	}
 }
 
