@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-robustness smoke-server smoke-restart smoke-fleet smoke-chaos smoke-online fuzz fmt vet docs-check
+.PHONY: all build test race bench bench-compare bench-json bench-robustness smoke-server smoke-restart smoke-fleet smoke-chaos smoke-online fuzz fmt vet docs-check
 
 all: build vet fmt docs-check test
 
@@ -25,6 +25,44 @@ race:
 # Benchmark smoke run: compile and execute every benchmark once.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+
+# Paired A/B on the ledger (ROADMAP item 1e, first piece; the rule is
+# choosing-metrics §8 as bench/compare.go implements it):
+#
+#	make bench-compare BASE=<rev> [PAIRS=10] [SEEDS="1 7"]
+#
+# builds the ledger of BASE (a temporary `git archive` checkout — the
+# repository itself is not touched) and of the working tree into two
+# binaries, runs PAIRS pairs of every workload on every seed at the ledger's
+# own run length, alternating which side goes first, and ends each seed with
+# `bench compare BASE… -- HEAD…`. Binaries, records and logs go to
+# COMPARE_OUT, outside the tracked tree; a run that fails its oracle stops
+# the comparison.
+BASE ?= HEAD
+PAIRS ?= 10
+SEEDS ?= 1 7
+WORKLOADS ?= session-stream session-churn fleet-stream train-replay
+COMPARE_OUT ?= $(or $(TMPDIR),/tmp)/decima-bench-compare
+
+bench-compare:
+	rm -rf $(COMPARE_OUT)/src && mkdir -p $(COMPARE_OUT)/src
+	git archive $(BASE) | tar -x -C $(COMPARE_OUT)/src
+	$(GO) build -C $(COMPARE_OUT)/src/bench -o $(COMPARE_OUT)/bench-base .
+	$(GO) build -C bench -o $(COMPARE_OUT)/bench-head .
+	@set -e; cd $(COMPARE_OUT); for seed in $(SEEDS); do \
+		base=; head=; \
+		for w in $(WORKLOADS); do for i in $$(seq 1 $(PAIRS)); do \
+			sides="base head"; if [ $$((i % 2)) -eq 0 ]; then sides="head base"; fi; \
+			for side in $$sides; do \
+				rec=$$side-$$w-seed$$seed-$$i.json; \
+				./bench-$$side --workload $$w --seed $$seed --trace 0 --out $$rec > $$rec.log 2>&1 || { cat $$rec.log; exit 1; }; \
+				echo "$$rec $$(tail -n 1 $$rec.log)"; \
+			done; \
+			base="$$base $(COMPARE_OUT)/base-$$w-seed$$seed-$$i.json"; head="$$head $(COMPARE_OUT)/head-$$w-seed$$seed-$$i.json"; \
+		done; done; \
+		echo "== seed $$seed: $(BASE) (A) vs working tree (B), $(PAIRS) pairs =="; \
+		$(GO) run -C $(CURDIR)/bench . compare $$base -- $$head; \
+	done
 
 # Documentation consistency: every file referenced from the core documents
 # must exist (see cmd/docscheck). Fails the build on rot.

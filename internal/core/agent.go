@@ -114,11 +114,12 @@ type Agent struct {
 	// Record, when set, receives a replay record for every fast-path
 	// decision (it is never called on the tracked Hook path). The training
 	// fast path rolls episodes out with Hook nil and Record set, then
-	// rebuilds the gradient graph from the records (see replay.go). The
-	// record's Graphs slice aliases agent-owned scratch that is overwritten
-	// by the next decision — a recorder that retains the step must copy it;
-	// the *gnn.Graph values themselves are stable and shared across steps
-	// whenever a job's cache key was unchanged.
+	// rebuilds the gradient graph from the records (see replay.go). Every
+	// slice of the record (Graphs, Cands, MinLimits, ClassOKs and its rows)
+	// aliases agent-owned scratch that the next decision overwrites — a
+	// recorder that retains the step must copy them; the *gnn.Graph values
+	// themselves are stable, never mutated, and shared across steps whenever
+	// a job's cache key was unchanged.
 	Record func(ReplayStep)
 
 	rng *rand.Rand
@@ -126,12 +127,20 @@ type Agent struct {
 	// Fast-path state: the scratch arena backing one decision's tensors and
 	// the per-job embedding cache (see cache.go). Private to the agent, so
 	// concurrent agents (e.g. parallel evaluation workers holding clones)
-	// never share mutable state. recGraphs is the per-decision graph list
-	// handed to Record, reused across decisions.
+	// never share mutable state. emb and recGraphs are the per-decision
+	// embeddings value and the graph list handed to Record; the remaining
+	// slices are the candidate set candidates() fills. All are reused across
+	// decisions, so a warm decision allocates only its returned Action.
 	scratch   nn.Scratch
 	cache     map[*sim.JobState]*jobCache
 	embedPass uint64
+	emb       gnn.Embeddings
 	recGraphs []*gnn.Graph
+	cands     []policy.Candidate
+	stages    []*sim.StageState
+	minLimits []int
+	classOKs  [][]bool // rows of classOK, one per candidate (multi-resource)
+	classOK   []bool
 }
 
 // New builds an agent with freshly initialised networks.
@@ -206,14 +215,18 @@ func (a *Agent) Decide(s *sim.State) (*sim.Action, error) { return a.Schedule(s)
 // greediness and the sampling RNG are untouched.
 func (a *Agent) Reset() { a.ResetCache() }
 
-// ResetCache drops the embedding cache, releasing its references to the
-// last run's simulator state (jobs, DAGs, cached embeddings). Callers that
+// ResetCache drops the embedding cache and the per-decision buffers'
+// contents, releasing every reference to the last run's simulator state
+// (jobs, stages, DAGs, cached embeddings, recorded graphs). Callers that
 // keep an agent alive after a rollout finishes (e.g. rl.Evaluate, a trainer
 // that evaluates between iterations) call this so a finished run's memory
 // does not linger until the next fast-path decision. Correctness never
 // depends on it: entries are keyed by *sim.JobState pointer, so a new run
 // can never hit a stale entry.
-func (a *Agent) ResetCache() { a.cache = nil }
+func (a *Agent) ResetCache() {
+	a.cache = nil
+	a.emb, a.recGraphs, a.stages = gnn.Embeddings{}, nil, nil
+}
 
 // RNG returns the RNG the agent samples actions from.
 func (a *Agent) RNG() *rand.Rand { return a.rng }
@@ -253,8 +266,15 @@ func featureKeyInputs(s *sim.State, j *sim.JobState) (freeTotal, total int, loca
 // Features builds the §6.1 feature matrix for one job in the given state.
 func (a *Agent) Features(s *sim.State, j *sim.JobState) *nn.Tensor {
 	freeTotal, total, local := featureKeyInputs(s, j)
-	d := a.Cfg.FeatDim()
-	f := nn.Zeros(len(j.Stages), d)
+	f := nn.Zeros(len(j.Stages), a.Cfg.FeatDim())
+	a.fillFeatures(f, j, freeTotal, total, local)
+	return f
+}
+
+// fillFeatures writes job j's feature matrix into f (len(j.Stages)×FeatDim)
+// from the job's own state and the featureKeyInputs values.
+func (a *Agent) fillFeatures(f *nn.Tensor, j *sim.JobState, freeTotal, total int, local float64) {
+	d := f.Cols
 	for i, st := range j.Stages {
 		remaining := float64(st.Stage.NumTasks - st.TasksDone)
 		dur := st.Stage.TaskDuration
@@ -262,17 +282,17 @@ func (a *Agent) Features(s *sim.State, j *sim.JobState) *nn.Tensor {
 		if a.Cfg.NoTaskDurations {
 			dur, work = 0, 0
 		}
-		f.Set(i, 0, remaining/100)
-		f.Set(i, 1, dur/10)
-		f.Set(i, 2, float64(j.Executors)/float64(maxInt(a.Cfg.NumLimits, 1)))
-		f.Set(i, 3, float64(freeTotal)/float64(maxInt(total, 1)))
-		f.Set(i, 4, local)
-		f.Set(i, 5, work/1000)
+		row := f.Data[i*d : (i+1)*d]
+		row[0] = remaining / 100
+		row[1] = dur / 10
+		row[2] = float64(j.Executors) / float64(maxInt(a.Cfg.NumLimits, 1))
+		row[3] = float64(freeTotal) / float64(maxInt(total, 1))
+		row[4] = local
+		row[5] = work / 1000
 		if a.Cfg.UseIATFeature {
-			f.Set(i, 6, a.Cfg.IATHint/100)
+			row[6] = a.Cfg.IATHint / 100
 		}
 	}
-	return f
 }
 
 func maxInt(a, b int) int {
@@ -287,11 +307,6 @@ func (a *Agent) embed(s *sim.State) *gnn.Embeddings {
 	graphs := make([]*gnn.Graph, len(s.Jobs))
 	for i, j := range s.Jobs {
 		graphs[i] = gnn.NewGraph(j.Job, a.Features(s, j))
-	}
-	if a.Record != nil {
-		// The GNN ablation reaches here from the fast path too; stash the
-		// observation so the decision can be recorded for replay.
-		a.recGraphs = append(a.recGraphs[:0], graphs...)
 	}
 	if a.GNN != nil {
 		return a.GNN.Forward(graphs)
@@ -310,44 +325,56 @@ func (a *Agent) embed(s *sim.State) *gnn.Embeddings {
 
 // candidates enumerates the schedulable nodes of s — with their per-node
 // parallelism floors and (multi-resource) class masks — exactly as the
-// policy scores them.
-func (a *Agent) candidates(s *sim.State) (cands []policy.Candidate, stages []*sim.StageState, minLimits []int, classOKs [][]bool) {
+// policy scores them, into the agent's reused cands/stages/minLimits/classOKs
+// buffers.
+func (a *Agent) candidates(s *sim.State) {
+	a.cands, a.stages, a.minLimits = a.cands[:0], a.stages[:0], a.minLimits[:0]
+	a.classOKs, a.classOK = a.classOKs[:0], a.classOK[:0]
+	nc := len(a.Cfg.ClassMem)
 	for ji, j := range s.Jobs {
 		for ni, st := range j.Stages {
 			if !st.Runnable() || s.FreeCount(st) == 0 {
 				continue
 			}
-			cands = append(cands, policy.Candidate{JobIdx: ji, NodeIdx: ni})
-			stages = append(stages, st)
-			minLimits = append(minLimits, j.Executors+1)
-			if len(a.Cfg.ClassMem) > 1 {
-				ok := make([]bool, len(a.Cfg.ClassMem))
+			a.cands = append(a.cands, policy.Candidate{JobIdx: ji, NodeIdx: ni})
+			a.stages = append(a.stages, st)
+			a.minLimits = append(a.minLimits, j.Executors+1)
+			if nc > 1 {
+				lo := len(a.classOK)
+				for c := 0; c < nc; c++ { // append(make) allocates under -race
+					a.classOK = append(a.classOK, false)
+				}
 				for _, e := range s.FreeExecutors {
 					if e.Mem >= st.Stage.MemReq {
-						ok[e.Class] = true
+						a.classOK[lo+e.Class] = true
 					}
 				}
-				classOKs = append(classOKs, ok)
 			}
 		}
 	}
-	return cands, stages, minLimits, classOKs
+	if nc > 1 {
+		for i := range a.cands {
+			a.classOKs = append(a.classOKs, a.classOK[i*nc:(i+1)*nc:(i+1)*nc])
+		}
+	}
 }
 
 // Schedule implements sim.Scheduler: one invocation produces one
 // ⟨stage, limit(, class)⟩ action.
 func (a *Agent) Schedule(s *sim.State) *sim.Action {
-	cands, stages, minLimits, classOKs := a.candidates(s)
-	if len(cands) == 0 {
+	a.candidates(s)
+	if len(a.cands) == 0 {
 		return nil
 	}
 	req := policy.Request{
-		Cands:     cands,
-		MinLimits: minLimits,
+		Cands:     a.cands,
+		MinLimits: a.minLimits,
 		ClassMem:  a.Cfg.ClassMem,
 		Greedy:    a.Greedy,
 	}
-	if classOKs != nil {
+	var classOKs [][]bool // nil without the class head, as replay expects
+	if len(a.classOKs) > 0 {
+		classOKs = a.classOKs
 		req.ClassOKPer = classOKs
 	}
 	var dec policy.Decision
@@ -363,8 +390,8 @@ func (a *Agent) Schedule(s *sim.State) *sim.Action {
 		if a.Record != nil {
 			a.Record(ReplayStep{
 				Graphs:     a.recGraphs,
-				Cands:      cands,
-				MinLimits:  minLimits,
+				Cands:      a.cands,
+				MinLimits:  a.minLimits,
 				ClassOKs:   classOKs,
 				Choice:     dec.Choice,
 				Limit:      dec.Limit,
@@ -388,5 +415,5 @@ func (a *Agent) Schedule(s *sim.State) *sim.Action {
 	if a.Cfg.NoParallelismControl {
 		limit = s.TotalExecutors
 	}
-	return &sim.Action{Stage: stages[dec.Choice], Limit: limit, Class: dec.Class}
+	return &sim.Action{Stage: a.stages[dec.Choice], Limit: limit, Class: dec.Class}
 }

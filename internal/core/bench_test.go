@@ -28,8 +28,10 @@ func benchState(numJobs, execs int) *sim.State {
 	return st
 }
 
-// benchDecision measures one eval-mode scheduling decision.
-func benchDecision(b *testing.B, mkAgent func() *Agent) {
+// benchDecision measures one eval-mode scheduling decision, reporting its
+// allocations: on an unchanged state (every embedding cached), or with one
+// job touched before each decision (one re-embed, the serving steady state).
+func benchDecision(b *testing.B, mkAgent func() *Agent, oneJobChanged bool) {
 	b.Helper()
 	st := benchState(10, 20)
 	a := mkAgent()
@@ -40,37 +42,42 @@ func benchDecision(b *testing.B, mkAgent func() *Agent) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if oneJobChanged {
+			st.Jobs[i%len(st.Jobs)].Touch()
+		}
 		a.Schedule(st)
 	}
 }
 
-// BenchmarkInferenceDecision is the PR's headline number: one scheduling
+func newBenchAgent() *Agent { return New(DefaultConfig(20), rand.New(rand.NewSource(3))) }
+
+// BenchmarkInferenceDecision is the headline number: one scheduling
 // decision on the inference fast path (no-grad fused forward + warm
 // incremental embedding cache), the configuration evaluation rollouts and
 // the serving path run in.
-func BenchmarkInferenceDecision(b *testing.B) {
-	benchDecision(b, func() *Agent {
-		return New(DefaultConfig(20), rand.New(rand.NewSource(3)))
-	})
-}
+func BenchmarkInferenceDecision(b *testing.B) { benchDecision(b, newBenchAgent, false) }
+
+// BenchmarkInferenceDecisionOneJobChanged is the same decision after an
+// event touched one job: nine cache hits, one re-embed into a recycled entry.
+func BenchmarkInferenceDecisionOneJobChanged(b *testing.B) { benchDecision(b, newBenchAgent, true) }
 
 // BenchmarkInferenceDecisionNoCache isolates the no-grad/fusion win from
 // the caching win: fast path, but every decision re-embeds every job.
 func BenchmarkInferenceDecisionNoCache(b *testing.B) {
 	benchDecision(b, func() *Agent {
-		a := New(DefaultConfig(20), rand.New(rand.NewSource(3)))
+		a := newBenchAgent()
 		a.NoCache = true
 		return a
-	})
+	}, false)
 }
 
-// BenchmarkInferenceDecisionTracked is the pre-PR baseline: the
-// autograd-tracked path every decision used to take (a no-op Hook forces
-// it), kept for the ≥2× acceptance comparison.
+// BenchmarkInferenceDecisionTracked is the autograd-tracked path every
+// decision takes when a Hook is set (a no-op Hook forces it), kept as the
+// reference the fast path is measured against.
 func BenchmarkInferenceDecisionTracked(b *testing.B) {
 	benchDecision(b, func() *Agent {
-		a := New(DefaultConfig(20), rand.New(rand.NewSource(3)))
+		a := newBenchAgent()
 		a.Hook = func(*Step) {}
 		return a
-	})
+	}, false)
 }

@@ -16,11 +16,11 @@ import (
 // the executor-pool size (constant per run without failure dynamics, varying
 // under churn), and the job's locality flag. So per-job results cached under
 // the key (Version, freeTotal, total, local) can be reused *exactly* — not
-// approximately —
-// and only jobs an event actually touched are re-embedded. The global
-// summary is recombined from the cached per-job rows on every decision,
-// in job order, so its floating-point summation order matches a full
-// forward bit for bit.
+// approximately — and only jobs an event actually touched are re-embedded.
+// The global summary GGlob(Σ FGlob(y_i)) is recombined on every decision from
+// each entry's cached FGlob row, summed in job order from zero, so its
+// floating-point summation order matches a full forward bit for bit and an
+// event that changed one job runs FGlob on one row.
 //
 // Each job holds a small set of entries (maxEntriesPerJob), not just the
 // latest: the free-executor count and locality flag are part of every job's
@@ -31,7 +31,7 @@ import (
 // changes — so this generalisation is about robustness across workload
 // shapes, not a large win on the current ones; see DESIGN.md.) Lookups are
 // linear scans over ≤ maxEntriesPerJob entries — cheaper than a map at this
-// size — and eviction is by least-recent pass.
+// size — and a full set recycles its least recently used entry in place.
 //
 // Entries are keyed by *sim.JobState pointer: pointer identity scopes the
 // cache to one simulation run (every run builds fresh JobStates), so agents
@@ -41,7 +41,9 @@ import (
 // maxEntriesPerJob bounds one job's cached embeddings.
 const maxEntriesPerJob = 8
 
-// embEntry is one job's cached embedding state under one exact key.
+// embEntry is one job's cached embedding state under one exact key. Its
+// buffers belong to the entry and are refilled in place when the entry is
+// recycled for a new key: a job's node matrix never changes shape.
 type embEntry struct {
 	version   uint64  // sim.JobState.Version the entry was computed at
 	freeTotal int     // cluster-wide free-executor count observed
@@ -49,15 +51,21 @@ type embEntry struct {
 	local     float64 // locality feature observed (0 or 1)
 	nodes     *nn.Tensor
 	jobRow    []float64
-	pass      uint64 // last embed pass that referenced the entry
+	// globRow is FGlob(jobRow), the job's message to the global summary.
+	// FGlob is row-wise, so the row computed alone equals the row a full
+	// forward computes among the other jobs', bit for bit.
+	globRow []float64
+	pass    uint64 // last embed pass that referenced the entry
 	// graph is the observation the entry was computed from, retained only
 	// while Record is set: handing the same *gnn.Graph to every decision
 	// that hits the entry is what lets the training replay deduplicate
-	// identical observations across an episode.
+	// identical observations across an episode. A recorder may keep it
+	// forever, so recycling the entry drops the pointer and never touches
+	// the graph.
 	graph *gnn.Graph
 }
 
-// jobCache holds one job's cached entries, most recently used first.
+// jobCache holds one job's cached entries.
 type jobCache struct {
 	entries []*embEntry
 	pass    uint64 // last embed pass that referenced the job
@@ -73,20 +81,23 @@ func (c *jobCache) lookup(version uint64, freeTotal, total int, local float64) *
 	return nil
 }
 
-// store inserts a fresh entry, evicting the least recently used beyond the
-// per-job bound.
-func (c *jobCache) store(ent *embEntry) {
+// claim returns the entry to fill for a new key of a job with n stages: a
+// fresh one while the job has room, else the least recently used, recycled.
+func (c *jobCache) claim(n, d int) *embEntry {
 	if len(c.entries) < maxEntriesPerJob {
+		rows := make([]float64, 2*d)
+		ent := &embEntry{nodes: nn.Zeros(n, d), jobRow: rows[:d:d], globRow: rows[d:]}
 		c.entries = append(c.entries, ent)
-		return
+		return ent
 	}
-	victim := 0
-	for i, e := range c.entries {
-		if e.pass < c.entries[victim].pass {
-			victim = i
+	victim := c.entries[0]
+	for _, e := range c.entries {
+		if e.pass < victim.pass {
+			victim = e
 		}
 	}
-	c.entries[victim] = ent
+	victim.graph = nil
+	return victim
 }
 
 // cacheFor returns (creating if needed) the job's entry set and stamps it
@@ -114,79 +125,114 @@ func (a *Agent) cacheSweep(liveJobs int) {
 	}
 }
 
+// observe builds job j's GNN input under the given key inputs. With retain
+// (a recorder will keep the graph) the features are a fresh heap matrix;
+// otherwise they live in the scratch arena and the value dies with the
+// decision.
+func (a *Agent) observe(j *sim.JobState, freeTotal, total int, local float64, retain bool) gnn.Graph {
+	var f *nn.Tensor
+	if retain {
+		f = nn.Zeros(len(j.Stages), a.Cfg.FeatDim())
+	} else {
+		f = a.scratch.AllocTensor(len(j.Stages), a.Cfg.FeatDim())
+	}
+	a.fillFeatures(f, j, freeTotal, total, local)
+	return gnn.Graph{Feats: f, LevelPlan: j.Job.Levels()}
+}
+
+// heapGraph moves an observation a recorder will retain to the heap; the
+// by-value graphs embedInference works on stay on its stack.
+func heapGraph(gr gnn.Graph) *gnn.Graph { return &gr }
+
 // embedInference produces embeddings on the no-grad fast path, re-embedding
-// only jobs whose cache key changed. Results (beyond the cache-owned node
-// embeddings) live in the agent's scratch arena, which this call resets —
-// one decision's tensors are valid until the next fast-path decision.
+// only jobs whose cache key changed. The returned value, its tensors (beyond
+// the cache-owned node embeddings) and recGraphs are agent-owned scratch,
+// which this call resets — one decision's embeddings are valid until the next
+// fast-path decision. A warm call allocates nothing.
 func (a *Agent) embedInference(s *sim.State) *gnn.Embeddings {
 	a.scratch.Reset()
-	if a.GNN == nil {
-		// Ablation: raw features feed the score functions directly; there is
-		// no graph to build or skip, so the tracked path is already minimal.
-		return a.embed(s)
-	}
-	d := a.Cfg.EmbedDim
-	if len(s.Jobs) == 0 {
-		return &gnn.Embeddings{Jobs: nn.Zeros(0, d), Global: nn.Zeros(1, d)}
+	recording := a.Record != nil
+	a.recGraphs = a.recGraphs[:0]
+	emb := &a.emb
+	emb.Nodes = emb.Nodes[:0]
+	d := a.Pol.Cfg.EmbedDim
+	emb.Jobs = a.scratch.AllocTensor(len(s.Jobs), d)
+	if a.GNN == nil || len(s.Jobs) == 0 {
+		// Ablation (or no jobs): raw features stand in for node embeddings,
+		// with zero job and global summaries; there is nothing to cache.
+		emb.Global = a.scratch.AllocTensor(1, d)
+		for _, j := range s.Jobs {
+			freeTotal, total, local := featureKeyInputs(s, j)
+			gr := a.observe(j, freeTotal, total, local, recording)
+			if recording {
+				a.recGraphs = append(a.recGraphs, heapGraph(gr))
+			}
+			emb.Nodes = append(emb.Nodes, gr.Feats)
+		}
+		return emb
 	}
 	if a.cache == nil {
 		a.cache = make(map[*sim.JobState]*jobCache)
 	}
 	a.embedPass++
-	emb := &gnn.Embeddings{Nodes: make([]*nn.Tensor, len(s.Jobs))}
-	jobs := a.scratch.AllocTensor(len(s.Jobs), d)
-	recording := a.Record != nil
-	if recording {
-		a.recGraphs = a.recGraphs[:0]
-	}
+	// globSum accumulates the cached FGlob rows in job order from zero — the
+	// order and arithmetic of GlobalInference's column sum.
+	globSum := a.scratch.AllocTensor(1, d)
 	for i, j := range s.Jobs {
 		freeTotal, total, local := featureKeyInputs(s, j)
-		jc := a.cacheFor(j)
-		ent := jc.lookup(j.Version, freeTotal, total, local)
-		if ent == nil || a.NoCache {
-			gr := gnn.NewGraph(j.Job, a.Features(s, j))
-			nodes := a.GNN.EmbedNodesInference(gr, &a.scratch)
-			row := a.GNN.JobSummaryInference(gr, nodes, &a.scratch)
+		var jc *jobCache
+		var ent *embEntry
+		if !a.NoCache {
+			jc = a.cacheFor(j)
+			ent = jc.lookup(j.Version, freeTotal, total, local)
+		}
+		if ent == nil {
+			gr := a.observe(j, freeTotal, total, local, recording)
+			nodes := a.GNN.EmbedNodesInference(&gr, &a.scratch)
+			row := a.GNN.JobSummaryInference(&gr, nodes, &a.scratch)
 			if a.NoCache {
-				// Nothing outlives the decision, so the arena-backed tensors
-				// are used directly — no heap copies.
+				// The reference path: nothing outlives the decision, so the
+				// arena-backed tensors are used directly and the global
+				// summary is recomputed over every row below.
 				if recording {
-					a.recGraphs = append(a.recGraphs, gr)
+					a.recGraphs = append(a.recGraphs, heapGraph(gr))
 				}
-				emb.Nodes[i] = nodes
-				copy(jobs.Data[i*d:(i+1)*d], row.Data)
+				emb.Nodes = append(emb.Nodes, nodes)
+				copy(emb.Jobs.Data[i*d:(i+1)*d], row.Data)
 				continue
 			}
-			// Clone the results out of the arena: cached tensors must survive
-			// across decisions (and arena resets).
-			ent = &embEntry{
-				version:   j.Version,
-				freeTotal: freeTotal,
-				total:     total,
-				local:     local,
-				nodes:     nodes.Clone(),
-				jobRow:    append([]float64(nil), row.Data...),
-			}
+			// Copy the results out of the arena into the entry's own
+			// buffers: cached values must survive arena resets.
+			ent = jc.claim(len(j.Stages), d)
+			ent.version, ent.freeTotal, ent.total, ent.local = j.Version, freeTotal, total, local
+			copy(ent.nodes.Data, nodes.Data)
+			copy(ent.jobRow, row.Data)
+			copy(ent.globRow, a.GNN.FGlob.ForwardInference(row, &a.scratch).Data)
 			if recording {
-				ent.graph = gr
+				ent.graph = heapGraph(gr)
 			}
-			jc.store(ent)
 		}
 		if recording {
 			if ent.graph == nil {
 				// The entry predates recording (Record toggled mid-run);
 				// rebuild the observation — the cache key guarantees the
 				// features are identical to the cached embedding's.
-				ent.graph = gnn.NewGraph(j.Job, a.Features(s, j))
+				ent.graph = heapGraph(a.observe(j, freeTotal, total, local, true))
 			}
 			a.recGraphs = append(a.recGraphs, ent.graph)
 		}
 		ent.pass = a.embedPass
-		emb.Nodes[i] = ent.nodes
-		copy(jobs.Data[i*d:(i+1)*d], ent.jobRow)
+		emb.Nodes = append(emb.Nodes, ent.nodes)
+		copy(emb.Jobs.Data[i*d:(i+1)*d], ent.jobRow)
+		for k, v := range ent.globRow {
+			globSum.Data[k] += v
+		}
+	}
+	if a.NoCache {
+		emb.Global = a.GNN.GlobalInference(emb.Jobs, &a.scratch)
+		return emb
 	}
 	a.cacheSweep(len(s.Jobs))
-	emb.Jobs = jobs
-	emb.Global = a.GNN.GlobalInference(jobs, &a.scratch)
+	emb.Global = a.GNN.GGlob.ForwardInference(globSum, &a.scratch)
 	return emb
 }

@@ -24,9 +24,10 @@ import (
 // gradient graph, where it is equally exact (the shared subgraph's gradient
 // accumulates over all its uses).
 
-// ReplayStep records one fast-path decision for training replay. The slices
-// are owned by the step (the recorder must hand out stable storage; see
-// Agent.Record for the Graphs caveat).
+// ReplayStep records one fast-path decision for training replay. As handed
+// to Agent.Record every slice aliases agent scratch that the next decision
+// overwrites; a recorder that keeps the step copies them with
+// StepArena.Retain.
 type ReplayStep struct {
 	// Graphs holds the per-job observation at decision time, indexed like
 	// the observed State.Jobs. Steps share *gnn.Graph pointers whenever a
@@ -47,6 +48,48 @@ type ReplayStep struct {
 	Time       float64
 	JobSeconds float64
 	NumJobs    int
+}
+
+// StepArena is append-only storage for the slices of retained replay steps:
+// a recorder that keeps many steps (an episode) pools them here and Resets
+// between episodes; one that keeps steps individually retains each into a
+// zero StepArena of its own. Growing a pool moves it to a new backing array;
+// steps retained earlier keep the old one, which is never written again.
+type StepArena struct {
+	graphs []*gnn.Graph
+	cands  []policy.Candidate
+	ints   []int
+	bools  []bool
+	rows   [][]bool
+}
+
+// Retain returns rs with every slice copied into the arena.
+func (ar *StepArena) Retain(rs ReplayStep) ReplayStep {
+	ar.graphs, rs.Graphs = appendTail(ar.graphs, rs.Graphs)
+	ar.cands, rs.Cands = appendTail(ar.cands, rs.Cands)
+	ar.ints, rs.MinLimits = appendTail(ar.ints, rs.MinLimits)
+	if rs.ClassOKs != nil {
+		lo := len(ar.rows)
+		for _, ok := range rs.ClassOKs {
+			ar.bools, ok = appendTail(ar.bools, ok)
+			ar.rows = append(ar.rows, ok)
+		}
+		rs.ClassOKs = ar.rows[lo:len(ar.rows):len(ar.rows)]
+	}
+	return rs
+}
+
+// Reset recycles the arena; steps retained from it become invalid.
+func (ar *StepArena) Reset() {
+	ar.graphs, ar.cands, ar.ints, ar.bools, ar.rows = ar.graphs[:0], ar.cands[:0], ar.ints[:0], ar.bools[:0], ar.rows[:0]
+}
+
+// appendTail appends src to pool and returns the grown pool plus the
+// capacity-clipped tail that holds the copy.
+func appendTail[T any](pool, src []T) (grown, tail []T) {
+	lo := len(pool)
+	pool = append(pool, src...)
+	return pool, pool[lo:len(pool):len(pool)]
 }
 
 // replayPlan resolves an episode's records into replay coordinates: the

@@ -1,0 +1,228 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/gnn"
+	"repro/internal/nn"
+	"repro/internal/policy"
+	"repro/internal/sim"
+	"repro/internal/workload"
+)
+
+// ablations are the agent configurations whose fast paths differ: the
+// default, the class head, both Fig. 15a limit encodings, the single-level
+// GNN and no GNN at all. classes reports the simulator must be
+// multi-resource.
+var ablations = []struct {
+	name    string
+	mod     func(*Config)
+	classes bool
+}{
+	{"default", func(*Config) {}, false},
+	{"multi-resource", func(c *Config) { c.ClassMem = []float64{0.25, 0.5, 0.75, 1} }, true},
+	{"stage-level-limits", func(c *Config) { c.StageLevelLimits = true }, false},
+	{"no-limit-input", func(c *Config) { c.NoLimitInput = true }, false},
+	{"single-level-gnn", func(c *Config) { c.SingleLevelGNN = true }, false},
+	{"no-graph-embedding", func(c *Config) { c.NoGraphEmbedding = true }, false},
+}
+
+// TestDecideDoesNotAllocate is the warm-decision allocation bar: on an
+// unchanged state (every embedding cached) and on a state where one job
+// changed since the last decision (one re-embed into a recycled entry), a
+// sampled Decide allocates nothing but its returned Action.
+func TestDecideDoesNotAllocate(t *testing.T) {
+	for _, ab := range ablations {
+		cfg := DefaultConfig(20)
+		ab.mod(&cfg)
+		a := New(cfg, rand.New(rand.NewSource(3)))
+		st := benchState(10, 20)
+		decide := func() {
+			if act, _ := a.Decide(st); act == nil {
+				t.Fatalf("%s: no action", ab.name)
+			}
+		}
+		decide()
+		if n := testing.AllocsPerRun(100, decide); n > 2 {
+			t.Errorf("%s: unchanged state: %v allocations per Decide, want ≤ 2", ab.name, n)
+		}
+		touched := 0
+		touch := func() {
+			st.Jobs[touched%len(st.Jobs)].Touch()
+			touched++
+			decide()
+		}
+		// Fill every job's entry set first: an entry's buffers are allocated
+		// once, on the job's first maxEntriesPerJob keys.
+		for i := 0; i < (maxEntriesPerJob+1)*len(st.Jobs); i++ {
+			touch()
+		}
+		if n := testing.AllocsPerRun(100, touch); n > 2 {
+			t.Errorf("%s: one job changed: %v allocations per Decide, want ≤ 2", ab.name, n)
+		}
+	}
+}
+
+// sameBits fails unless a and b hold identical float64s.
+func sameBits(t *testing.T, what string, a, b []float64) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d vs %d values", what, len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("%s differs at %d: %v vs %v", what, i, a[i], b[i])
+		}
+	}
+}
+
+// TestExactReusesEveryAblation is the property test behind the fast path's
+// two exact reuses. Over a noisy randomised run of every ablation it checks,
+// at every scheduling event, that the global summary summed from cached
+// FGlob rows equals GlobalInference over the job matrix and the tracked
+// Forward, and that the shared-prefix limit and class heads sample the same
+// action from the same probabilities as the row-built tracked heads — fast
+// == tracked == NoCache, bit for bit, sampling on.
+func TestExactReusesEveryAblation(t *testing.T) {
+	for ai, ab := range ablations {
+		cfg := DefaultConfig(8)
+		ab.mod(&cfg)
+		simCfg := sim.SparkDefaults(8)
+		if ab.classes {
+			simCfg.Classes = []sim.ExecutorClass{{Mem: 0.25, Count: 2}, {Mem: 0.5, Count: 2}, {Mem: 0.75, Count: 2}, {Mem: 1, Count: 2}}
+		}
+		fast := New(cfg, rand.New(rand.NewSource(int64(70+ai))))
+		tracked := fast.Clone(rand.New(rand.NewSource(1)))
+		tracked.Hook = func(*Step) {}
+		fresh := fast.Clone(rand.New(rand.NewSource(1)))
+		fresh.NoCache = true
+		agents := []*Agent{fast, tracked, fresh}
+		for _, a := range agents {
+			a.SetRNG(rand.New(rand.NewSource(5)))
+		}
+
+		events := 0
+		probe := sim.SchedulerFunc(func(s *sim.State) *sim.Action {
+			events++
+			what := fmt.Sprintf("%s event %d", ab.name, events)
+			if fast.GNN != nil {
+				emb := fast.embedInference(s)
+				var sc nn.Scratch
+				sameBits(t, what+": cached-FGlob global vs GlobalInference", emb.Global.Data, fast.GNN.GlobalInference(emb.Jobs, &sc).Data)
+				sameBits(t, what+": cached-FGlob global vs tracked", emb.Global.Data, tracked.embed(s).Global.Data)
+			}
+			var acts [3]*sim.Action
+			for i, a := range agents {
+				acts[i] = a.Schedule(s)
+			}
+			for i, act := range acts[1:] {
+				if (act == nil) != (acts[0] == nil) || (act != nil && *act != *acts[0]) {
+					t.Fatalf("%s: agent %d chose %+v, fast path chose %+v", what, i+1, act, acts[0])
+				}
+			}
+			return acts[0]
+		})
+		rng := rand.New(rand.NewSource(int64(80 + ai)))
+		jobs := workload.Poisson(rng, 8, workload.IATForLoad(0.7, 8))
+		if res := sim.New(simCfg, jobs, probe, rng).Run(); res.Unfinished != 0 || res.Deadlock || events < 20 {
+			t.Fatalf("%s: probe run did not complete (%d events, %d unfinished)", ab.name, events, res.Unfinished)
+		}
+	}
+}
+
+// TestSharedPrefixHeadsMatchRowBuilt compares DecideInference's node
+// probabilities, limit and class against the tracked Decide on random
+// embeddings directly, for every head layout, including the floor that
+// leaves a single admissible limit.
+func TestSharedPrefixHeadsMatchRowBuilt(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, pc := range []policy.Config{
+		{EmbedDim: 8, Hidden: []int{16, 8}, NumLimits: 50},
+		{EmbedDim: 8, Hidden: []int{16, 8}, NumLimits: 50, StageLevelLimits: true},
+		{EmbedDim: 8, Hidden: []int{16, 8}, NumLimits: 50, NoLimitInput: true},
+		{EmbedDim: 5, Hidden: []int{7}, NumLimits: 9, NumClasses: 3, StageLevelLimits: true},
+	} {
+		p := policy.New(pc, rng)
+		for trial := 0; trial < 50; trial++ {
+			d := pc.EmbedDim
+			emb := &gnn.Embeddings{Jobs: randMat(rng, 3, d), Global: randMat(rng, 1, d)}
+			req := policy.Request{ClassMem: []float64{0.3, 0.6, 1}}
+			for ji := 0; ji < 3; ji++ {
+				emb.Nodes = append(emb.Nodes, randMat(rng, 4, d))
+				for ni := 0; ni < 4; ni++ {
+					req.Cands = append(req.Cands, policy.Candidate{JobIdx: ji, NodeIdx: ni})
+					req.MinLimits = append(req.MinLimits, 1+rng.Intn(pc.NumLimits+2))
+					req.ClassOKPer = append(req.ClassOKPer, []bool{rng.Intn(2) == 0, true, rng.Intn(2) == 0})
+				}
+			}
+			seed := rng.Int63()
+			var s nn.Scratch
+			got := p.DecideInference(emb, req, rand.New(rand.NewSource(seed)), &s)
+			want := p.Decide(emb, req, rand.New(rand.NewSource(seed)))
+			sameBits(t, "node probabilities", got.NodeProbs, want.NodeProbs)
+			if got.Choice != want.Choice || got.Limit != want.Limit || got.Class != want.Class {
+				t.Fatalf("%+v trial %d: fast heads chose (%d,%d,%d), tracked (%d,%d,%d)", pc, trial,
+					got.Choice, got.Limit, got.Class, want.Choice, want.Limit, want.Class)
+			}
+		}
+	}
+}
+
+func randMat(rng *rand.Rand, rows, cols int) *nn.Tensor {
+	m := nn.Zeros(rows, cols)
+	for i := range m.Data {
+		m.Data[i] = rng.NormFloat64()
+	}
+	return m
+}
+
+// TestRecycledEntryNeverAliases cycles the free-executor count through more
+// keys than a job's entry set holds, so every decision past the first lap
+// recycles an evicted entry's buffers, with Record off and on. Embeddings
+// must equal the NoCache reference at every step, and a *gnn.Graph already
+// handed to a recorder must never change after its entry is evicted.
+func TestRecycledEntryNeverAliases(t *testing.T) {
+	for _, record := range []bool{false, true} {
+		cached := New(DefaultConfig(40), rand.New(rand.NewSource(13)))
+		cached.Greedy = true
+		ref := cached.Clone(rand.New(rand.NewSource(1)))
+		ref.Greedy, ref.NoCache = true, true
+
+		type kept struct {
+			gr    *gnn.Graph
+			feats []float64
+		}
+		var handed []kept
+		if record {
+			cached.Record = func(rs ReplayStep) {
+				for _, gr := range rs.Graphs {
+					handed = append(handed, kept{gr, append([]float64(nil), gr.Feats.Data...)})
+				}
+			}
+		}
+		st := benchState(4, 40)
+		pool := st.FreeExecutors
+		const keys = maxEntriesPerJob + 4
+		for step := 0; step < 3*keys; step++ {
+			st.FreeExecutors = pool[:1+step%keys]
+			got, want := cached.embedInference(st), ref.embedInference(st)
+			what := fmt.Sprintf("record=%v step %d", record, step)
+			for i := range st.Jobs {
+				sameBits(t, what+": node embeddings", got.Nodes[i].Data, want.Nodes[i].Data)
+			}
+			sameBits(t, what+": job summaries", got.Jobs.Data, want.Jobs.Data)
+			sameBits(t, what+": global summary", got.Global.Data, want.Global.Data)
+			if a, b := cached.Schedule(st), ref.Schedule(st); *a != *b {
+				t.Fatalf("%s: cached chose %+v, NoCache %+v", what, a, b)
+			}
+		}
+		if record && len(handed) != 3*keys*len(st.Jobs) {
+			t.Fatalf("recorder saw %d graphs, want %d", len(handed), 3*keys*len(st.Jobs))
+		}
+		for i, k := range handed {
+			sameBits(t, fmt.Sprintf("graph %d handed to the recorder was mutated", i), k.gr.Feats.Data, k.feats)
+		}
+	}
+}

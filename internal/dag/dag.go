@@ -16,6 +16,7 @@ package dag
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 )
 
 // Stage is one execution stage of a job: an operation run as many parallel
@@ -61,6 +62,10 @@ type Job struct {
 	// (≥1), modelling the work inflation of wide shuffles (§6.2, item 3).
 	// A nil Inflation means no inflation.
 	Inflation func(parallelism int) float64
+
+	// plan caches Levels(); a finished job's DAG is immutable, so it is
+	// derived once. AddEdge drops it.
+	plan atomic.Pointer[LevelPlan]
 }
 
 // NumStages returns the number of stages in the job.
@@ -88,6 +93,7 @@ func (j *Job) TotalTasks() int {
 func (j *Job) AddEdge(parent, child int) {
 	j.Stages[parent].Children = append(j.Stages[parent].Children, child)
 	j.Stages[child].Parents = append(j.Stages[child].Parents, parent)
+	j.plan.Store(nil)
 }
 
 // Roots returns the IDs of stages with no parents (immediately runnable).
@@ -212,6 +218,60 @@ func (j *Job) Heights() []int {
 		}
 	}
 	return h
+}
+
+// Level is one height level of a job's message-passing plan: the stages of
+// that height and, flattened, the children whose embeddings they aggregate.
+type Level struct {
+	// Parents lists the level's stages in ascending id.
+	Parents []int
+	// ChildIdx concatenates the parents' children, in parent order.
+	ChildIdx []int
+	// Seg maps each ChildIdx entry to its parent's index in Parents.
+	Seg []int
+}
+
+// LevelPlan is everything the graph neural network derives from a job's
+// static DAG: adjacency, heights and the per-height gather/segment indices of
+// the level-batched message passing. It is immutable and shared by every
+// graph view of the job.
+type LevelPlan struct {
+	// Children lists, per stage, the downstream stage ids.
+	Children [][]int
+	// Heights is Job.Heights().
+	Heights []int
+	// Levels[h-1] is the level of height h, for h = 1..max height (a stage
+	// of height h has a child of height h−1, so no level is empty).
+	Levels []Level
+}
+
+// Levels returns the job's level plan, computed on first use and cached: the
+// DAG of a job in the system never changes. Build the DAG (AddEdge, or the
+// Stages' adjacency lists directly) before the first call. Safe for
+// concurrent use.
+func (j *Job) Levels() *LevelPlan {
+	if p := j.plan.Load(); p != nil {
+		return p
+	}
+	p := &LevelPlan{Children: make([][]int, len(j.Stages)), Heights: j.Heights()}
+	for v, h := range p.Heights {
+		p.Children[v] = j.Stages[v].Children
+		if h == 0 {
+			continue
+		}
+		for h > len(p.Levels) {
+			p.Levels = append(p.Levels, Level{})
+		}
+		lv := &p.Levels[h-1]
+		pi := len(lv.Parents)
+		lv.Parents = append(lv.Parents, v)
+		for _, c := range p.Children[v] {
+			lv.ChildIdx = append(lv.ChildIdx, c)
+			lv.Seg = append(lv.Seg, pi)
+		}
+	}
+	j.plan.Store(p)
+	return p
 }
 
 // CriticalPath returns, per stage, the total work on the longest downstream

@@ -218,3 +218,54 @@ func TestSingleStageJob(t *testing.T) {
 		t.Fatalf("height = %v", h[0])
 	}
 }
+
+// TestLevelsProperty checks the cached level plan against its definition:
+// level h lists exactly the stages of height h in ascending id, with their
+// children flattened in parent order and Seg pointing each child back at its
+// parent; the plan is built once per job, dropped by AddEdge, and never
+// shared with a clone.
+func TestLevelsProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		j := Random(rng, 1+rng.Intn(30), 0.3)
+		p := j.Levels()
+		if j.Levels() != p || j.Clone().Levels() == p {
+			return false
+		}
+		h := j.Heights()
+		seen := 0
+		for li, lv := range p.Levels {
+			next := 0
+			for pi, v := range lv.Parents {
+				if h[v] != li+1 || (pi > 0 && lv.Parents[pi-1] >= v) {
+					return false
+				}
+				for _, c := range j.Stages[v].Children {
+					if next >= len(lv.ChildIdx) || lv.ChildIdx[next] != c || lv.Seg[next] != pi {
+						return false
+					}
+					next++
+				}
+			}
+			if len(lv.Parents) == 0 || next != len(lv.ChildIdx) || len(lv.Seg) != next {
+				return false
+			}
+			seen += len(lv.Parents)
+		}
+		for _, hv := range h {
+			if hv == 0 {
+				seen++
+			}
+		}
+		if seen != len(j.Stages) || len(p.Heights) != len(h) || len(p.Children) != len(h) {
+			return false
+		}
+		// A new edge invalidates the plan.
+		j.Stages = append(j.Stages, &Stage{ID: len(j.Stages), NumTasks: 1})
+		j.AddEdge(0, len(j.Stages)-1)
+		return j.Levels() != p && len(j.Levels().Heights) == len(j.Stages)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,6 +1,9 @@
 package gnn
 
-import "repro/internal/nn"
+import (
+	"repro/internal/dag"
+	"repro/internal/nn"
+)
 
 // This file is the GNN's batched replay forward: the tracked (differentiable)
 // counterpart of ForwardInference for *many graphs at once*. The training
@@ -43,45 +46,31 @@ func (g *GNN) ForwardBatch(graphs []*Graph) *Batch {
 		off[i] = total
 		total += len(gr.Heights)
 		feats[i] = gr.Feats
-		for _, h := range gr.Heights {
-			if h > maxH {
-				maxH = h
-			}
+		if len(gr.Levels) > maxH {
+			maxH = len(gr.Levels)
 		}
 	}
 	allFeats := nn.ConcatRows(feats...)
 	x := g.Prep.Forward(allFeats) // total×D projected features
 	e := x
-	for h := 1; h <= maxH; h++ {
-		// Gather this level's parents — across every graph, in graph order —
-		// and their children, all in stacked row coordinates.
-		var parents []int
-		var childIdx []int
-		var seg []int
+	for h := 0; h < maxH; h++ {
+		// Stack this height's level of every graph that reaches it, in graph
+		// order and stacked row coordinates.
+		var lv dag.Level
 		for gi, gr := range graphs {
-			base := off[gi]
-			for v, hv := range gr.Heights {
-				if hv != h {
-					continue
-				}
-				pi := len(parents)
-				parents = append(parents, base+v)
-				for _, c := range gr.Children[v] {
-					childIdx = append(childIdx, base+c)
-					seg = append(seg, pi)
-				}
+			if h >= len(gr.Levels) {
+				continue
+			}
+			base, pbase := off[gi], len(lv.Parents)
+			for _, v := range gr.Levels[h].Parents {
+				lv.Parents = append(lv.Parents, base+v)
+			}
+			for i, c := range gr.Levels[h].ChildIdx {
+				lv.ChildIdx = append(lv.ChildIdx, base+c)
+				lv.Seg = append(lv.Seg, pbase+gr.Levels[h].Seg[i])
 			}
 		}
-		if len(parents) == 0 {
-			continue
-		}
-		msgs := g.FNode.Forward(nn.GatherRows(e, childIdx))
-		agg := nn.SegmentSum(msgs, seg, len(parents))
-		if !g.Cfg.SingleLevel {
-			agg = g.GNode.Forward(agg)
-		}
-		rows := nn.Add(agg, nn.GatherRows(x, parents))
-		e = nn.ScatterRows(e, parents, rows)
+		e = g.levelStep(e, x, lv)
 	}
 	// Per-graph summaries: one FJob pass over every (x_v, e_v) pair, summed
 	// per graph (same row order as the per-graph SumRows), one GJob pass

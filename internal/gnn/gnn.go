@@ -34,25 +34,20 @@ import (
 	"repro/internal/nn"
 )
 
-// Graph is the GNN's input view of one job DAG: a feature matrix plus
-// adjacency and height metadata. Build one with NewGraph or directly from
-// precomputed features.
+// Graph is the GNN's input view of one job DAG: the per-decision feature
+// matrix plus the job's static level plan (adjacency, heights and the
+// per-height gather indices of the message passing), which is derived once
+// per dag.Job and shared by every Graph of that job.
 type Graph struct {
 	// Feats is the n×F matrix of raw node features.
 	Feats *nn.Tensor
-	// Children lists, per node, the downstream stage indices.
-	Children [][]int
-	// Heights is the longest-path-to-leaf per node (dag.Heights).
-	Heights []int
+	// LevelPlan supplies Children, Heights and Levels (dag.Job.Levels).
+	*dag.LevelPlan
 }
 
 // NewGraph assembles a Graph for a job from a prebuilt feature matrix.
 func NewGraph(j *dag.Job, feats *nn.Tensor) *Graph {
-	ch := make([][]int, len(j.Stages))
-	for i, s := range j.Stages {
-		ch[i] = s.Children
-	}
-	return &Graph{Feats: feats, Children: ch, Heights: j.Heights()}
+	return &Graph{Feats: feats, LevelPlan: j.Levels()}
 }
 
 // Config sizes the network.
@@ -134,40 +129,23 @@ type Embeddings struct {
 func (g *GNN) EmbedNodes(gr *Graph) *nn.Tensor {
 	x := g.Prep.Forward(gr.Feats) // n×D projected features
 	e := x
-	maxH := 0
-	for _, h := range gr.Heights {
-		if h > maxH {
-			maxH = h
-		}
-	}
-	for h := 1; h <= maxH; h++ {
-		// Gather this level's parents and their children.
-		var parents []int
-		var childIdx []int
-		var seg []int
-		for v, hv := range gr.Heights {
-			if hv != h {
-				continue
-			}
-			pi := len(parents)
-			parents = append(parents, v)
-			for _, c := range gr.Children[v] {
-				childIdx = append(childIdx, c)
-				seg = append(seg, pi)
-			}
-		}
-		if len(parents) == 0 {
-			continue
-		}
-		msgs := g.FNode.Forward(nn.GatherRows(e, childIdx))
-		agg := nn.SegmentSum(msgs, seg, len(parents))
-		if !g.Cfg.SingleLevel {
-			agg = g.GNode.Forward(agg)
-		}
-		rows := nn.Add(agg, nn.GatherRows(x, parents))
-		e = nn.ScatterRows(e, parents, rows)
+	for _, lv := range gr.Levels {
+		e = g.levelStep(e, x, lv)
 	}
 	return e
+}
+
+// levelStep is Eq. (1) for one height level on the tracked path: the level's
+// parents aggregate their (already final) children's embeddings. lv may
+// stack the same height of several graphs (ForwardBatch).
+func (g *GNN) levelStep(e, x *nn.Tensor, lv dag.Level) *nn.Tensor {
+	msgs := g.FNode.Forward(nn.GatherRows(e, lv.ChildIdx))
+	agg := nn.SegmentSum(msgs, lv.Seg, len(lv.Parents))
+	if !g.Cfg.SingleLevel {
+		agg = g.GNode.Forward(agg)
+	}
+	rows := nn.Add(agg, nn.GatherRows(x, lv.Parents))
+	return nn.ScatterRows(e, lv.Parents, rows)
 }
 
 // Forward embeds all graphs, producing node, job and global embeddings in

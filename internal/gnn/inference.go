@@ -4,14 +4,15 @@ import "repro/internal/nn"
 
 // This file is the GNN's inference fast path: the same level-batched
 // message passing as EmbedNodes / Forward, but with no autograd graph, all
-// MLP forwards fused (nn.MLP.ForwardInference), and every intermediate drawn
-// from a caller-owned scratch arena. Arithmetic order matches the tracked
-// ops exactly, so results are bit-identical — the equivalence the incremental
-// embedding cache in internal/core depends on (see DESIGN.md).
+// MLP forwards fused (nn.MLP.ForwardInference), and every intermediate —
+// storage and tensor header — owned by a caller-supplied scratch arena.
+// Arithmetic order matches the tracked ops exactly, so results are
+// bit-identical — the equivalence the incremental embedding cache in
+// internal/core depends on (see DESIGN.md).
 //
-// Returned tensors are backed by the scratch arena and are valid until the
+// Returned tensors belong to the scratch arena and are valid until the
 // caller resets it; callers that cache results across decisions must copy
-// them out (nn.Tensor.Clone).
+// the values out.
 
 // gatherRows copies rows idx of a into a scratch tensor (no-grad GatherRows).
 func gatherRows(a *nn.Tensor, idx []int, s *nn.Scratch) *nn.Tensor {
@@ -52,53 +53,26 @@ func sumRows(a *nn.Tensor, s *nn.Scratch) *nn.Tensor {
 }
 
 // EmbedNodesInference computes the same per-node embeddings as EmbedNodes —
-// bit-identically — on the no-grad fast path.
+// bit-identically — on the no-grad fast path. The projected features are
+// updated in place: a stage's row is read as x̂_v only at its own level, and
+// as a child's embedding only at higher levels, after it is final.
 func (g *GNN) EmbedNodesInference(gr *Graph, s *nn.Scratch) *nn.Tensor {
-	x := g.Prep.ForwardInference(gr.Feats, s)
-	e := x
-	d := x.Cols
-	maxH := 0
-	for _, h := range gr.Heights {
-		if h > maxH {
-			maxH = h
-		}
-	}
-	for h := 1; h <= maxH; h++ {
-		var parents []int
-		var childIdx []int
-		var seg []int
-		for v, hv := range gr.Heights {
-			if hv != h {
-				continue
-			}
-			pi := len(parents)
-			parents = append(parents, v)
-			for _, c := range gr.Children[v] {
-				childIdx = append(childIdx, c)
-				seg = append(seg, pi)
-			}
-		}
-		if len(parents) == 0 {
-			continue
-		}
-		msgs := g.FNode.ForwardInference(gatherRows(e, childIdx, s), s)
-		agg := segmentSum(msgs, seg, len(parents), s)
+	e := g.Prep.ForwardInference(gr.Feats, s)
+	d := e.Cols
+	for _, lv := range gr.Levels {
+		msgs := g.FNode.ForwardInference(gatherRows(e, lv.ChildIdx, s), s)
+		agg := segmentSum(msgs, lv.Seg, len(lv.Parents), s)
 		if !g.Cfg.SingleLevel {
 			agg = g.GNode.ForwardInference(agg, s)
 		}
-		// rows = agg + x[parents], scattered into a copy of e (the tracked
-		// path's Add + ScatterRows, fused).
-		ne := s.AllocTensor(e.Rows, e.Cols)
-		copy(ne.Data, e.Data)
-		for pi, v := range parents {
-			dst := ne.Data[v*d : (v+1)*d]
+		// e_v = agg + x̂_v (the tracked path's Add + ScatterRows, fused).
+		for pi, v := range lv.Parents {
+			dst := e.Data[v*d : (v+1)*d]
 			ar := agg.Data[pi*d : (pi+1)*d]
-			xr := x.Data[v*d : (v+1)*d]
-			for j := range dst {
-				dst[j] = ar[j] + xr[j]
+			for j, xv := range dst {
+				dst[j] = ar[j] + xv
 			}
 		}
-		e = ne
 	}
 	return e
 }

@@ -1,9 +1,10 @@
 package nn
 
-// This file is the raw-speed matmul kernel layer: register-tiled,
-// cache-blocked inner loops shared by the tracked MatMul op (ops.go) and the
-// fused no-grad forwards (fused.go), plus the pooled goroutine parallelism
-// that kicks in for the tall stacked matrices the training replay produces.
+// This file is the raw-speed matmul kernel layer: the register-tiled,
+// cache-blocked inner loops of the tracked MatMul op (ops.go), plus the
+// pooled goroutine parallelism — shared with the fused no-grad kernel
+// (linearRowsF64, fused.go) — that kicks in for the tall stacked matrices the
+// training replay produces.
 // docs/KERNELS.md documents the scheme; BenchmarkKernel*
 // (kernel_bench_test.go → BENCH_kernels.json) measures it.
 //
@@ -14,8 +15,8 @@ package nn
 // single-threaded kernel for any worker count and any block size — the
 // parallelism degree is a pure throughput knob, never an arithmetic one
 // (TestMatMulBlockedBitIdentical). Register tiling (four output columns per
-// pass) changes which elements share a loop iteration, never the per-element
-// accumulation order.
+// pass here, eight in the fused kernel) changes which elements share a loop
+// iteration, never the per-element accumulation order.
 
 import (
 	"runtime"

@@ -1,6 +1,9 @@
 package nn
 
-import "sync/atomic"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Inference mode is the engine's no-grad forward mode: while active, every
 // operation skips backward-closure construction, requiresGrad propagation
@@ -35,32 +38,39 @@ func WithNoGrad(fn func() *Tensor) *Tensor {
 // InInference reports whether the no-grad forward mode is active.
 func InInference() bool { return nogradDepth.Load() > 0 }
 
-// Scratch is a bump-allocation arena for inference-mode buffers. The
-// scheduling hot path allocates dozens of short-lived matrices per decision;
-// drawing them from a reusable arena (reset once per decision) removes that
-// garbage entirely. A Scratch is owned by one goroutine at a time — each
+// Scratch is a bump-allocation arena for inference-mode buffers and the
+// tensor headers that wrap them. The scheduling hot path creates dozens of
+// short-lived matrices per decision; drawing both the float64 storage and the
+// *Tensor headers from a reusable arena (reset once per decision) removes
+// that garbage entirely. A Scratch is owned by one goroutine at a time — each
 // agent holds its own — and must not be shared concurrently.
 //
-// Buffers handed out by Alloc are valid until the next Reset; results that
-// must outlive the decision (e.g. cached per-job embeddings) must be copied
-// out.
+// Buffers and tensors handed out are valid until the next Reset; results
+// that must outlive the decision (e.g. cached per-job embeddings) must be
+// copied out.
 type Scratch struct {
 	slabs [][]float64
-	slab  int // index of the slab Alloc currently fills
+	slab  int // index of the slab alloc currently fills
 	off   int // write offset into that slab
+
+	// hdrs is the header pool: fixed-size chunks that are never reallocated,
+	// so a handed-out *Tensor stays valid while later chunks are added.
+	hdrs [][]Tensor
+	nhdr int // headers handed out since the last Reset
 }
 
-// Alloc returns a zeroed length-n slice carved from the arena.
-func (s *Scratch) Alloc(n int) []float64 {
+// hdrChunk is the header pool's growth unit; one warm decision uses ≈100.
+const hdrChunk = 64
+
+// alloc returns a length-n slice carved from the arena WITHOUT clearing it:
+// for buffers the caller overwrites in full (kernel outputs).
+func (s *Scratch) alloc(n int) []float64 {
 	for {
 		if s.slab < len(s.slabs) {
 			sl := s.slabs[s.slab]
 			if s.off+n <= len(sl) {
 				b := sl[s.off : s.off+n : s.off+n]
 				s.off += n
-				for i := range b {
-					b[i] = 0
-				}
 				return b
 			}
 			s.slab++
@@ -78,11 +88,35 @@ func (s *Scratch) Alloc(n int) []float64 {
 	}
 }
 
-// AllocTensor returns a zeroed rows×cols tensor backed by the arena.
-func (s *Scratch) AllocTensor(rows, cols int) *Tensor {
-	return New(rows, cols, s.Alloc(rows*cols))
+// Alloc returns a zeroed length-n slice carved from the arena.
+func (s *Scratch) Alloc(n int) []float64 {
+	b := s.alloc(n)
+	clear(b)
+	return b
 }
 
-// Reset recycles every buffer handed out since the last Reset. The slabs
-// themselves are retained, so a warmed-up Scratch allocates nothing.
-func (s *Scratch) Reset() { s.slab, s.off = 0, 0 }
+// wrap returns an arena-owned rows×cols tensor header over data (not
+// copied), recycled by Reset like the buffers themselves.
+func (s *Scratch) wrap(rows, cols int, data []float64) *Tensor {
+	if len(data) != rows*cols {
+		panic(fmt.Sprintf("nn: data length %d != %d×%d", len(data), rows, cols))
+	}
+	c := s.nhdr / hdrChunk
+	if c == len(s.hdrs) {
+		s.hdrs = append(s.hdrs, make([]Tensor, hdrChunk))
+	}
+	t := &s.hdrs[c][s.nhdr%hdrChunk]
+	s.nhdr++
+	*t = Tensor{Rows: rows, Cols: cols, Data: data}
+	return t
+}
+
+// AllocTensor returns a zeroed rows×cols tensor owned by the arena.
+func (s *Scratch) AllocTensor(rows, cols int) *Tensor {
+	return s.wrap(rows, cols, s.Alloc(rows*cols))
+}
+
+// Reset recycles every buffer and header handed out since the last Reset.
+// The slabs and header chunks themselves are retained, so a warmed-up
+// Scratch allocates nothing.
+func (s *Scratch) Reset() { s.slab, s.off, s.nhdr = 0, 0, 0 }

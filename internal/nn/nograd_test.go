@@ -170,3 +170,60 @@ func TestLogSoftmaxInto(t *testing.T) {
 		}
 	}
 }
+
+// TestForwardInferenceSharedPrefixBitIdentical pins the shared-prefix
+// forward to the fused forward (and so the tracked one) over the materialised
+// rows [prefix, last[i]], for every activation, one- to three-layer networks
+// and first-layer widths on both sides of the kernel's eight-column tile.
+func TestForwardInferenceSharedPrefixBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var s Scratch
+	for _, act := range []Activation{ActLeakyReLU, ActTanh, ActSigmoid, ActIdentity} {
+		for _, sizes := range [][]int{{17, 16, 8, 1}, {25, 32, 1}, {9, 5, 3}, {6, 1}, {1, 11, 2}} {
+			m := NewMLP(sizes, act, rng)
+			for trial := 0; trial < 5; trial++ {
+				n, k := 1+rng.Intn(50), sizes[0]
+				prefix := randTensor(rng, 1, k-1).Data
+				last := randTensor(rng, 1, n).Data
+				rows := Zeros(n, k)
+				for i := 0; i < n; i++ {
+					copy(rows.Data[i*k:], prefix)
+					rows.Data[i*k+k-1] = last[i]
+				}
+				s.Reset()
+				sameData(t, "shared prefix vs fused", m.ForwardInference(rows, &s), m.ForwardInferenceSharedPrefix(prefix, last, &s))
+				sameData(t, "shared prefix vs tracked", m.Forward(rows), m.ForwardInferenceSharedPrefix(prefix, last, &s))
+			}
+		}
+	}
+}
+
+// TestScratchTensorsAreArenaOwned checks the header pool: tensors handed out
+// stay distinct and valid while the pool grows past a chunk, and Reset
+// recycles headers as it does buffers, so a warm arena allocates nothing.
+func TestScratchTensorsAreArenaOwned(t *testing.T) {
+	var s Scratch
+	round := func() []*Tensor {
+		s.Reset()
+		ts := make([]*Tensor, 3*hdrChunk)
+		for i := range ts {
+			ts[i] = s.AllocTensor(1, 2)
+			ts[i].Data[0] = float64(i)
+		}
+		return ts
+	}
+	first := round()
+	for i, x := range first {
+		if x.Rows != 1 || x.Cols != 2 || x.Data[0] != float64(i) {
+			t.Fatalf("tensor %d clobbered while the pool grew: %+v", i, x)
+		}
+	}
+	if second := round(); second[0] != first[0] || second[len(second)-1] != first[len(first)-1] {
+		t.Fatal("Reset did not recycle the tensor headers")
+	}
+	m := NewMLP([]int{6, 16, 8, 1}, ActLeakyReLU, rand.New(rand.NewSource(1)))
+	x := randTensor(rand.New(rand.NewSource(2)), 20, 6)
+	if n := testing.AllocsPerRun(50, func() { s.Reset(); m.ForwardInference(x, &s) }); n != 0 {
+		t.Fatalf("warm fused forward allocates %v times", n)
+	}
+}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dag"
-	"repro/internal/gnn"
 	"repro/internal/nn"
 	"repro/internal/registry"
 	"repro/internal/rl"
@@ -35,10 +34,9 @@ func recordEpisodes(t testing.TB, rounds, jobsN int) [][]core.ReplayStep {
 	for r := 1; r <= rounds; r++ {
 		var cur []core.ReplayStep
 		agent.Record = func(rs core.ReplayStep) {
-			// The Graphs slice aliases agent scratch; copy it like the
+			// The step's slices alias agent scratch; copy them like the
 			// serving recorder does.
-			rs.Graphs = append([]*gnn.Graph(nil), rs.Graphs...)
-			cur = append(cur, rs)
+			cur = append(cur, new(core.StepArena).Retain(rs))
 		}
 		jobs := workload.Batch(rand.New(rand.NewSource(int64(r))), jobsN)
 		res := sim.New(sim.SparkDefaults(5), jobs, agent, rand.New(rand.NewSource(int64(r)))).Run()

@@ -13,9 +13,11 @@ import (
 // consuming the RNG identically, and therefore selecting the identical
 // action — but skips the autograd graph entirely: no log-probability or
 // entropy tensors are built (Decision.LogProb and Decision.Entropy are nil),
-// every MLP forward is fused, and intermediates live in the caller's scratch
-// arena. Use it whenever no gradient will be taken (evaluation rollouts,
-// serving); the REINFORCE trainer keeps using Decide.
+// every MLP forward is fused, and every intermediate — Decision.NodeProbs
+// included, which is therefore valid until s.Reset — lives in the caller's
+// scratch arena; the call itself allocates nothing. Use it whenever no
+// gradient will be taken (evaluation rollouts, serving); the REINFORCE
+// trainer keeps using Decide.
 func (p *Policy) DecideInference(emb *gnn.Embeddings, req Request, rng *rand.Rand, s *nn.Scratch) Decision {
 	if len(req.Cands) == 0 {
 		panic("policy: no candidates")
@@ -36,12 +38,7 @@ func (p *Policy) DecideInference(emb *gnn.Embeddings, req Request, rng *rand.Ran
 		copy(row[de+dy:de+dy+dz], emb.Global.Data)
 	}
 	scores := p.Q.ForwardInference(mat, s) // n×1
-	lp := s.Alloc(n)
-	nn.LogSoftmaxInto(lp, scores.Data)
-	probs := make([]float64, n) // escapes via Decision.NodeProbs
-	for i := range probs {
-		probs[i] = math.Exp(lp[i])
-	}
+	probs := softmaxInference(scores.Data, s)
 	choice := sample(probs, rng, req.Greedy)
 
 	// Parallelism limit for the chosen candidate's job.
@@ -57,59 +54,49 @@ func (p *Policy) DecideInference(emb *gnn.Embeddings, req Request, rng *rand.Ran
 		minL = p.Cfg.NumLimits
 	}
 	nL := p.Cfg.NumLimits - minL + 1
-	llp := s.Alloc(nL)
+	ctx := p.limitContextInference(emb, chosen, s)
+	var lscores []float64
 	if p.Cfg.NoLimitInput {
-		all := p.W.ForwardInference(p.limitContextInference(emb, chosen, s), s) // 1×NumLimits
-		nn.LogSoftmaxInto(llp, all.Data[minL-1:p.Cfg.NumLimits])
+		all := p.W.ForwardInference(ctx, s) // 1×NumLimits
+		lscores = all.Data[minL-1 : p.Cfg.NumLimits]
 	} else {
-		ctx := p.limitContextInference(emb, chosen, s)
-		wIn := p.W.InDim()
-		rows := s.AllocTensor(nL, wIn)
-		for i := 0; i < nL; i++ {
-			copy(rows.Data[i*wIn:(i+1)*wIn], ctx.Data)
-			rows.Data[i*wIn+wIn-1] = float64(minL+i) / float64(p.Cfg.NumLimits)
+		// The nL rows [ctx, l/NumLimits] differ only in their last column.
+		ls := s.Alloc(nL)
+		for i := range ls {
+			ls[i] = float64(minL+i) / float64(p.Cfg.NumLimits)
 		}
-		out := p.W.ForwardInference(rows, s) // nL×1
-		nn.LogSoftmaxInto(llp, out.Data)
+		lscores = p.W.ForwardInferenceSharedPrefix(ctx.Data, ls, s).Data // nL×1
 	}
-	lprobs := s.Alloc(nL)
-	for i := range lprobs {
-		lprobs[i] = math.Exp(llp[i])
-	}
-	li := sample(lprobs, rng, req.Greedy)
-	limit := minL + li
+	limit := minL + sample(softmaxInference(lscores, s), rng, req.Greedy)
 
-	// Executor class (multi-resource).
+	// Executor class (multi-resource): rows [y, z, mem] per eligible class,
+	// again sharing all but the last column — the tail of the limit context.
 	class := -1
 	classOK := req.ClassOK
 	if req.ClassOKPer != nil {
 		classOK = req.ClassOKPer[choice]
 	}
 	if p.C != nil && len(classOK) > 0 {
-		var ids []int
+		mems := s.Alloc(len(classOK))[:0]
 		for ci, ok := range classOK {
 			if ok {
-				ids = append(ids, ci)
+				mems = append(mems, req.ClassMem[ci])
 			}
 		}
-		if len(ids) > 0 {
-			cIn := p.C.InDim()
-			dy := emb.Jobs.Cols
-			rows := s.AllocTensor(len(ids), cIn)
-			for i, ci := range ids {
-				row := rows.Data[i*cIn : (i+1)*cIn]
-				copy(row[:dy], emb.Jobs.Data[chosen.JobIdx*dy:(chosen.JobIdx+1)*dy])
-				copy(row[dy:dy+dz], emb.Global.Data)
-				row[cIn-1] = req.ClassMem[ci]
+		if len(mems) > 0 {
+			yz := ctx.Data[len(ctx.Data)-(emb.Jobs.Cols+dz):]
+			out := p.C.ForwardInferenceSharedPrefix(yz, mems, s) // len(mems)×1
+			pick := sample(softmaxInference(out.Data, s), rng, req.Greedy)
+			for ci, ok := range classOK {
+				if !ok {
+					continue
+				}
+				if pick == 0 {
+					class = ci
+					break
+				}
+				pick--
 			}
-			out := p.C.ForwardInference(rows, s) // len(ids)×1
-			clp := s.Alloc(len(ids))
-			nn.LogSoftmaxInto(clp, out.Data)
-			cp := s.Alloc(len(ids))
-			for i := range cp {
-				cp[i] = math.Exp(clp[i])
-			}
-			class = ids[sample(cp, rng, req.Greedy)]
 		}
 	}
 
@@ -121,10 +108,21 @@ func (p *Policy) DecideInference(emb *gnn.Embeddings, req Request, rng *rand.Ran
 	}
 }
 
+// softmaxInference returns exp(log-softmax(scores)) in the scratch arena —
+// the probabilities the tracked path derives from its LogSoftmax tensor,
+// bit for bit.
+func softmaxInference(scores []float64, s *nn.Scratch) []float64 {
+	probs := s.Alloc(len(scores))
+	nn.LogSoftmaxInto(probs, scores)
+	for i, lp := range probs {
+		probs[i] = math.Exp(lp)
+	}
+	return probs
+}
+
 // limitContextInference builds the W input prefix for the chosen candidate
-// in the scratch arena: [y, z] normally, [e_v, y, z] with stage-level
-// limits. One column of slack is reserved for the limit input when the
-// limit-as-input design is active.
+// in the scratch arena: the 1×(dy+dz) row [y, z] normally, [e_v, y, z] with
+// stage-level limits.
 func (p *Policy) limitContextInference(emb *gnn.Embeddings, c Candidate, s *nn.Scratch) *nn.Tensor {
 	dy := emb.Jobs.Cols
 	dz := emb.Global.Cols
@@ -136,10 +134,7 @@ func (p *Policy) limitContextInference(emb *gnn.Embeddings, c Candidate, s *nn.S
 		width += nodes.Cols
 	}
 	ctx := s.AllocTensor(1, width)
-	off := 0
-	if eRow != nil {
-		off += copy(ctx.Data, eRow)
-	}
+	off := copy(ctx.Data, eRow)
 	off += copy(ctx.Data[off:], emb.Jobs.Data[c.JobIdx*dy:(c.JobIdx+1)*dy])
 	copy(ctx.Data[off:], emb.Global.Data)
 	return ctx

@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dag"
-	"repro/internal/gnn"
 	"repro/internal/nn"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -176,7 +175,7 @@ func (t *Trainer) pool() *engine {
 // bookkeeping.
 type episode struct {
 	steps    []core.ReplayStep // one replay record per decision
-	graphs   []*gnn.Graph      // arena backing the steps' Graphs slices
+	arena    core.StepArena    // backs the steps' slices
 	result   *sim.Result
 	returns  []float64   // R_k per step
 	advs     []float64   // baseline-subtracted advantage per step
@@ -191,7 +190,7 @@ type episode struct {
 // reset recycles the episode's pooled storage for a new rollout.
 func (ep *episode) reset() {
 	ep.steps = ep.steps[:0]
-	ep.graphs = ep.graphs[:0]
+	ep.arena.Reset()
 	ep.returns = ep.returns[:0]
 	ep.advs = ep.advs[:0]
 	ep.logpVals = ep.logpVals[:0]

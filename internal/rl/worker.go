@@ -85,14 +85,9 @@ func runEpisode(agent *core.Agent, cfg Config, rbar float64, tk rolloutTask, sim
 	agent.SetRNG(rng)
 	agent.Hook = nil
 	agent.Record = func(rs core.ReplayStep) {
-		// The record's Graphs slice aliases agent scratch; carve a stable
-		// copy out of the episode's pooled graph arena. (Appending may grow
-		// the arena into a new backing array; earlier steps keep their old
-		// backing, which is never overwritten.)
-		lo := len(ep.graphs)
-		ep.graphs = append(ep.graphs, rs.Graphs...)
-		rs.Graphs = ep.graphs[lo:len(ep.graphs):len(ep.graphs)]
-		ep.steps = append(ep.steps, rs)
+		// The record's slices alias agent scratch; carve stable copies out
+		// of the episode's pooled arena.
+		ep.steps = append(ep.steps, ep.arena.Retain(rs))
 	}
 	nn.Inference(func() {
 		ep.result = sim.New(simCfg, workload.CloneAll(tk.jobs), agent, rng).RunUntil(tk.horizon)

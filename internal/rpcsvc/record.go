@@ -1,9 +1,6 @@
 package rpcsvc
 
-import (
-	"repro/internal/core"
-	"repro/internal/gnn"
-)
+import "repro/internal/core"
 
 // Trajectory recording and live model hot-swap: the serving half of the
 // online-learning loop (internal/online closes it).
@@ -41,13 +38,14 @@ type recorder struct {
 	dropped uint64
 }
 
-// record captures one decision. The step's Graphs slice aliases
-// agent-owned scratch that the next decision overwrites, so it is copied;
-// the *gnn.Graph values themselves are stable (cache-owned) and shared.
-// When the ring is full the oldest step is dropped — online learning
-// prefers the freshest window of a very long session.
+// record captures one decision. The step's slices alias agent-owned
+// scratch that the next decision overwrites, so each step is copied into
+// storage of its own (the ring frees steps one at a time); the *gnn.Graph
+// values themselves are stable and shared. When the ring is full the oldest
+// step is dropped — online learning prefers the freshest window of a very
+// long session.
 func (r *recorder) record(rs core.ReplayStep) {
-	rs.Graphs = append([]*gnn.Graph(nil), rs.Graphs...)
+	rs = new(core.StepArena).Retain(rs)
 	if len(r.steps) < r.max {
 		r.steps = append(r.steps, rs)
 		return

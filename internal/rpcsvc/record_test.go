@@ -3,6 +3,7 @@ package rpcsvc
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -279,4 +280,43 @@ func TestHotSwapUnderFire(t *testing.T) {
 		t.Fatalf("only %d swaps happened under fire", snap.Swaps)
 	}
 	t.Logf("under fire: %d swaps over %d events", snap.Swaps, snap.Events)
+}
+
+// TestRecorderRetainsSteps pins the recorder's half of the ReplayStep
+// contract: every slice Agent.Record hands out aliases agent scratch that
+// the next decision overwrites, so the ring must hold copies — a retained
+// step read after the run's remaining (≥ 100) decisions equals, field for
+// field, a plain deep copy taken the moment it was recorded.
+func TestRecorderRetainsSteps(t *testing.T) {
+	cfg := core.DefaultConfig(5)
+	cfg.ClassMem = []float64{0.5, 1.0}
+	agent := core.New(cfg, rand.New(rand.NewSource(3)))
+	rec := &recorder{max: DefaultRecordMaxSteps}
+	var want []core.ReplayStep
+	agent.Record = func(rs core.ReplayStep) {
+		rec.record(rs)
+		rs.Graphs = append(rs.Graphs[:0:0], rs.Graphs...)
+		rs.Cands = append(rs.Cands[:0:0], rs.Cands...)
+		rs.MinLimits = append(rs.MinLimits[:0:0], rs.MinLimits...)
+		oks := make([][]bool, len(rs.ClassOKs))
+		for i, ok := range rs.ClassOKs {
+			oks[i] = append([]bool(nil), ok...)
+		}
+		rs.ClassOKs = oks
+		want = append(want, rs)
+	}
+	rng := rand.New(rand.NewSource(4))
+	simCfg := sim.Config{Classes: []sim.ExecutorClass{{Mem: 0.5, Count: 3}, {Mem: 1.0, Count: 2}}, MoveDelay: 2.5, FirstWaveFactor: 1.3}
+	if res := sim.New(simCfg, workload.Batch(rng, 12), agent, rng).Run(); res.Unfinished != 0 {
+		t.Fatalf("run left %d jobs unfinished", res.Unfinished)
+	}
+	got := rec.take()
+	if len(want) <= 100 || len(got) != len(want) {
+		t.Fatalf("%d decisions, %d retained; want equal and > 100", len(want), len(got))
+	}
+	for k := range got {
+		if !reflect.DeepEqual(got[k], want[k]) {
+			t.Fatalf("retained step %d changed after it was recorded:\n got %+v\nwant %+v", k, got[k], want[k])
+		}
+	}
 }

@@ -30,8 +30,13 @@ type session struct {
 	seq       uint64
 	closed    bool // set by reset(); a racing in-flight event must fail cleanly
 	jobs      map[int]*sim.JobState
-	order     []*sim.JobState
 	execs     map[int]*sim.Executor
+	// state is the observation handed to Decide, rebuilt in place by every
+	// event: its Jobs (the observation-order job list) and FreeExecutors
+	// slices are reused, so it is valid for that one call only. seen is the
+	// per-event set of ids in the request's Order.
+	state sim.State
+	seen  map[int]struct{}
 	// rec + sink, when set, record the session's decisions and deliver the
 	// completed episode when the session ends (see record.go). Accessed
 	// only under mu, like the rest of the mirror.
@@ -81,19 +86,24 @@ func (s *session) event(req *EventRequest, deadline time.Time) (*ScheduleRespons
 		s.jobs[js.Job.ID] = js
 	}
 	// Order: rebuild the observation-order job list; jobs absent from it
-	// have left the system.
-	order := make([]*sim.JobState, len(req.Order))
-	seen := make(map[int]bool, len(req.Order))
-	for i, id := range req.Order {
-		order[i] = s.jobs[id]
-		seen[id] = true
+	// have left the system. Every listed id is known (validate), so the
+	// mirror holds a departed job exactly when it outnumbers the ids seen.
+	order := s.state.Jobs[:0]
+	if s.seen == nil {
+		s.seen = make(map[int]struct{}, len(req.Order))
 	}
-	for id := range s.jobs {
-		if !seen[id] {
-			delete(s.jobs, id)
+	clear(s.seen)
+	for _, id := range req.Order {
+		order = append(order, s.jobs[id])
+		s.seen[id] = struct{}{}
+	}
+	if len(s.jobs) > len(s.seen) {
+		for id := range s.jobs {
+			if _, ok := s.seen[id]; !ok {
+				delete(s.jobs, id)
+			}
 		}
 	}
-	s.order = order
 
 	// Deltas: overwrite the touched jobs' runtime counters and bump their
 	// Version so Version-keyed caches refresh exactly these jobs.
@@ -121,13 +131,7 @@ func (s *session) event(req *EventRequest, deadline time.Time) (*ScheduleRespons
 
 	// Free executors: update persistent executor mirrors (pointer stability
 	// keeps LocalTo checks and the locality feature coherent across events).
-	state := &sim.State{
-		Time:           req.Time,
-		JobSeconds:     req.JobSeconds,
-		TotalExecutors: s.total,
-		MoveDelay:      s.moveDelay,
-		Jobs:           append([]*sim.JobState(nil), s.order...),
-	}
+	free := s.state.FreeExecutors[:0]
 	for _, ei := range req.FreeExecutors {
 		e := s.execs[ei.ID]
 		if e == nil {
@@ -137,7 +141,15 @@ func (s *session) event(req *EventRequest, deadline time.Time) (*ScheduleRespons
 		e.Class = ei.Class
 		e.Mem = ei.Mem
 		e.BoundTo = s.jobs[ei.LocalJob] // nil when not local to an in-system job
-		state.FreeExecutors = append(state.FreeExecutors, e)
+		free = append(free, e)
+	}
+	s.state = sim.State{
+		Time:           req.Time,
+		JobSeconds:     req.JobSeconds,
+		TotalExecutors: s.total,
+		MoveDelay:      s.moveDelay,
+		Jobs:           order,
+		FreeExecutors:  free,
 	}
 
 	if s.decideMu != nil {
@@ -145,7 +157,7 @@ func (s *session) event(req *EventRequest, deadline time.Time) (*ScheduleRespons
 		defer s.decideMu.Unlock()
 	}
 	start := time.Now()
-	act, err := s.sched.Decide(state)
+	act, err := s.sched.Decide(&s.state)
 	if err != nil {
 		return nil, err
 	}
@@ -166,15 +178,23 @@ func (s *session) validate(req *EventRequest) ([]*sim.JobState, error) {
 	if req.Seq != s.seq+1 {
 		return nil, fmt.Errorf("rpcsvc: session %d: event seq %d (want %d): %w", s.id, req.Seq, s.seq+1, ErrSeqGap)
 	}
-	// stages[id] = stage count the mirror will have for each known job.
-	stages := make(map[int]int, len(s.jobs)+len(req.NewJobs))
-	for id, js := range s.jobs {
-		stages[id] = len(js.Stages)
-	}
 	var arrivals []*sim.JobState
+	// stageCount reports how many stages the mirror will hold for job id
+	// once the arrivals are in: the mirror's own jobs plus this request's.
+	stageCount := func(id int) (int, bool) {
+		if js, ok := s.jobs[id]; ok {
+			return len(js.Stages), true
+		}
+		for _, js := range arrivals {
+			if js.Job.ID == id {
+				return len(js.Stages), true
+			}
+		}
+		return 0, false
+	}
 	for i := range req.NewJobs {
 		ji := &req.NewJobs[i]
-		if _, dup := stages[ji.ID]; dup {
+		if _, dup := stageCount(ji.ID); dup {
 			return nil, fmt.Errorf("rpcsvc: session %d: job %d opened twice", s.id, ji.ID)
 		}
 		js := jobStateFromInfo(ji)
@@ -182,15 +202,14 @@ func (s *session) validate(req *EventRequest) ([]*sim.JobState, error) {
 			return nil, fmt.Errorf("rpcsvc: session %d: new job %d: %w", s.id, ji.ID, err)
 		}
 		arrivals = append(arrivals, js)
-		stages[ji.ID] = len(ji.Stages)
 	}
 	for _, id := range req.Order {
-		if _, ok := stages[id]; !ok {
+		if _, ok := stageCount(id); !ok {
 			return nil, fmt.Errorf("rpcsvc: session %d: order references unknown job %d", s.id, id)
 		}
 	}
 	for _, d := range req.Deltas {
-		n, ok := stages[d.ID]
+		n, ok := stageCount(d.ID)
 		if !ok {
 			return nil, fmt.Errorf("rpcsvc: session %d: delta for unknown job %d", s.id, d.ID)
 		}
@@ -212,8 +231,8 @@ func (s *session) reset() {
 	defer s.mu.Unlock()
 	s.closed = true
 	s.jobs = nil
-	s.order = nil
 	s.execs = nil
+	s.state = sim.State{}
 	// The session ending — Close or eviction — completes its episode: hand
 	// the recorded trajectory to the online trainer before the scheduler
 	// drops its caches (the steps' graphs are already recorder-owned).

@@ -26,6 +26,10 @@ type Scheduler interface {
 	// state, or (nil, nil) to decline (leave remaining executors idle).
 	// The simulator — or a live cluster driver — calls Decide repeatedly
 	// within one scheduling event until it declines or executors run out.
+	// The State (and its Jobs and FreeExecutors slices) is valid for the
+	// call only: callers such as the rpcsvc session rebuild it in place for
+	// the next event, so an implementation keeps what it needs — the
+	// *sim.JobState and *sim.Executor values are stable — not the State.
 	Decide(s *sim.State) (*sim.Action, error)
 	// Reset clears per-run state (caches keyed by job pointers, learned
 	// nothing) so the same instance can serve a fresh run. It must be safe
