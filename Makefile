@@ -72,17 +72,16 @@ docs-check:
 # Benchmark artifacts, uploaded by CI so the perf trajectory is tracked
 # commit over commit.
 #
-# BENCH_inference.json: event-decision latency (fast path, no-cache fast
-# path, pre-PR tracked path) plus the Fig. 9a end-to-end benchmark.
+# BENCH_inference.json: event-decision latency (warm cache, one job
+# changed, cache off) plus the Fig. 9a end-to-end benchmark.
 # BENCH_serving.json: per-event serving latency over the wire — stateless
 # v1 protocol (state rebuilt per request, cache can't hit) vs the v2
 # session protocol (server-side mirror, embedding cache on), plus the
 # 16-concurrent-session benchmark; the "ns/event" extra metric is the
 # comparison that matters.
 # BENCH_training.json: full training-iteration cost (inference rollouts +
-# episode replay backward) on the batched replay vs the per-decision
-# direct-tape reference; ns/op, allocs/op and the "episodes/sec" extra
-# metric are the numbers the ≥3× training-throughput bar is judged on.
+# batched episode replay backward); ns/op, allocs/op and the
+# "episodes/sec" extra metric.
 # BENCH_kernels.json: raw matmul kernel throughput (the "GFLOP/s" extra
 # metric) at the stack's decision and replay shapes, the fused MLP forward
 # at the same row counts, plus the -matmul-workers scaling sweep; see

@@ -76,7 +76,6 @@ func TestEndToEndTrainSaveServeSchedule(t *testing.T) {
 	// The served (loaded) model must behave identically to the original
 	// agent run locally in greedy mode.
 	agent.Greedy = true
-	agent.Hook = nil
 	local := sim.New(simCfg, workload.Batch(rand.New(rand.NewSource(4)), 5), agent, rand.New(rand.NewSource(5))).Run()
 	if local.AvgJCT() != res.AvgJCT() {
 		t.Fatalf("served model diverges from local: %v vs %v", res.AvgJCT(), local.AvgJCT())

@@ -6,11 +6,14 @@
 // network, and exposes everything behind sim.Scheduler so the same agent
 // runs in training rollouts, evaluation, and the RPC scheduling service.
 //
-// Two decision paths share one arithmetic, enforced bit-identical by
-// tests: the tracked path (Hook set; differentiable log-probabilities for
-// REINFORCE) and the inference fast path (nil Hook; fused no-grad forwards
-// plus the incremental per-job embedding cache of cache.go, optionally
-// recording replay steps for the batched training backward in replay.go).
+// Every decision takes one path — the inference forward (fused no-grad
+// kernels plus the incremental per-job embedding cache of cache.go),
+// whether it serves, evaluates or rolls out a training episode. Training
+// takes its gradient afterwards: with Record set each decision leaves a
+// replay step, and ReplayLoss (replay.go) rebuilds an episode's decisions in
+// one batched tracked forward. The two are each other's reference: the
+// replay must reproduce, bit for bit, the log-probability every action was
+// sampled with.
 package core
 
 import (
@@ -75,23 +78,6 @@ func (c Config) FeatDim() int {
 	return d
 }
 
-// Step records one decision during an episode, carrying everything the
-// REINFORCE trainer needs: the differentiable log-probability, the policy
-// entropy, and the reward bookkeeping values of §5.3.
-type Step struct {
-	// LogProb is log π_θ(a_k | s_k), differentiable.
-	LogProb *nn.Tensor
-	// Entropy is the node-selection entropy, differentiable.
-	Entropy *nn.Tensor
-	// Time is the simulation time t_k of the action.
-	Time float64
-	// JobSeconds is the ∫#jobs dt integral at decision time; consecutive
-	// differences give the −(t_k − t_{k−1})·J penalty.
-	JobSeconds float64
-	// NumJobs is the number of jobs in the system at decision time.
-	NumJobs int
-}
-
 // Agent is the Decima scheduler.
 type Agent struct {
 	Cfg Config
@@ -100,21 +86,14 @@ type Agent struct {
 
 	// Greedy switches from sampling (training) to argmax (evaluation).
 	Greedy bool
-	// Hook, when set, receives every decision's Step during simulation.
-	// A nil Hook also selects the inference fast path: nobody consumes the
-	// differentiable log-probability and entropy tensors, so Schedule skips
-	// the autograd graph entirely and serves embeddings from the
-	// incremental per-job cache. Decisions are bit-identical either way.
-	Hook func(*Step)
-	// NoCache disables the incremental embedding cache on the fast path
-	// (every decision re-embeds every job). Evaluation results are
-	// bit-identical with the cache on or off; the switch exists for the
-	// equivalence tests and benchmarks that prove it.
+	// NoCache disables the incremental embedding cache (every decision
+	// re-embeds every job). Results are bit-identical with the cache on or
+	// off; the switch exists for the equivalence tests and benchmarks that
+	// prove it.
 	NoCache bool
-	// Record, when set, receives a replay record for every fast-path
-	// decision (it is never called on the tracked Hook path). The training
-	// fast path rolls episodes out with Hook nil and Record set, then
-	// rebuilds the gradient graph from the records (see replay.go). Every
+	// Record, when set, receives a replay record for every decision.
+	// Training rolls episodes out with Record set, then rebuilds the
+	// gradient graph from the records (see replay.go). Every
 	// slice of the record (Graphs, Cands, MinLimits, ClassOKs and its rows)
 	// aliases agent-owned scratch that the next decision overwrites — a
 	// recorder that retains the step must copy them; the *gnn.Graph values
@@ -188,7 +167,7 @@ func (a *Agent) Params() []*nn.Tensor {
 
 // Clone returns an agent with the same configuration and a deep copy of the
 // parameter values, sharing no mutable state with the receiver. The clone
-// samples actions from rng and starts with a nil Hook; parallel rollout
+// samples actions from rng and starts with a nil Record; parallel rollout
 // workers each hold one clone and refresh it with SyncFrom every iteration.
 func (a *Agent) Clone(rng *rand.Rand) *Agent {
 	b := New(a.Cfg, rng)
@@ -220,7 +199,7 @@ func (a *Agent) Reset() { a.ResetCache() }
 // (jobs, stages, DAGs, cached embeddings, recorded graphs). Callers that
 // keep an agent alive after a rollout finishes (e.g. rl.Evaluate, a trainer
 // that evaluates between iterations) call this so a finished run's memory
-// does not linger until the next fast-path decision. Correctness never
+// does not linger until the next decision. Correctness never
 // depends on it: entries are keyed by *sim.JobState pointer, so a new run
 // can never hit a stale entry.
 func (a *Agent) ResetCache() {
@@ -244,13 +223,13 @@ func (a *Agent) Load(path string) error { return nn.LoadParamsFile(path, a.Param
 
 // featureKeyInputs returns the only cluster-wide (non-job-local) inputs of a
 // job's feature matrix: the free-executor count, the total pool size, and
-// the locality flag. Everything else Features reads is job-local state
+// the locality flag. Everything else fillFeatures reads is job-local state
 // covered by sim.JobState.Version, so (Version, freeTotal, total, local) is
-// a complete cache key for per-job embeddings. Features and the embedding
-// cache share this single definition so the key cannot silently diverge from
-// the features. The pool size was a per-run constant before failure
-// dynamics; under executor churn it varies mid-run, so it must be part of
-// the key.
+// a complete cache key for per-job embeddings. The features and the cache
+// key are both built from this single definition so the key cannot silently
+// diverge from the features. The pool size was a per-run constant before
+// failure dynamics; under executor churn it varies mid-run, so it must be
+// part of the key.
 func featureKeyInputs(s *sim.State, j *sim.JobState) (freeTotal, total int, local float64) {
 	freeTotal = len(s.FreeExecutors)
 	total = s.TotalExecutors
@@ -263,16 +242,9 @@ func featureKeyInputs(s *sim.State, j *sim.JobState) (freeTotal, total int, loca
 	return freeTotal, total, local
 }
 
-// Features builds the §6.1 feature matrix for one job in the given state.
-func (a *Agent) Features(s *sim.State, j *sim.JobState) *nn.Tensor {
-	freeTotal, total, local := featureKeyInputs(s, j)
-	f := nn.Zeros(len(j.Stages), a.Cfg.FeatDim())
-	a.fillFeatures(f, j, freeTotal, total, local)
-	return f
-}
-
-// fillFeatures writes job j's feature matrix into f (len(j.Stages)×FeatDim)
-// from the job's own state and the featureKeyInputs values.
+// fillFeatures writes job j's §6.1 feature matrix into f
+// (len(j.Stages)×FeatDim) from the job's own state and the featureKeyInputs
+// values.
 func (a *Agent) fillFeatures(f *nn.Tensor, j *sim.JobState, freeTotal, total int, local float64) {
 	d := f.Cols
 	for i, st := range j.Stages {
@@ -300,27 +272,6 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// embed produces embeddings for the state, honouring the GNN ablation.
-func (a *Agent) embed(s *sim.State) *gnn.Embeddings {
-	graphs := make([]*gnn.Graph, len(s.Jobs))
-	for i, j := range s.Jobs {
-		graphs[i] = gnn.NewGraph(j.Job, a.Features(s, j))
-	}
-	if a.GNN != nil {
-		return a.GNN.Forward(graphs)
-	}
-	// Ablation: identity "embeddings" from raw features with zero job and
-	// global summaries.
-	emb := &gnn.Embeddings{
-		Jobs:   nn.Zeros(len(s.Jobs), a.Cfg.FeatDim()),
-		Global: nn.Zeros(1, a.Cfg.FeatDim()),
-	}
-	for _, g := range graphs {
-		emb.Nodes = append(emb.Nodes, g.Feats)
-	}
-	return emb
 }
 
 // candidates enumerates the schedulable nodes of s — with their per-node
@@ -377,35 +328,21 @@ func (a *Agent) Schedule(s *sim.State) *sim.Action {
 		classOKs = a.classOKs
 		req.ClassOKPer = classOKs
 	}
-	var dec policy.Decision
-	if a.Hook == nil {
-		// Inference fast path: no gradient will ever be taken from this
-		// decision *now*, so skip the autograd graph, fuse the MLP forwards,
-		// and reuse cached per-job embeddings. Bit-identical to the tracked
-		// path below (same scores, same RNG consumption, same action). When
-		// Record is set, the decision's observation and sampled action are
-		// captured so training can rebuild the gradient graph in a batched
-		// replay instead.
-		dec = a.Pol.DecideInference(a.embedInference(s), req, a.rng, &a.scratch)
-		if a.Record != nil {
-			a.Record(ReplayStep{
-				Graphs:     a.recGraphs,
-				Cands:      a.cands,
-				MinLimits:  a.minLimits,
-				ClassOKs:   classOKs,
-				Choice:     dec.Choice,
-				Limit:      dec.Limit,
-				Class:      dec.Class,
-				Time:       s.Time,
-				JobSeconds: s.JobSeconds,
-				NumJobs:    len(s.Jobs),
-			})
-		}
-	} else {
-		dec = a.Pol.Decide(a.embed(s), req, a.rng)
-		a.Hook(&Step{
+	// No gradient is taken from a decision *now*: the forwards are fused and
+	// no-grad, and per-job embeddings come from the cache. When Record is
+	// set, the observation, the sampled action and its log-probability are
+	// captured so training can rebuild the gradient graph in a batched replay.
+	dec := a.Pol.DecideInference(a.embedInference(s), req, a.rng, &a.scratch)
+	if a.Record != nil {
+		a.Record(ReplayStep{
+			Graphs:     a.recGraphs,
+			Cands:      a.cands,
+			MinLimits:  a.minLimits,
+			ClassOKs:   classOKs,
+			Choice:     dec.Choice,
+			Limit:      dec.Limit,
+			Class:      dec.Class,
 			LogProb:    dec.LogProb,
-			Entropy:    dec.Entropy,
 			Time:       s.Time,
 			JobSeconds: s.JobSeconds,
 			NumJobs:    len(s.Jobs),

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/nn"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -37,15 +38,15 @@ func TestAgentCompletesContinuous(t *testing.T) {
 	}
 }
 
-func TestHookRecordsSteps(t *testing.T) {
+func TestRecordSeesEveryDecision(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	jobs := workload.Batch(rng, 4)
 	a := newAgent(8)
-	var steps []*Step
-	a.Hook = func(s *Step) { steps = append(steps, s) }
+	var steps []ReplayStep
+	a.Record = func(rs ReplayStep) { steps = append(steps, rs) }
 	res := sim.New(sim.SparkDefaults(8), jobs, a, rng).Run()
 	if len(steps) == 0 {
-		t.Fatal("hook never fired")
+		t.Fatal("recorder never fired")
 	}
 	if len(steps) > res.Invocations {
 		t.Fatalf("more steps (%d) than invocations (%d)", len(steps), res.Invocations)
@@ -56,7 +57,7 @@ func TestHookRecordsSteps(t *testing.T) {
 			t.Fatal("steps not monotone in time / job-seconds")
 		}
 		prevT, prevJS = s.Time, s.JobSeconds
-		if s.LogProb == nil || s.LogProb.Value() > 1e-9 {
+		if s.LogProb > 1e-9 || math.IsNaN(s.LogProb) {
 			t.Fatal("invalid log prob")
 		}
 		if s.NumJobs < 1 {
@@ -179,6 +180,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// features builds job j's feature matrix as the agent observes it in s.
+func features(a *Agent, s *sim.State, j *sim.JobState) *nn.Tensor {
+	freeTotal, total, local := featureKeyInputs(s, j)
+	return a.observe(j, freeTotal, total, local, true).Feats
+}
+
 func TestFeatureExtraction(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	jobs := workload.Batch(rng, 2)
@@ -186,7 +193,7 @@ func TestFeatureExtraction(t *testing.T) {
 	var got bool
 	probe := sim.SchedulerFunc(func(s *sim.State) *sim.Action {
 		j := s.Jobs[0]
-		f := a.Features(s, j)
+		f := features(a, s, j)
 		if f.Rows != len(j.Stages) || f.Cols != a.Cfg.FeatDim() {
 			t.Fatalf("feature shape %d×%d", f.Rows, f.Cols)
 		}
@@ -212,7 +219,7 @@ func TestNoTaskDurationZeroesFeatures(t *testing.T) {
 	jobs := workload.Batch(rng, 1)
 	checked := false
 	probe := sim.SchedulerFunc(func(s *sim.State) *sim.Action {
-		f := a.Features(s, s.Jobs[0])
+		f := features(a, s, s.Jobs[0])
 		for r := 0; r < f.Rows; r++ {
 			if f.At(r, 1) != 0 || f.At(r, 5) != 0 {
 				t.Fatal("duration features not zeroed")

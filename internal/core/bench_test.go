@@ -52,32 +52,20 @@ func benchDecision(b *testing.B, mkAgent func() *Agent, oneJobChanged bool) {
 func newBenchAgent() *Agent { return New(DefaultConfig(20), rand.New(rand.NewSource(3))) }
 
 // BenchmarkInferenceDecision is the headline number: one scheduling
-// decision on the inference fast path (no-grad fused forward + warm
-// incremental embedding cache), the configuration evaluation rollouts and
-// the serving path run in.
+// decision (no-grad fused forward + warm incremental embedding cache), as
+// rollouts, evaluation and the serving path run it.
 func BenchmarkInferenceDecision(b *testing.B) { benchDecision(b, newBenchAgent, false) }
 
 // BenchmarkInferenceDecisionOneJobChanged is the same decision after an
 // event touched one job: nine cache hits, one re-embed into a recycled entry.
 func BenchmarkInferenceDecisionOneJobChanged(b *testing.B) { benchDecision(b, newBenchAgent, true) }
 
-// BenchmarkInferenceDecisionNoCache isolates the no-grad/fusion win from
-// the caching win: fast path, but every decision re-embeds every job.
+// BenchmarkInferenceDecisionNoCache prices the cache: every decision
+// re-embeds every job.
 func BenchmarkInferenceDecisionNoCache(b *testing.B) {
 	benchDecision(b, func() *Agent {
 		a := newBenchAgent()
 		a.NoCache = true
-		return a
-	}, false)
-}
-
-// BenchmarkInferenceDecisionTracked is the autograd-tracked path every
-// decision takes when a Hook is set (a no-op Hook forces it), kept as the
-// reference the fast path is measured against.
-func BenchmarkInferenceDecisionTracked(b *testing.B) {
-	benchDecision(b, func() *Agent {
-		a := newBenchAgent()
-		a.Hook = func(*Step) {}
 		return a
 	}, false)
 }

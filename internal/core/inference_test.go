@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/dag"
+	"repro/internal/gnn"
+	"repro/internal/nn"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -30,28 +32,18 @@ func runWith(a *Agent, jobs []*dag.Job, simSeed int64, cfg sim.Config) string {
 	return resultKey(res)
 }
 
-// TestFastPathMatchesTracked runs full evaluations on the tracked path (a
-// no-op Hook forces the autograd-building Decide) and the fast path (nil
-// Hook) and requires identical schedules and metrics, greedy and sampled.
-func TestFastPathMatchesTracked(t *testing.T) {
-	for trial := 0; trial < 4; trial++ {
-		greedy := trial%2 == 0
-		rng := rand.New(rand.NewSource(int64(40 + trial)))
-		jobs := workload.Batch(rng, 5)
-		cfg := sim.SparkDefaults(8)
-
-		tracked := New(DefaultConfig(8), rand.New(rand.NewSource(7)))
-		tracked.Greedy = greedy
-		tracked.Hook = func(*Step) {} // force the tracked path
-		fast := tracked.Clone(rand.New(rand.NewSource(1)))
-		fast.Greedy = greedy
-
-		a := runWith(tracked, jobs, int64(trial), cfg)
-		b := runWith(fast, jobs, int64(trial), cfg)
-		if a != b {
-			t.Fatalf("trial %d (greedy=%v): fast path diverged from tracked path:\n%s\nvs\n%s", trial, greedy, a, b)
-		}
+// trackedEmbed embeds the state on the tracked replay forward: every job's
+// observation in one batch and the one decision's global summary.
+func trackedEmbed(a *Agent, s *sim.State) (*gnn.Batch, *nn.Tensor) {
+	var graphs []*gnn.Graph
+	var all, seg []int
+	for i, j := range s.Jobs {
+		freeTotal, total, local := featureKeyInputs(s, j)
+		graphs = append(graphs, heapGraph(a.observe(j, freeTotal, total, local, true)))
+		all, seg = append(all, i), append(seg, 0)
 	}
+	b := a.GNN.ForwardBatch(graphs)
+	return b, a.GNN.GlobalsBatch(b.Jobs, all, seg, 1)
 }
 
 // TestCacheOnOffBitIdentical requires evaluation runs with the incremental
@@ -80,7 +72,7 @@ func TestCacheOnOffBitIdentical(t *testing.T) {
 
 // TestIncrementalEmbedBitIdentical drives a full noisy simulation and, at
 // every scheduling event, compares the incrementally cached embeddings
-// against both a fresh fast-path embed and the tracked autograd embed —
+// against both a fresh uncached embed and the tracked replay forward —
 // element for element, bit for bit — after arbitrary sequences of simulator
 // mutations (task launches/completions, stage completions, executor moves,
 // arrivals, departures).
@@ -93,33 +85,16 @@ func TestIncrementalEmbedBitIdentical(t *testing.T) {
 	events := 0
 	probe := sim.SchedulerFunc(func(s *sim.State) *sim.Action {
 		events++
-		cachedEmb := agent.embedInference(s)
-		trackedEmb := agent.embed(s)
-		// Compare before fresh.embedInference reuses its scratch arena.
-		for i := range s.Jobs {
-			a, b := cachedEmb.Nodes[i], trackedEmb.Nodes[i]
-			for k := range a.Data {
-				if a.Data[k] != b.Data[k] {
-					t.Fatalf("event %d job %d: cached node emb differs from tracked at %d", events, i, k)
-				}
-			}
+		what := fmt.Sprintf("event %d", events)
+		cached := agent.embedInference(s)
+		batch, global := trackedEmbed(agent, s)
+		d := batch.Nodes.Cols
+		for i, nodes := range cached.Nodes {
+			sameBits(t, what+": cached vs tracked node embeddings", nodes.Data, batch.Nodes.Data[batch.Off[i]*d:batch.Off[i]*d+len(nodes.Data)])
 		}
-		for k := range trackedEmb.Jobs.Data {
-			if cachedEmb.Jobs.Data[k] != trackedEmb.Jobs.Data[k] {
-				t.Fatalf("event %d: cached job summary differs from tracked at %d", events, k)
-			}
-		}
-		for k := range trackedEmb.Global.Data {
-			if cachedEmb.Global.Data[k] != trackedEmb.Global.Data[k] {
-				t.Fatalf("event %d: cached global summary differs from tracked at %d", events, k)
-			}
-		}
-		freshEmb := fresh.embedInference(s)
-		for k := range trackedEmb.Global.Data {
-			if freshEmb.Global.Data[k] != trackedEmb.Global.Data[k] {
-				t.Fatalf("event %d: uncached fast-path global differs from tracked at %d", events, k)
-			}
-		}
+		sameBits(t, what+": cached vs tracked job summaries", cached.Jobs.Data, batch.Jobs.Data)
+		sameBits(t, what+": cached vs tracked global summary", cached.Global.Data, global.Data)
+		sameBits(t, what+": uncached vs tracked global summary", fresh.embedInference(s).Global.Data, global.Data)
 		return agent.Schedule(s)
 	})
 
@@ -151,7 +126,7 @@ func TestVersionKeyInvariant(t *testing.T) {
 	probe := sim.SchedulerFunc(func(s *sim.State) *sim.Action {
 		for _, j := range s.Jobs {
 			freeTotal, total, local := featureKeyInputs(s, j)
-			h := fmt.Sprintf("%v", agent.Features(s, j).Data)
+			h := fmt.Sprintf("%v", features(agent, s, j).Data)
 			k := key{j, j.Version, freeTotal, total, local}
 			if prev, ok := seen[k]; ok && prev != h {
 				t.Fatalf("job %d: same cache key, different features — a sim mutation is missing a Version bump", j.Job.ID)
@@ -167,7 +142,7 @@ func TestVersionKeyInvariant(t *testing.T) {
 	}
 }
 
-// TestFastPathParallelClones exercises the fast path from concurrent
+// TestFastPathParallelClones exercises the decide path from concurrent
 // goroutines, each holding a private clone — the serving/evaluation
 // concurrency model — and checks clones agree with a serial reference run.
 // Run under -race (make race) this also proves the scratch arenas and

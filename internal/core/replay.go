@@ -8,13 +8,14 @@ import (
 
 // The training fast path's episode replay.
 //
-// Training rollouts run on the inference fast path (no autograd graph, fused
-// forwards, incremental embedding cache) and record, per decision, only what
-// the backward pass needs to rebuild the tracked computation later: the
-// observed per-job graph snapshots, the candidate set and masks, and the
-// sampled action. Because the inference forward is bit-identical to the
-// tracked forward, replaying a record reproduces the exact log-probabilities
-// the action was sampled from.
+// Training rollouts run on the inference path like every other decision (no
+// autograd graph, fused forwards, incremental embedding cache) and record,
+// per decision, only what the backward pass needs to build the tracked
+// computation later: the observed per-job graph snapshots, the candidate set
+// and masks, and the sampled action — plus the log-probability it was sampled
+// with, which the replay must reproduce bit for bit. That equality, checked
+// at every step of every ablation, is what licenses keeping the two forwards
+// as separate code.
 //
 // The replay dedupes graph observations by pointer: the recorder hands out
 // one *gnn.Graph per distinct (job, Version, freeTotal, local) observation
@@ -24,7 +25,7 @@ import (
 // gradient graph, where it is equally exact (the shared subgraph's gradient
 // accumulates over all its uses).
 
-// ReplayStep records one fast-path decision for training replay. As handed
+// ReplayStep records one decision for training replay. As handed
 // to Agent.Record every slice aliases agent scratch that the next decision
 // overwrites; a recorder that keeps the step copies them with
 // StepArena.Retain.
@@ -43,8 +44,13 @@ type ReplayStep struct {
 	Choice int
 	Limit  int
 	Class  int
-	// Time, JobSeconds and NumJobs are the reward bookkeeping of §5.3,
-	// mirroring Step.
+	// LogProb is log π(a|s) of that action as the inference path computed
+	// it (policy.Decision.LogProb).
+	LogProb float64
+	// Time is the simulation time t_k of the action, JobSeconds the ∫#jobs dt
+	// integral at decision time (consecutive differences give the
+	// −(t_k − t_{k−1})·J penalty of §5.3) and NumJobs the number of jobs in
+	// the system.
 	Time       float64
 	JobSeconds float64
 	NumJobs    int
@@ -142,7 +148,7 @@ func (a *Agent) ReplayLoss(steps []ReplayStep, wLogp, wEnt []float64) (*nn.Tenso
 		return a.Pol.ReplayLoss(batch.Nodes, batch.Off, batch.Jobs, globals, a.Cfg.ClassMem, psteps)
 	}
 	// GNN ablation: raw features stand in for node embeddings and the job
-	// and global summaries are zero, exactly as in embed/embedInference.
+	// and global summaries are zero, exactly as in embedInference.
 	d := a.Cfg.FeatDim()
 	off := make([]int, len(unique))
 	feats := make([]*nn.Tensor, len(unique))
@@ -154,48 +160,4 @@ func (a *Agent) ReplayLoss(steps []ReplayStep, wLogp, wEnt []float64) (*nn.Tenso
 	}
 	nodes := nn.ConcatRows(feats...)
 	return a.Pol.ReplayLoss(nodes, off, nn.Zeros(len(unique), d), nn.Zeros(len(steps), d), a.Cfg.ClassMem, psteps)
-}
-
-// ReplayLossDirect is the direct-tape reference for ReplayLoss: it rebuilds
-// every decision separately through the generic tracked ops (GNN.Forward +
-// Policy.ReplayDecision — the exact graph the pre-replay trainer built
-// during rollouts) and assembles the same loss. Per-step log-probabilities
-// and entropies are bit-identical to ReplayLoss; the accumulated gradient is
-// the same mathematical quantity summed in a different floating-point order
-// (per decision instead of per batched op), so parameters agree to numerical
-// precision rather than bit-for-bit. Tests use it to pin the batched path;
-// benchmarks use it as the pre-change cost model.
-func (a *Agent) ReplayLossDirect(steps []ReplayStep, wLogp, wEnt []float64) (*nn.Tensor, []policy.StepVals) {
-	vals := make([]policy.StepVals, len(steps))
-	var loss *nn.Tensor
-	for k := range steps {
-		st := &steps[k]
-		var emb *gnn.Embeddings
-		if a.GNN != nil {
-			emb = a.GNN.Forward(st.Graphs)
-		} else {
-			d := a.Cfg.FeatDim()
-			emb = &gnn.Embeddings{Jobs: nn.Zeros(len(st.Graphs), d), Global: nn.Zeros(1, d)}
-			for _, gr := range st.Graphs {
-				emb.Nodes = append(emb.Nodes, gr.Feats)
-			}
-		}
-		req := policy.Request{
-			Cands:     st.Cands,
-			MinLimits: st.MinLimits,
-			ClassMem:  a.Cfg.ClassMem,
-		}
-		if st.ClassOKs != nil {
-			req.ClassOKPer = st.ClassOKs
-		}
-		dec := a.Pol.ReplayDecision(emb, req, st.Choice, st.Limit, st.Class)
-		vals[k] = policy.StepVals{LogProb: dec.LogProb.Value(), Entropy: dec.Entropy.Value()}
-		term := nn.Add(nn.Scale(dec.LogProb, wLogp[k]), nn.Scale(dec.Entropy, wEnt[k]))
-		if loss == nil {
-			loss = term
-		} else {
-			loss = nn.Add(loss, term)
-		}
-	}
-	return loss, vals
 }

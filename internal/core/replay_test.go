@@ -1,0 +1,84 @@
+package core
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// replayWeights returns arbitrary but fixed REINFORCE weights for n steps.
+func replayWeights(n int) (wLogp, wEnt []float64) {
+	rng := rand.New(rand.NewSource(17))
+	for k := 0; k < n; k++ {
+		wLogp, wEnt = append(wLogp, rng.NormFloat64()), append(wEnt, 0.1*rng.Float64())
+	}
+	return wLogp, wEnt
+}
+
+// replayDiverges replays the steps and returns the first one whose rebuilt
+// log-probability is not, bit for bit, the one its action was sampled with,
+// or whose entropy is not that of the sampled-from node distribution.
+func replayDiverges(a *Agent, steps []ReplayStep, entropies []float64) (int, bool) {
+	wLogp, wEnt := replayWeights(len(steps))
+	_, vals := a.ReplayLoss(steps, wLogp, wEnt)
+	for k, v := range vals {
+		if math.Float64bits(v.LogProb) != math.Float64bits(steps[k].LogProb) || math.Abs(v.Entropy-entropies[k]) > 1e-12 {
+			return k, true
+		}
+	}
+	return 0, false
+}
+
+// TestReplayEquivalence is the bar that licenses two model paths: over a
+// noisy sampled run of every ablation, the batched tracked replay rebuilds at
+// every step exactly the log-probability the inference path sampled the
+// action with, and the entropy of the distribution it sampled from. The
+// negative control nudges one weight between rollout and replay, which the
+// same comparison must catch.
+func TestReplayEquivalence(t *testing.T) {
+	for ai, ab := range ablations {
+		agent, steps, entropies := recordedRun(t, ai, nil)
+		if k, bad := replayDiverges(agent, steps, entropies); bad {
+			t.Fatalf("%s step %d: the replay does not rebuild the decision the rollout made", ab.name, k)
+		}
+		agent.Pol.Q.Params()[0].Data[0] += 1e-3
+		if _, bad := replayDiverges(agent, steps, entropies); !bad {
+			t.Fatalf("%s: negative control: a nudged weight went unnoticed", ab.name)
+		}
+	}
+}
+
+// TestReplayLossGradcheck pins the replay's gradient — what training steps on
+// — to central finite differences of Agent.ReplayLoss, on two elements of
+// every parameter tensor of every ablation.
+func TestReplayLossGradcheck(t *testing.T) {
+	for ai, ab := range ablations {
+		agent, steps, _ := recordedRun(t, ai, nil)
+		steps = steps[:20]
+		wLogp, wEnt := replayWeights(len(steps))
+		loss := func() float64 {
+			l, _ := agent.ReplayLoss(steps, wLogp, wEnt)
+			return l.Value()
+		}
+		l, _ := agent.ReplayLoss(steps, wLogp, wEnt)
+		l.Backward(1)
+		for pi, p := range agent.Params() {
+			for _, i := range []int{0, len(p.Data) / 2} {
+				const h = 1e-6
+				orig := p.Data[i]
+				p.Data[i] = orig + h
+				up := loss()
+				p.Data[i] = orig - h
+				down := loss()
+				p.Data[i] = orig
+				var got float64
+				if p.Grad != nil {
+					got = p.Grad[i]
+				}
+				if want := (up - down) / (2 * h); math.Abs(got-want) > 1e-4*(1+math.Abs(want)) {
+					t.Fatalf("%s param %d[%d]: gradient %v, finite difference %v", ab.name, pi, i, got, want)
+				}
+			}
+		}
+	}
+}

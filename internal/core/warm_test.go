@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -78,64 +79,89 @@ func sameBits(t *testing.T, what string, a, b []float64) {
 	}
 }
 
-// TestExactReusesEveryAblation is the property test behind the fast path's
-// two exact reuses. Over a noisy randomised run of every ablation it checks,
-// at every scheduling event, that the global summary summed from cached
-// FGlob rows equals GlobalInference over the job matrix and the tracked
-// Forward, and that the shared-prefix limit and class heads sample the same
-// action from the same probabilities as the row-built tracked heads — fast
-// == tracked == NoCache, bit for bit, sampling on.
-func TestExactReusesEveryAblation(t *testing.T) {
-	for ai, ab := range ablations {
-		cfg := DefaultConfig(8)
-		ab.mod(&cfg)
-		simCfg := sim.SparkDefaults(8)
-		if ab.classes {
-			simCfg.Classes = []sim.ExecutorClass{{Mem: 0.25, Count: 2}, {Mem: 0.5, Count: 2}, {Mem: 0.75, Count: 2}, {Mem: 1, Count: 2}}
-		}
-		fast := New(cfg, rand.New(rand.NewSource(int64(70+ai))))
-		tracked := fast.Clone(rand.New(rand.NewSource(1)))
-		tracked.Hook = func(*Step) {}
-		fresh := fast.Clone(rand.New(rand.NewSource(1)))
-		fresh.NoCache = true
-		agents := []*Agent{fast, tracked, fresh}
-		for _, a := range agents {
-			a.SetRNG(rand.New(rand.NewSource(5)))
-		}
+// recordedRun drives one noisy, sampled run of an ablation to completion on
+// the cached decide path with Record on, shadowed by a NoCache clone on the
+// same random stream that must choose the same action at every event. It
+// returns the agent, its retained replay steps and, per step, the entropy
+// −Σp·log p of the node distribution the action was sampled from. probe, if
+// set, sees every state before the agents decide.
+func recordedRun(t *testing.T, ai int, probe func(what string, fast *Agent, s *sim.State)) (*Agent, []ReplayStep, []float64) {
+	t.Helper()
+	ab := ablations[ai]
+	cfg := DefaultConfig(8)
+	ab.mod(&cfg)
+	simCfg := sim.SparkDefaults(8)
+	if ab.classes {
+		simCfg.Classes = []sim.ExecutorClass{{Mem: 0.25, Count: 2}, {Mem: 0.5, Count: 2}, {Mem: 0.75, Count: 2}, {Mem: 1, Count: 2}}
+	}
+	fast := New(cfg, rand.New(rand.NewSource(int64(70+ai))))
+	fresh := fast.Clone(rand.New(rand.NewSource(1)))
+	fresh.NoCache = true
+	fast.SetRNG(rand.New(rand.NewSource(5)))
+	fresh.SetRNG(rand.New(rand.NewSource(5)))
+	var steps []ReplayStep
+	var arena StepArena
+	fast.Record = func(rs ReplayStep) { steps = append(steps, arena.Retain(rs)) }
 
-		events := 0
-		probe := sim.SchedulerFunc(func(s *sim.State) *sim.Action {
-			events++
-			what := fmt.Sprintf("%s event %d", ab.name, events)
-			if fast.GNN != nil {
-				emb := fast.embedInference(s)
-				var sc nn.Scratch
-				sameBits(t, what+": cached-FGlob global vs GlobalInference", emb.Global.Data, fast.GNN.GlobalInference(emb.Jobs, &sc).Data)
-				sameBits(t, what+": cached-FGlob global vs tracked", emb.Global.Data, tracked.embed(s).Global.Data)
-			}
-			var acts [3]*sim.Action
-			for i, a := range agents {
-				acts[i] = a.Schedule(s)
-			}
-			for i, act := range acts[1:] {
-				if (act == nil) != (acts[0] == nil) || (act != nil && *act != *acts[0]) {
-					t.Fatalf("%s: agent %d chose %+v, fast path chose %+v", what, i+1, act, acts[0])
-				}
-			}
-			return acts[0]
-		})
-		rng := rand.New(rand.NewSource(int64(80 + ai)))
-		jobs := workload.Poisson(rng, 8, workload.IATForLoad(0.7, 8))
-		if res := sim.New(simCfg, jobs, probe, rng).Run(); res.Unfinished != 0 || res.Deadlock || events < 20 {
-			t.Fatalf("%s: probe run did not complete (%d events, %d unfinished)", ab.name, events, res.Unfinished)
+	var entropies []float64
+	var sc nn.Scratch
+	run := sim.SchedulerFunc(func(s *sim.State) *sim.Action {
+		what := fmt.Sprintf("%s event %d", ab.name, len(steps)+1)
+		if probe != nil {
+			probe(what, fast, s)
 		}
+		act, ref := fast.Schedule(s), fresh.Schedule(s)
+		if (act == nil) != (ref == nil) || (act != nil && *act != *ref) {
+			t.Fatalf("%s: cached path chose %+v, NoCache %+v", what, act, ref)
+		}
+		if act != nil {
+			// The decision's embeddings and candidates are still in the
+			// agent's buffers; a greedy re-decide reads the node distribution
+			// off them without touching the random stream.
+			req := policy.Request{Cands: fast.cands, MinLimits: fast.minLimits, ClassOKPer: fast.classOKs, ClassMem: cfg.ClassMem, Greedy: true}
+			var ent float64
+			for _, p := range fast.Pol.DecideInference(&fast.emb, req, nil, &sc).NodeProbs {
+				ent -= p * math.Log(p)
+			}
+			entropies = append(entropies, ent)
+			sc.Reset()
+		}
+		return act
+	})
+	rng := rand.New(rand.NewSource(int64(80 + ai)))
+	jobs := workload.Poisson(rng, 8, workload.IATForLoad(0.7, 8))
+	if res := sim.New(simCfg, jobs, run, rng).Run(); res.Unfinished != 0 || res.Deadlock || len(steps) < 20 {
+		t.Fatalf("%s: run did not complete (%d decisions, %d unfinished)", ab.name, len(steps), res.Unfinished)
+	}
+	return fast, steps, entropies
+}
+
+// TestExactReusesEveryAblation is the property test behind the decide path's
+// exact reuses. Over a noisy randomised run of every ablation it checks, at
+// every scheduling event, that the global summary summed from cached FGlob
+// rows equals GlobalInference over the job matrix and the tracked replay
+// forward, and (recordedRun) that the cached path samples the same action as
+// NoCache — bit for bit, sampling on.
+func TestExactReusesEveryAblation(t *testing.T) {
+	for ai := range ablations {
+		recordedRun(t, ai, func(what string, fast *Agent, s *sim.State) {
+			if fast.GNN == nil {
+				return
+			}
+			emb := fast.embedInference(s)
+			var sc nn.Scratch
+			sameBits(t, what+": cached-FGlob global vs GlobalInference", emb.Global.Data, fast.GNN.GlobalInference(emb.Jobs, &sc).Data)
+			_, global := trackedEmbed(fast, s)
+			sameBits(t, what+": cached-FGlob global vs tracked", emb.Global.Data, global.Data)
+		})
 	}
 }
 
-// TestSharedPrefixHeadsMatchRowBuilt compares DecideInference's node
-// probabilities, limit and class against the tracked Decide on random
+// TestSharedPrefixHeadsMatchRowBuilt compares DecideInference's shared-prefix
+// limit and class heads against the replay's row-built ones on random
 // embeddings directly, for every head layout, including the floor that
-// leaves a single admissible limit.
+// leaves a single admissible limit: the one-step replay must rebuild the
+// log-probability the action was sampled with, bit for bit.
 func TestSharedPrefixHeadsMatchRowBuilt(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, pc := range []policy.Config{
@@ -157,14 +183,15 @@ func TestSharedPrefixHeadsMatchRowBuilt(t *testing.T) {
 					req.ClassOKPer = append(req.ClassOKPer, []bool{rng.Intn(2) == 0, true, rng.Intn(2) == 0})
 				}
 			}
-			seed := rng.Int63()
 			var s nn.Scratch
-			got := p.DecideInference(emb, req, rand.New(rand.NewSource(seed)), &s)
-			want := p.Decide(emb, req, rand.New(rand.NewSource(seed)))
-			sameBits(t, "node probabilities", got.NodeProbs, want.NodeProbs)
-			if got.Choice != want.Choice || got.Limit != want.Limit || got.Class != want.Class {
-				t.Fatalf("%+v trial %d: fast heads chose (%d,%d,%d), tracked (%d,%d,%d)", pc, trial,
-					got.Choice, got.Limit, got.Class, want.Choice, want.Limit, want.Class)
+			got := p.DecideInference(emb, req, rng, &s)
+			_, vals := p.ReplayLoss(nn.ConcatRows(emb.Nodes...), []int{0, 4, 8}, emb.Jobs, emb.Global, req.ClassMem, []policy.ReplayStep{{
+				Gids: []int{0, 1, 2}, Cands: req.Cands, MinLimits: req.MinLimits, ClassOKs: req.ClassOKPer,
+				Choice: got.Choice, Limit: got.Limit, Class: got.Class,
+			}})
+			if math.Float64bits(vals[0].LogProb) != math.Float64bits(got.LogProb) {
+				t.Fatalf("%+v trial %d: action (%d,%d,%d) sampled with log-prob %v, row-built heads give %v", pc, trial,
+					got.Choice, got.Limit, got.Class, got.LogProb, vals[0].LogProb)
 			}
 		}
 	}

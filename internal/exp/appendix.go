@@ -163,6 +163,8 @@ func Fig19(sc Scale, evalEvery int) *Table {
 		}
 		return gnn.NewGraph(j, feats), cp
 	}
+	// embed is the tracked forward of one graph: a batch of one.
+	embed := func(m *model, gr *gnn.Graph) *nn.Tensor { return m.g.ForwardBatch([]*gnn.Graph{gr}).Nodes }
 	params := func(m *model) []*nn.Tensor { return append(m.g.Params(), m.head.Params()...) }
 	trainStep := func(m *model, rng *rand.Rand) {
 		gr, cp := sample(rng)
@@ -171,8 +173,7 @@ func Fig19(sc Scale, evalEvery int) *Table {
 			target.Set(i, 0, v/5)
 		}
 		nn.ZeroGrads(params(m))
-		e := m.g.EmbedNodes(gr)
-		nn.MSE(m.head.Forward(e), target).Backward(1)
+		nn.MSE(m.head.Forward(embed(m, gr)), target).Backward(1)
 		m.opt.Step(params(m))
 	}
 	accuracy := func(m *model) float64 {
@@ -181,7 +182,7 @@ func Fig19(sc Scale, evalEvery int) *Table {
 		const trials = 100
 		for i := 0; i < trials; i++ {
 			gr, cp := sample(rng)
-			pred := m.head.Forward(m.g.EmbedNodes(gr))
+			pred := m.head.Forward(embed(m, gr))
 			bestP, bestT := 0, 0
 			for r := 1; r < pred.Rows; r++ {
 				if pred.At(r, 0) > pred.At(bestP, 0) {

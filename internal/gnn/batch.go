@@ -5,20 +5,19 @@ import (
 	"repro/internal/nn"
 )
 
-// This file is the GNN's batched replay forward: the tracked (differentiable)
-// counterpart of ForwardInference for *many graphs at once*. The training
-// fast path rolls episodes out with no autograd graph and replays each
-// episode's decisions in one batch; the replay stacks every distinct job-DAG
-// observation of the episode into a single multi-graph message-passing pass,
-// so each f/g transformation runs once per *level across all graphs* instead
-// of once per level per job per decision.
+// This file is the GNN's tracked (differentiable) forward, built for the
+// training replay: rollouts run on the inference forward with no autograd
+// graph, and the replay stacks every distinct job-DAG observation of an
+// episode into a single multi-graph message-passing pass, so each f/g
+// transformation runs once per *level across all graphs* instead of once per
+// level per job per decision.
 //
-// Values are bit-identical to embedding each graph separately (EmbedNodes /
-// EmbedNodesInference): message passing only ever flows inside one graph, a
-// node's row is computed by row-independent MLP arithmetic, and each
-// segment-sum accumulates a node's children in the same order as the
-// per-graph pass — batching changes which rows share a matmul call, never
-// the arithmetic a row sees.
+// Values are bit-identical to embedding each graph on its own — as a batch
+// of one or through EmbedNodesInference: message passing only ever flows
+// inside one graph, a node's row is computed by row-independent MLP
+// arithmetic, and each segment-sum accumulates a node's children in the same
+// order as the per-graph pass — batching changes which rows share a matmul
+// call, never the arithmetic a row sees.
 
 // Batch is the stacked embedding of several graphs.
 type Batch struct {
@@ -34,7 +33,7 @@ type Batch struct {
 
 // ForwardBatch embeds all graphs in one level-batched tracked pass,
 // producing node embeddings and per-graph summaries bit-identical to
-// running Forward on each graph separately.
+// embedding each graph separately.
 func (g *GNN) ForwardBatch(graphs []*Graph) *Batch {
 	if len(graphs) == 0 {
 		panic("gnn: ForwardBatch of no graphs")
@@ -70,7 +69,15 @@ func (g *GNN) ForwardBatch(graphs []*Graph) *Batch {
 				lv.Seg = append(lv.Seg, pbase+gr.Levels[h].Seg[i])
 			}
 		}
-		e = g.levelStep(e, x, lv)
+		// Eq. (1): the level's parents aggregate their (already final)
+		// children's embeddings.
+		msgs := g.FNode.Forward(nn.GatherRows(e, lv.ChildIdx))
+		agg := nn.SegmentSum(msgs, lv.Seg, len(lv.Parents))
+		if !g.Cfg.SingleLevel {
+			agg = g.GNode.Forward(agg)
+		}
+		rows := nn.Add(agg, nn.GatherRows(x, lv.Parents))
+		e = nn.ScatterRows(e, lv.Parents, rows)
 	}
 	// Per-graph summaries: one FJob pass over every (x_v, e_v) pair, summed
 	// per graph (same row order as the per-graph SumRows), one GJob pass

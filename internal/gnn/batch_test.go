@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,40 +10,52 @@ import (
 	"repro/internal/nn"
 )
 
-// TestForwardBatchBitIdentical is the batched replay forward's equivalence
-// bar: embedding many graphs in one multi-graph level-batched pass must
-// produce node embeddings and per-graph summaries bit-identical to running
-// Forward on the graphs one at a time.
+// sameBits fails unless a and b hold identical float64s.
+func sameBits(t *testing.T, what string, a, b []float64) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d vs %d values", what, len(a), len(b))
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			t.Fatalf("%s differs at %d: %v vs %v", what, i, a[i], b[i])
+		}
+	}
+}
+
+// TestForwardBatchBitIdentical is the two forwards' equivalence bar, on
+// randomized DAG batches with and without the outer non-linearity: N graphs
+// embedded in one tracked batch == each graph as a tracked batch of one ==
+// the inference forward over a scratch arena, node embeddings, job summaries
+// and the global summary alike — bit for bit, the contract the training
+// replay and the core embedding cache depend on.
 func TestForwardBatchBitIdentical(t *testing.T) {
-	for trial := 0; trial < 5; trial++ {
+	var s nn.Scratch
+	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
-		g := testGNN(rng)
+		g := New(Config{FeatDim: 3, EmbedDim: 4, Hidden: []int{8, 4}, SingleLevel: trial%4 == 3}, rng)
 		var graphs []*Graph
-		nGraphs := 1 + rng.Intn(6)
-		for i := 0; i < nGraphs; i++ {
-			j := dag.Random(rand.New(rand.NewSource(int64(trial*10+i))), 1+rng.Intn(14), 0.35)
+		var all, seg []int
+		for i := 0; i < 1+rng.Intn(6); i++ {
+			j := dag.Random(rng, 1+rng.Intn(14), 0.35)
 			graphs = append(graphs, NewGraph(j, featsFor(j)))
+			all, seg = append(all, i), append(seg, 0)
 		}
 		batch := g.ForwardBatch(graphs)
-		ref := g.Forward(graphs)
+		s.Reset()
 		for i, gr := range graphs {
-			n := len(gr.Heights)
-			off := batch.Off[i]
-			for r := 0; r < n; r++ {
-				for c := 0; c < batch.Nodes.Cols; c++ {
-					got := batch.Nodes.At(off+r, c)
-					want := ref.Nodes[i].At(r, c)
-					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("trial %d graph %d node (%d,%d): batched %v != per-graph %v", trial, i, r, c, got, want)
-					}
-				}
-			}
+			what := fmt.Sprintf("trial %d graph %d", trial, i)
+			d := batch.Nodes.Cols
+			nodes := batch.Nodes.Data[batch.Off[i]*d : (batch.Off[i]+len(gr.Heights))*d]
+			one := g.ForwardBatch([]*Graph{gr})
+			sameBits(t, what+": nodes, batch of N vs batch of one", nodes, one.Nodes.Data)
+			sameBits(t, what+": summary, batch of N vs batch of one", batch.Jobs.Data[i*d:(i+1)*d], one.Jobs.Data)
+			fast := g.EmbedNodesInference(gr, &s)
+			sameBits(t, what+": nodes, tracked vs inference", nodes, fast.Data)
+			sameBits(t, what+": summary, tracked vs inference", one.Jobs.Data, g.JobSummaryInference(gr, fast, &s).Data)
 		}
-		for k := range ref.Jobs.Data {
-			if math.Float64bits(batch.Jobs.Data[k]) != math.Float64bits(ref.Jobs.Data[k]) {
-				t.Fatalf("trial %d: job summary differs at %d", trial, k)
-			}
-		}
+		sameBits(t, fmt.Sprintf("trial %d: global, tracked vs inference", trial),
+			g.GlobalsBatch(batch.Jobs, all, seg, 1).Data, g.GlobalInference(batch.Jobs, &s).Data)
 	}
 }
 

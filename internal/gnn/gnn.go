@@ -21,10 +21,16 @@
 // The forward pass batches nodes level by level (children before parents,
 // grouped by height), so cost scales with DAG depth rather than node count.
 //
-// Three forwards share that arithmetic bit for bit: the tracked Forward
-// (autograd, training), ForwardInference (no-grad fused kernels + scratch
-// arena, the per-decision fast path), and ForwardBatch (many graphs in one
-// tracked multi-graph pass, the training replay).
+// Two forwards share that arithmetic bit for bit, and each is the other's
+// reference: the inference forward (EmbedNodesInference, JobSummaryInference,
+// GlobalInference — fused no-grad kernels over a scratch arena, one job at a
+// time, every decision) and the tracked replay forward (ForwardBatch and
+// GlobalsBatch — autograd, many graphs in one pass, one graph being the
+// degenerate batch). Which one runs follows from whether a gradient is being
+// taken; there is no option. They stay separate code because the inference
+// side's in-place level updates and arena-owned tensors are exactly what a
+// tape cannot share. EmbedNodesNaive is the unbatched reference of the level
+// batching itself.
 package gnn
 
 import (
@@ -63,12 +69,6 @@ type Config struct {
 	// SingleLevel ablates the outer non-linearity g, reducing Eq. (1) to
 	// e_v = Σ f(e_u) + x̂_v (the weak baseline of Appendix E).
 	SingleLevel bool
-}
-
-// DefaultConfig returns the architecture used across the evaluation,
-// scaled for single-core training.
-func DefaultConfig(featDim int) Config {
-	return Config{FeatDim: featDim, EmbedDim: 8, Hidden: []int{16, 8}}
 }
 
 // GNN holds the seven learned transformations.
@@ -113,8 +113,9 @@ func (g *GNN) Params() []*nn.Tensor {
 	return ps
 }
 
-// Embeddings is the GNN's output: one node-embedding matrix per job, a
-// per-job summary matrix, and the global summary vector.
+// Embeddings is one decision's view of the cluster, the policy network's
+// input: one node-embedding matrix per job, a per-job summary matrix, and
+// the global summary vector.
 type Embeddings struct {
 	// Nodes[i] is job i's n_i×D node embedding matrix.
 	Nodes []*nn.Tensor
@@ -124,59 +125,11 @@ type Embeddings struct {
 	Global *nn.Tensor
 }
 
-// EmbedNodes runs the per-node message passing for one graph, returning the
-// n×D node embedding matrix.
-func (g *GNN) EmbedNodes(gr *Graph) *nn.Tensor {
-	x := g.Prep.Forward(gr.Feats) // n×D projected features
-	e := x
-	for _, lv := range gr.Levels {
-		e = g.levelStep(e, x, lv)
-	}
-	return e
-}
-
-// levelStep is Eq. (1) for one height level on the tracked path: the level's
-// parents aggregate their (already final) children's embeddings. lv may
-// stack the same height of several graphs (ForwardBatch).
-func (g *GNN) levelStep(e, x *nn.Tensor, lv dag.Level) *nn.Tensor {
-	msgs := g.FNode.Forward(nn.GatherRows(e, lv.ChildIdx))
-	agg := nn.SegmentSum(msgs, lv.Seg, len(lv.Parents))
-	if !g.Cfg.SingleLevel {
-		agg = g.GNode.Forward(agg)
-	}
-	rows := nn.Add(agg, nn.GatherRows(x, lv.Parents))
-	return nn.ScatterRows(e, lv.Parents, rows)
-}
-
-// Forward embeds all graphs, producing node, job and global embeddings in
-// one differentiable computation.
-func (g *GNN) Forward(graphs []*Graph) *Embeddings {
-	emb := &Embeddings{}
-	jobRows := make([]*nn.Tensor, 0, len(graphs))
-	for _, gr := range graphs {
-		e := g.EmbedNodes(gr)
-		emb.Nodes = append(emb.Nodes, e)
-		// Per-job summary over (x_v, e_v) pairs (the DAG-level summary node
-		// of Fig. 5b has every node as a child).
-		pair := nn.ConcatCols(gr.Feats, e)
-		y := g.GJob.Forward(nn.SumRows(g.FJob.Forward(pair)))
-		jobRows = append(jobRows, y)
-	}
-	if len(jobRows) == 0 {
-		emb.Jobs = nn.Zeros(0, g.Cfg.EmbedDim)
-		emb.Global = nn.Zeros(1, g.Cfg.EmbedDim)
-		return emb
-	}
-	emb.Jobs = nn.ConcatRows(jobRows...)
-	emb.Global = g.GGlob.Forward(nn.SumRows(g.FGlob.Forward(emb.Jobs)))
-	return emb
-}
-
-// EmbedNodesNaive computes the same per-node embeddings as EmbedNodes but
-// node by node, without level batching. It exists as a correctness
-// cross-check and as the baseline for the level-batching ablation benchmark
-// (see DESIGN.md at the repository root, which covers level batching and
-// the inference fast path).
+// EmbedNodesNaive computes the same per-node embeddings as a one-graph
+// ForwardBatch but node by node, without level batching. It exists as a
+// correctness cross-check and as the baseline for the level-batching
+// ablation benchmark (see DESIGN.md at the repository root, which covers
+// level batching and the two forwards).
 func (g *GNN) EmbedNodesNaive(gr *Graph) *nn.Tensor {
 	x := g.Prep.Forward(gr.Feats)
 	n := x.Rows

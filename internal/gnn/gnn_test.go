@@ -25,6 +25,17 @@ func testGNN(rng *rand.Rand) *GNN {
 	return New(Config{FeatDim: 3, EmbedDim: 4, Hidden: []int{8}}, rng)
 }
 
+// embedOne returns one graph's node embeddings from the tracked forward: a
+// batch of one.
+func embedOne(g *GNN, gr *Graph) *nn.Tensor { return g.ForwardBatch([]*Graph{gr}).Nodes }
+
+// summary stacks everything the tracked forward outputs for one graph —
+// column-summed node embeddings, job summary, global summary — into a row.
+func summary(g *GNN, gr *Graph) *nn.Tensor {
+	b := g.ForwardBatch([]*Graph{gr})
+	return nn.ConcatCols(nn.SumRows(b.Nodes), b.Jobs, g.GlobalsBatch(b.Jobs, []int{0}, []int{0}, 1))
+}
+
 func TestForwardShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := testGNN(rng)
@@ -34,43 +45,45 @@ func TestForwardShapes(t *testing.T) {
 		j := dag.Random(rand.New(rand.NewSource(int64(i))), n, 0.3)
 		graphs = append(graphs, NewGraph(j, featsFor(j)))
 	}
-	emb := g.Forward(graphs)
-	for i, n := range sizes {
-		if emb.Nodes[i].Rows != n || emb.Nodes[i].Cols != 4 {
-			t.Fatalf("node emb %d shape %d×%d", i, emb.Nodes[i].Rows, emb.Nodes[i].Cols)
-		}
+	b := g.ForwardBatch(graphs)
+	if b.Nodes.Rows != 18 || b.Nodes.Cols != 4 || b.Off[0] != 0 || b.Off[1] != 1 || b.Off[2] != 6 {
+		t.Fatalf("node emb shape %d×%d, offsets %v", b.Nodes.Rows, b.Nodes.Cols, b.Off)
 	}
-	if emb.Jobs.Rows != 3 || emb.Jobs.Cols != 4 {
-		t.Fatalf("job emb shape %d×%d", emb.Jobs.Rows, emb.Jobs.Cols)
+	if b.Jobs.Rows != 3 || b.Jobs.Cols != 4 {
+		t.Fatalf("job emb shape %d×%d", b.Jobs.Rows, b.Jobs.Cols)
 	}
-	if emb.Global.Rows != 1 || emb.Global.Cols != 4 {
-		t.Fatalf("global shape %d×%d", emb.Global.Rows, emb.Global.Cols)
+	// Two decisions: one sees all three jobs, one only the last.
+	if z := g.GlobalsBatch(b.Jobs, []int{0, 1, 2, 2}, []int{0, 0, 0, 1}, 2); z.Rows != 2 || z.Cols != 4 {
+		t.Fatalf("global shape %d×%d", z.Rows, z.Cols)
 	}
 }
 
+// TestEmptyInput: a batch of no graphs is a caller bug (the agent never
+// replays a decision that saw no job), not an empty result.
 func TestEmptyInput(t *testing.T) {
-	g := testGNN(rand.New(rand.NewSource(1)))
-	emb := g.Forward(nil)
-	if emb.Jobs.Rows != 0 || emb.Global.Rows != 1 {
-		t.Fatal("empty input mishandled")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ForwardBatch of no graphs did not panic")
+		}
+	}()
+	testGNN(rand.New(rand.NewSource(1))).ForwardBatch(nil)
 }
 
 func TestChildPermutationInvariance(t *testing.T) {
 	// Sum aggregation must be invariant to child-list order.
-	j := &dag.Job{}
-	for i := 0; i < 5; i++ {
-		j.Stages = append(j.Stages, &dag.Stage{ID: i, NumTasks: i + 1, TaskDuration: 1, CPUReq: 1})
-	}
-	for c := 1; c < 5; c++ {
-		j.AddEdge(0, c)
+	star := func(children []int) *Graph {
+		j := &dag.Job{}
+		for i := 0; i < 5; i++ {
+			j.Stages = append(j.Stages, &dag.Stage{ID: i, NumTasks: i + 1, TaskDuration: 1, CPUReq: 1})
+		}
+		for _, c := range children {
+			j.AddEdge(0, c)
+		}
+		return NewGraph(j, featsFor(j))
 	}
 	g := testGNN(rand.New(rand.NewSource(2)))
-	a := g.EmbedNodes(NewGraph(j, featsFor(j)))
-
-	g2 := NewGraph(j, featsFor(j))
-	g2.Children[0] = []int{4, 2, 3, 1}
-	b := g.EmbedNodes(g2)
+	a := embedOne(g, star([]int{1, 2, 3, 4}))
+	b := embedOne(g, star([]int{4, 2, 3, 1}))
 	for i := range a.Data {
 		if math.Abs(a.Data[i]-b.Data[i]) > 1e-9 {
 			t.Fatal("embedding depends on child order")
@@ -94,8 +107,8 @@ func TestStructureMatters(t *testing.T) {
 		return j
 	}
 	g := testGNN(rand.New(rand.NewSource(3)))
-	chain := g.EmbedNodes(NewGraph(mk(true), featsFor(mk(true))))
-	flat := g.EmbedNodes(NewGraph(mk(false), featsFor(mk(false))))
+	chain := embedOne(g, NewGraph(mk(true), featsFor(mk(true))))
+	flat := embedOne(g, NewGraph(mk(false), featsFor(mk(false))))
 	diff := 0.0
 	for c := 0; c < 4; c++ {
 		diff += math.Abs(chain.At(0, c) - flat.At(0, c))
@@ -110,7 +123,7 @@ func TestLeafEmbeddingIsProjection(t *testing.T) {
 	j := &dag.Job{Stages: []*dag.Stage{{ID: 0, NumTasks: 2, TaskDuration: 1, CPUReq: 1}}}
 	g := testGNN(rand.New(rand.NewSource(4)))
 	feats := featsFor(j)
-	e := g.EmbedNodes(NewGraph(j, feats))
+	e := embedOne(g, NewGraph(j, feats))
 	want := g.Prep.Forward(feats)
 	for i := range e.Data {
 		if math.Abs(e.Data[i]-want.Data[i]) > 1e-12 {
@@ -123,9 +136,7 @@ func TestGradientsFlowToAllParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := testGNN(rng)
 	j := dag.Random(rng, 8, 0.4)
-	emb := g.Forward([]*Graph{NewGraph(j, featsFor(j))})
-	loss := nn.Sum(nn.Square(nn.ConcatCols(nn.SumRows(emb.Nodes[0]), emb.Jobs, emb.Global)))
-	loss.Backward(1)
+	nn.Sum(nn.Square(summary(g, NewGraph(j, featsFor(j))))).Backward(1)
 	for i, p := range g.Params() {
 		var s float64
 		for _, v := range p.Grad {
@@ -145,10 +156,7 @@ func TestGNNGradcheck(t *testing.T) {
 	for i := range feats.Data {
 		feats.Data[i] = rng.NormFloat64()
 	}
-	build := func() *nn.Tensor {
-		emb := g.Forward([]*Graph{NewGraph(j, feats)})
-		return nn.Sum(nn.Tanh(nn.ConcatCols(nn.SumRows(emb.Nodes[0]), emb.Jobs, emb.Global)))
-	}
+	build := func() *nn.Tensor { return nn.Sum(nn.Tanh(summary(g, NewGraph(j, feats)))) }
 	out := build()
 	out.Backward(1)
 	f := func() float64 { return build().Value() }
@@ -196,8 +204,7 @@ func TestLearnsCriticalPathSmoke(t *testing.T) {
 
 	loss := func(r *rand.Rand) float64 {
 		gr, target := sample(r)
-		e := g.EmbedNodes(gr)
-		return nn.MSE(head.Forward(e), target).Value()
+		return nn.MSE(head.Forward(embedOne(g, gr)), target).Value()
 	}
 	evalRng := func() *rand.Rand { return rand.New(rand.NewSource(1234)) }
 	before := 0.0
@@ -208,8 +215,7 @@ func TestLearnsCriticalPathSmoke(t *testing.T) {
 	for it := 0; it < 150; it++ {
 		nn.ZeroGrads(params)
 		gr, target := sample(rng)
-		e := g.EmbedNodes(gr)
-		nn.MSE(head.Forward(e), target).Backward(1)
+		nn.MSE(head.Forward(embedOne(g, gr)), target).Backward(1)
 		opt.Step(params)
 	}
 	after := 0.0
@@ -228,7 +234,7 @@ func TestNaiveMatchesBatched(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		j := dag.Random(rand.New(rand.NewSource(int64(trial))), 2+trial, 0.4)
 		gr := NewGraph(j, featsFor(j))
-		a := g.EmbedNodes(gr)
+		a := embedOne(g, gr)
 		b := g.EmbedNodesNaive(gr)
 		for i := range a.Data {
 			if math.Abs(a.Data[i]-b.Data[i]) > 1e-9 {

@@ -2,13 +2,13 @@ package gnn
 
 import "repro/internal/nn"
 
-// This file is the GNN's inference fast path: the same level-batched
-// message passing as EmbedNodes / Forward, but with no autograd graph, all
+// This file is the GNN's inference forward: the same level-batched message
+// passing as ForwardBatch, one job at a time, with no autograd graph, all
 // MLP forwards fused (nn.MLP.ForwardInference), and every intermediate —
 // storage and tensor header — owned by a caller-supplied scratch arena.
 // Arithmetic order matches the tracked ops exactly, so results are
-// bit-identical — the equivalence the incremental embedding cache in
-// internal/core depends on (see DESIGN.md).
+// bit-identical — the equivalence the training replay and the incremental
+// embedding cache in internal/core depend on (see DESIGN.md).
 //
 // Returned tensors belong to the scratch arena and are valid until the
 // caller resets it; callers that cache results across decisions must copy
@@ -52,10 +52,10 @@ func sumRows(a *nn.Tensor, s *nn.Scratch) *nn.Tensor {
 	return out
 }
 
-// EmbedNodesInference computes the same per-node embeddings as EmbedNodes —
-// bit-identically — on the no-grad fast path. The projected features are
-// updated in place: a stage's row is read as x̂_v only at its own level, and
-// as a child's embedding only at higher levels, after it is final.
+// EmbedNodesInference computes the same per-node embeddings as a one-graph
+// ForwardBatch — bit-identically — on the no-grad fast path. The projected
+// features are updated in place: a stage's row is read as x̂_v only at its own
+// level, and as a child's embedding only at higher levels, after it is final.
 func (g *GNN) EmbedNodesInference(gr *Graph, s *nn.Scratch) *nn.Tensor {
 	e := g.Prep.ForwardInference(gr.Feats, s)
 	d := e.Cols
@@ -78,7 +78,7 @@ func (g *GNN) EmbedNodesInference(gr *Graph, s *nn.Scratch) *nn.Tensor {
 }
 
 // JobSummaryInference computes one job's 1×D summary from its features and
-// node embeddings, bit-identical to the per-job stage of Forward.
+// node embeddings, bit-identical to the graph's row of Batch.Jobs.
 func (g *GNN) JobSummaryInference(gr *Graph, nodeEmb *nn.Tensor, s *nn.Scratch) *nn.Tensor {
 	f, d := gr.Feats.Cols, nodeEmb.Cols
 	pair := s.AllocTensor(nodeEmb.Rows, f+d)
@@ -90,29 +90,7 @@ func (g *GNN) JobSummaryInference(gr *Graph, nodeEmb *nn.Tensor, s *nn.Scratch) 
 }
 
 // GlobalInference aggregates the numJobs×D per-job summary matrix into the
-// 1×D global summary, bit-identical to the global stage of Forward.
+// 1×D global summary, bit-identical to the decision's row of GlobalsBatch.
 func (g *GNN) GlobalInference(jobs *nn.Tensor, s *nn.Scratch) *nn.Tensor {
 	return g.GGlob.ForwardInference(sumRows(g.FGlob.ForwardInference(jobs, s), s), s)
-}
-
-// ForwardInference embeds all graphs on the no-grad fast path, producing
-// bit-identical values to Forward. Results live in the scratch arena.
-func (g *GNN) ForwardInference(graphs []*Graph, s *nn.Scratch) *Embeddings {
-	emb := &Embeddings{}
-	d := g.Cfg.EmbedDim
-	if len(graphs) == 0 {
-		emb.Jobs = nn.Zeros(0, d)
-		emb.Global = nn.Zeros(1, d)
-		return emb
-	}
-	jobs := s.AllocTensor(len(graphs), d)
-	for i, gr := range graphs {
-		e := g.EmbedNodesInference(gr, s)
-		emb.Nodes = append(emb.Nodes, e)
-		y := g.JobSummaryInference(gr, e, s)
-		copy(jobs.Data[i*d:(i+1)*d], y.Data)
-	}
-	emb.Jobs = jobs
-	emb.Global = g.GlobalInference(jobs, s)
-	return emb
 }

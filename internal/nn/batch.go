@@ -5,11 +5,9 @@
 // per-decision softmax/pick/entropy bookkeeping has to become segmented:
 // each segment of a stacked score column is one decision's distribution.
 //
-// Forward arithmetic matches the unbatched tracked ops element for element —
-// per-segment log-softmax uses the same max-trick accumulation order as
-// LogSoftmax, and the entropy sum matches Sum(Mul(Softmax(x), LogSoftmax(x)))
-// — so replayed log-probabilities and entropies are bit-identical to the
-// values the rollout's decisions were sampled from.
+// Per-segment log-softmax is LogSoftmaxInto — the kernel the inference decide
+// path samples from — so a replayed log-probability is bit-identical to the
+// one its action was sampled with.
 package nn
 
 import (
@@ -32,16 +30,14 @@ type SegVals struct {
 //	Σ_s wPick[s]·logSoftmax(seg_s)[pick[s]] + wEnt[s]·H(seg_s)
 //
 // together with each segment's (log-prob, entropy) pair. start must hold
-// len(wPick)+1 ascending offsets covering scores exactly. It fuses what the
-// per-decision tracked path spelled as LogSoftmax + Pick + Softmax/Mul/Sum
-// per decision into one node with a hand-written backward:
+// len(wPick)+1 ascending offsets covering scores exactly. It is one node with
+// a hand-written backward:
 //
 //	d/dx_j [logp_c] = δ_{jc} − p_j
 //	d/dx_j [H]      = −p_j·(logp_j + H)
 //
-// Per-segment forward values are bit-identical to the unbatched ops (same
-// max-trick, same summation order); the REINFORCE weights are folded in here
-// rather than materialised as Scale nodes.
+// The REINFORCE weights are folded in here rather than materialised as Scale
+// nodes.
 func SegmentPickLoss(scores *Tensor, start []int, pick []int, wPick, wEnt []float64) (*Tensor, []SegVals) {
 	nSeg := len(wPick)
 	if scores.Cols != 1 {
@@ -63,7 +59,7 @@ func SegmentPickLoss(scores *Tensor, start []int, pick []int, wPick, wEnt []floa
 		}
 		seg := scores.Data[lo:hi]
 		LogSoftmaxInto(lp[lo:hi], seg)
-		// H = −Σ p·logp, accumulated in index order like Sum(Mul(...)).
+		// H = −Σ p·logp, accumulated in index order.
 		ent := 0.0
 		for _, l := range lp[lo:hi] {
 			ent += math.Exp(l) * l
@@ -102,9 +98,9 @@ func SegmentPickLoss(scores *Tensor, start []int, pick []int, wPick, wEnt []floa
 }
 
 // GatherElems selects arbitrary flat elements of a as an n×1 column.
-// Indices may repeat; gradients scatter-add back. It is the batched
-// counterpart of per-element Pick — the replayed limit head uses it to pull
-// each decision's admissible limit scores out of one stacked W forward.
+// Indices may repeat; gradients scatter-add back. The replayed limit head
+// uses it to pull each decision's admissible limit scores out of one stacked
+// W forward.
 func GatherElems(a *Tensor, idx []int) *Tensor {
 	data := make([]float64, len(idx))
 	for i, k := range idx {

@@ -157,9 +157,9 @@ func (m *MLP) ForwardInferenceSharedPrefix(prefix, last []float64, s *Scratch) *
 }
 
 // LogSoftmaxInto computes the flat log-softmax of src into dst (same
-// length), using the same max-trick arithmetic as LogSoftmax so results are
-// bit-identical. It is the no-grad kernel behind the policy's inference
-// decision path.
+// length), numerically stabilised by the max trick. It is the one softmax
+// kernel of the stack: the inference decide path samples from it and
+// SegmentPickLoss replays it, which is what makes the two bit-identical.
 func LogSoftmaxInto(dst, src []float64) {
 	maxV := math.Inf(-1)
 	for _, v := range src {

@@ -123,7 +123,7 @@ func TestFusedInferenceBlockedBitIdentical(t *testing.T) {
 	for _, act := range []Activation{ActLeakyReLU, ActTanh, ActSigmoid, ActIdentity} {
 		m := NewMLP([]int{13, 32, 8}, act, rng)
 		x := randTensor(rng, 700, 13) // 700·13·32 flops: parallel path on
-		want := WithNoGrad(func() *Tensor { return m.Forward(x) })
+		want := m.Forward(x)
 		for _, workers := range []int{1, 2, 5} {
 			SetMatMulWorkers(workers)
 			var s Scratch

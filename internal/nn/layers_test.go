@@ -92,7 +92,7 @@ func TestMLPLearnsMaxOfTwo(t *testing.T) {
 }
 
 func TestSGDReducesQuadratic(t *testing.T) {
-	p := Scalar(5)
+	p := New(1, 1, []float64{5})
 	p.MarkParam()
 	opt := NewSGD(0.1, 0.5)
 	for i := 0; i < 100; i++ {
@@ -106,7 +106,7 @@ func TestSGDReducesQuadratic(t *testing.T) {
 }
 
 func TestAdamReducesQuadratic(t *testing.T) {
-	p := Scalar(5)
+	p := New(1, 1, []float64{5})
 	p.MarkParam()
 	opt := NewAdam(0.1)
 	for i := 0; i < 500; i++ {

@@ -6,18 +6,17 @@ import (
 )
 
 // Inference mode is the engine's no-grad forward mode: while active, every
-// operation skips backward-closure construction, requiresGrad propagation
-// and gradient allocation, returning plain value tensors. It exists for the
-// scheduling hot path — Decima invokes the GNN and policy network on every
-// scheduling event, and during evaluation or serving no gradient is ever
-// taken, so the autograd bookkeeping is pure overhead.
+// tracked operation skips backward-closure construction, requiresGrad
+// propagation and gradient allocation, returning plain value tensors.
 //
-// The mode is tracked process-wide with an atomic depth counter, so nesting
-// and concurrent inference goroutines (e.g. parallel evaluation workers,
-// each with a private agent clone) are safe and race-clean. Running tracked
-// (training) forwards concurrently with an active inference scope is not
-// supported — nothing in this repository does so: training iterations and
-// evaluation rollouts never overlap in time.
+// No production code enters it: the scheduling hot path does not run tracked
+// ops at all (it runs the fused ForwardInference kernels over a Scratch), and
+// the only tracked computation left — the training replay — wants its
+// gradients. The mode is process-wide (an atomic depth counter), so a scope
+// opened on one goroutine silently detaches a tracked computation running on
+// another, e.g. online.Trainer's background update. It stays exported for the
+// ledger's kernel probes (bench/ladder.go), which time MatMul and MLP.Forward
+// without the tape; see docs/RENT.md.
 var nogradDepth atomic.Int64
 
 // Inference runs fn with the no-grad forward mode active. Calls nest.
@@ -26,17 +25,6 @@ func Inference(fn func()) {
 	defer nogradDepth.Add(-1)
 	fn()
 }
-
-// WithNoGrad evaluates one tensor-producing expression in no-grad mode and
-// returns its (untracked) result — the per-call variant of Inference.
-func WithNoGrad(fn func() *Tensor) *Tensor {
-	var out *Tensor
-	Inference(func() { out = fn() })
-	return out
-}
-
-// InInference reports whether the no-grad forward mode is active.
-func InInference() bool { return nogradDepth.Load() > 0 }
 
 // Scratch is a bump-allocation arena for inference-mode buffers and the
 // tensor headers that wrap them. The scheduling hot path creates dozens of

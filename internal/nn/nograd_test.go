@@ -50,9 +50,6 @@ func TestInferenceOpsBitIdentical(t *testing.T) {
 		"ConcatRows": func() *Tensor { return ConcatRows(a, c) },
 		"GatherRows": func() *Tensor { return GatherRows(a, idx) },
 		"SegmentSum": func() *Tensor { return SegmentSum(a, seg, 3) },
-		"Pick":       func() *Tensor { return Pick(a, 4) },
-		"LogSoftmax": func() *Tensor { return LogSoftmax(a) },
-		"Softmax":    func() *Tensor { return Softmax(a) },
 		"ScatterRows": func() *Tensor {
 			return ScatterRows(a, []int{1, 3}, randTensorSeeded(9, 2, 7))
 		},
@@ -76,31 +73,6 @@ func TestInferenceOpsBitIdentical(t *testing.T) {
 // values.
 func randTensorSeeded(seed int64, r, c int) *Tensor {
 	return randTensor(rand.New(rand.NewSource(seed)), r, c)
-}
-
-// TestWithNoGrad checks the per-call variant and nesting.
-func TestWithNoGrad(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := randTensor(rng, 3, 3)
-	a.MarkParam()
-	out := WithNoGrad(func() *Tensor {
-		if !InInference() {
-			t.Fatal("InInference false inside WithNoGrad")
-		}
-		return WithNoGrad(func() *Tensor { return Tanh(a) }) // nested
-	})
-	if out.RequiresGrad() {
-		t.Fatal("WithNoGrad result requires grad")
-	}
-	if InInference() {
-		t.Fatal("inference mode leaked past WithNoGrad")
-	}
-	// Backward on a detached scalar must be a no-op, not a panic.
-	s := WithNoGrad(func() *Tensor { return Sum(a) })
-	s.Backward(1)
-	if a.Grad != nil {
-		t.Fatal("Backward through a no-grad graph produced gradients")
-	}
 }
 
 // TestMLPForwardInferenceBitIdentical checks the fused no-grad MLP forward
@@ -157,16 +129,18 @@ func TestScratchArena(t *testing.T) {
 	}
 }
 
-// TestLogSoftmaxInto checks the no-grad kernel against the tracked op.
+// TestLogSoftmaxInto checks the softmax kernel against the plain definition.
 func TestLogSoftmaxInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	x := randTensor(rng, 1, 9)
-	tracked := LogSoftmax(x)
+	x := randTensor(rand.New(rand.NewSource(4)), 1, 9).Data
 	out := make([]float64, 9)
-	LogSoftmaxInto(out, x.Data)
-	for i := range out {
-		if out[i] != tracked.Data[i] {
-			t.Fatalf("element %d: %v vs %v", i, out[i], tracked.Data[i])
+	LogSoftmaxInto(out, x)
+	var z float64
+	for _, v := range x {
+		z += math.Exp(v)
+	}
+	for i, v := range x {
+		if want := v - math.Log(z); math.Abs(out[i]-want) > 1e-12 {
+			t.Fatalf("element %d: %v, want %v", i, out[i], want)
 		}
 	}
 }

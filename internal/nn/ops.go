@@ -401,78 +401,6 @@ func SegmentSum(a *Tensor, seg []int, numSegments int) *Tensor {
 	return out
 }
 
-// Pick selects the single element at flat index i as a 1×1 scalar.
-func Pick(a *Tensor, i int) *Tensor {
-	var out *Tensor
-	back := func() {
-		if !a.requiresGrad {
-			return
-		}
-		a.ensureGrad()
-		a.Grad[i] += out.Grad[0]
-	}
-	out = newResult(1, 1, []float64{a.Data[i]}, back, a)
-	return out
-}
-
-// LogSoftmax treats the whole tensor as one flat distribution and returns
-// element-wise log-probabilities, numerically stabilised by the max trick.
-func LogSoftmax(a *Tensor) *Tensor {
-	maxV := math.Inf(-1)
-	for _, v := range a.Data {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	sum := 0.0
-	for _, v := range a.Data {
-		sum += math.Exp(v - maxV)
-	}
-	logZ := maxV + math.Log(sum)
-	data := make([]float64, len(a.Data))
-	for i, v := range a.Data {
-		data[i] = v - logZ
-	}
-	var out *Tensor
-	back := func() {
-		if !a.requiresGrad {
-			return
-		}
-		a.ensureGrad()
-		var gsum float64
-		for _, g := range out.Grad {
-			gsum += g
-		}
-		for i, g := range out.Grad {
-			a.Grad[i] += g - math.Exp(data[i])*gsum
-		}
-	}
-	out = newResult(a.Rows, a.Cols, data, back, a)
-	return out
-}
-
-// Softmax treats the whole tensor as one flat distribution and returns
-// normalised probabilities.
-func Softmax(a *Tensor) *Tensor {
-	lp := LogSoftmax(a)
-	data := make([]float64, len(lp.Data))
-	for i, v := range lp.Data {
-		data[i] = math.Exp(v)
-	}
-	var out *Tensor
-	back := func() {
-		if !lp.requiresGrad {
-			return
-		}
-		lp.ensureGrad()
-		for i, g := range out.Grad {
-			lp.Grad[i] += g * data[i]
-		}
-	}
-	out = newResult(a.Rows, a.Cols, data, back, lp)
-	return out
-}
-
 // Square returns the element-wise square of a.
 func Square(a *Tensor) *Tensor { return Mul(a, a) }
 

@@ -119,22 +119,14 @@ func TestSegmentSumGrad(t *testing.T) {
 	checkGrads(t, func() *Tensor { return Sum(Square(SegmentSum(a, seg, 3))) }, a)
 }
 
-func TestPickGrad(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	a := randTensor(rng, 2, 3)
-	checkGrads(t, func() *Tensor { return Pick(Tanh(a), 4) }, a)
-}
-
+// TestLogSoftmaxGrad checks the log-softmax backward SegmentPickLoss carries:
+// one segment, unit pick weight, no entropy term.
 func TestLogSoftmaxGrad(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	a := randTensor(rng, 1, 5)
-	checkGrads(t, func() *Tensor { return Pick(LogSoftmax(a), 2) }, a)
-}
-
-func TestSoftmaxGrad(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := randTensor(rng, 1, 4)
-	checkGrads(t, func() *Tensor { return Pick(Softmax(a), 1) }, a)
+	a := randTensor(rand.New(rand.NewSource(10)), 5, 1)
+	checkGrads(t, func() *Tensor {
+		l, _ := SegmentPickLoss(a, []int{0, 5}, []int{2}, []float64{1}, []float64{0})
+		return l
+	}, a)
 }
 
 func TestMSEGrad(t *testing.T) {
@@ -153,9 +145,11 @@ func TestSoftmaxSumsToOne(t *testing.T) {
 			// keep within a sane range to avoid float saturation
 			vals[i] = math.Mod(v, 50)
 		}
-		p := Softmax(Vector(vals[:]))
+		lp := make([]float64, len(vals))
+		LogSoftmaxInto(lp, vals[:])
 		s := 0.0
-		for _, v := range p.Data {
+		for _, l := range lp {
+			v := math.Exp(l)
 			if v < 0 || v > 1 {
 				return false
 			}
@@ -170,11 +164,11 @@ func TestSoftmaxSumsToOne(t *testing.T) {
 
 func TestLogSoftmaxStability(t *testing.T) {
 	// very large logits must not overflow
-	a := Vector([]float64{1e8, 1e8 + 1, -1e8})
-	lp := LogSoftmax(a)
-	for _, v := range lp.Data {
+	lp := make([]float64, 3)
+	LogSoftmaxInto(lp, []float64{1e8, 1e8 + 1, -1e8})
+	for _, v := range lp {
 		if math.IsNaN(v) || v > 0 {
-			t.Fatalf("unstable log softmax: %v", lp.Data)
+			t.Fatalf("unstable log softmax: %v", lp)
 		}
 	}
 }
@@ -200,7 +194,7 @@ func TestBackwardSeedWeighting(t *testing.T) {
 }
 
 func TestGradAccumulation(t *testing.T) {
-	a := Scalar(3)
+	a := New(1, 1, []float64{3})
 	a.MarkParam()
 	Square(a).Backward(1)
 	Square(a).Backward(1)
@@ -210,7 +204,7 @@ func TestGradAccumulation(t *testing.T) {
 }
 
 func TestNoGradLeaves(t *testing.T) {
-	a := Scalar(3) // not marked as param
+	a := New(1, 1, []float64{3}) // not marked as param
 	out := Square(a)
 	out.Backward(1)
 	if a.Grad != nil {
@@ -220,7 +214,7 @@ func TestNoGradLeaves(t *testing.T) {
 
 func TestDeepChainBackward(t *testing.T) {
 	// A deep sequential graph must not blow the stack (iterative topo sort).
-	a := Scalar(0.5)
+	a := New(1, 1, []float64{0.5})
 	a.MarkParam()
 	h := a
 	for i := 0; i < 5000; i++ {

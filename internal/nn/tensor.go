@@ -48,9 +48,6 @@ func Zeros(rows, cols int) *Tensor {
 // Vector returns a 1×n tensor wrapping the given values (not copied).
 func Vector(v []float64) *Tensor { return New(1, len(v), v) }
 
-// Scalar returns a 1×1 tensor holding v.
-func Scalar(v float64) *Tensor { return New(1, 1, []float64{v}) }
-
 // Param returns a rows×cols tensor initialised with Xavier/Glorot-uniform
 // values and marked as requiring gradients. Parameters are the leaves the
 // optimizer updates.
@@ -119,7 +116,7 @@ func (t *Tensor) ZeroGrad() {
 // backward closure, no requiresGrad propagation.
 func newResult(rows, cols int, data []float64, back func(), parents ...*Tensor) *Tensor {
 	t := New(rows, cols, data)
-	if InInference() {
+	if nogradDepth.Load() > 0 {
 		return t
 	}
 	for _, p := range parents {

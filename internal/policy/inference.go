@@ -8,16 +8,13 @@ import (
 	"repro/internal/nn"
 )
 
-// DecideInference is Decide's inference fast path: it runs the same score
-// functions over the same inputs — producing bit-identical probabilities,
-// consuming the RNG identically, and therefore selecting the identical
-// action — but skips the autograd graph entirely: no log-probability or
-// entropy tensors are built (Decision.LogProb and Decision.Entropy are nil),
-// every MLP forward is fused, and every intermediate — Decision.NodeProbs
-// included, which is therefore valid until s.Reset — lives in the caller's
-// scratch arena; the call itself allocates nothing. Use it whenever no
-// gradient will be taken (evaluation rollouts, serving); the REINFORCE
-// trainer keeps using Decide.
+// DecideInference scores the candidates and samples (or, greedy, picks) one
+// action with no autograd graph: every MLP forward is fused, and every
+// intermediate — Decision.NodeProbs included, which is therefore valid until
+// s.Reset — lives in the caller's scratch arena; the call itself allocates
+// nothing. Every decision takes this path — serving, evaluation and training
+// rollouts alike; training takes its gradient later, from ReplayLoss over the
+// recorded decisions.
 func (p *Policy) DecideInference(emb *gnn.Embeddings, req Request, rng *rand.Rand, s *nn.Scratch) Decision {
 	if len(req.Cands) == 0 {
 		panic("policy: no candidates")
@@ -38,15 +35,11 @@ func (p *Policy) DecideInference(emb *gnn.Embeddings, req Request, rng *rand.Ran
 		copy(row[de+dy:de+dy+dz], emb.Global.Data)
 	}
 	scores := p.Q.ForwardInference(mat, s) // n×1
-	probs := softmaxInference(scores.Data, s)
-	choice := sample(probs, rng, req.Greedy)
+	choice, logProb, probs := pick(scores.Data, rng, req.Greedy, s)
 
 	// Parallelism limit for the chosen candidate's job.
 	chosen := req.Cands[choice]
-	minL := req.MinLimit
-	if req.MinLimits != nil {
-		minL = req.MinLimits[choice]
-	}
+	minL := req.MinLimits[choice]
 	if minL < 1 {
 		minL = 1
 	}
@@ -67,16 +60,15 @@ func (p *Policy) DecideInference(emb *gnn.Embeddings, req Request, rng *rand.Ran
 		}
 		lscores = p.W.ForwardInferenceSharedPrefix(ctx.Data, ls, s).Data // nL×1
 	}
-	limit := minL + sample(softmaxInference(lscores, s), rng, req.Greedy)
+	li, limitLogp, _ := pick(lscores, rng, req.Greedy, s)
+	limit := minL + li
+	logProb += limitLogp
 
 	// Executor class (multi-resource): rows [y, z, mem] per eligible class,
 	// again sharing all but the last column — the tail of the limit context.
 	class := -1
-	classOK := req.ClassOK
-	if req.ClassOKPer != nil {
-		classOK = req.ClassOKPer[choice]
-	}
-	if p.C != nil && len(classOK) > 0 {
+	if p.C != nil && len(req.ClassOKPer) > 0 {
+		classOK := req.ClassOKPer[choice]
 		mems := s.Alloc(len(classOK))[:0]
 		for ci, ok := range classOK {
 			if ok {
@@ -86,16 +78,17 @@ func (p *Policy) DecideInference(emb *gnn.Embeddings, req Request, rng *rand.Ran
 		if len(mems) > 0 {
 			yz := ctx.Data[len(ctx.Data)-(emb.Jobs.Cols+dz):]
 			out := p.C.ForwardInferenceSharedPrefix(yz, mems, s) // len(mems)×1
-			pick := sample(softmaxInference(out.Data, s), rng, req.Greedy)
+			nth, classLogp, _ := pick(out.Data, rng, req.Greedy, s)
+			logProb += classLogp
 			for ci, ok := range classOK {
 				if !ok {
 					continue
 				}
-				if pick == 0 {
+				if nth == 0 {
 					class = ci
 					break
 				}
-				pick--
+				nth--
 			}
 		}
 	}
@@ -104,20 +97,24 @@ func (p *Policy) DecideInference(emb *gnn.Embeddings, req Request, rng *rand.Ran
 		Choice:    choice,
 		Limit:     limit,
 		Class:     class,
+		LogProb:   logProb,
 		NodeProbs: probs,
 	}
 }
 
-// softmaxInference returns exp(log-softmax(scores)) in the scratch arena —
-// the probabilities the tracked path derives from its LogSoftmax tensor,
-// bit for bit.
-func softmaxInference(scores []float64, s *nn.Scratch) []float64 {
-	probs := s.Alloc(len(scores))
-	nn.LogSoftmaxInto(probs, scores)
-	for i, lp := range probs {
-		probs[i] = math.Exp(lp)
+// pick draws an index from softmax(scores) (argmax when greedy) and returns
+// it with its log-probability and the distribution, both in the scratch
+// arena. The log-softmax is nn.LogSoftmaxInto — the values ReplayLoss's
+// segments recompute — and the probabilities are its exponentials.
+func pick(scores []float64, rng *rand.Rand, greedy bool, s *nn.Scratch) (idx int, logp float64, probs []float64) {
+	lp := s.Alloc(len(scores))
+	nn.LogSoftmaxInto(lp, scores)
+	probs = s.Alloc(len(scores))
+	for i, l := range lp {
+		probs[i] = math.Exp(l)
 	}
-	return probs
+	idx = sample(probs, rng, greedy)
+	return idx, lp[idx], probs
 }
 
 // limitContextInference builds the W input prefix for the chosen candidate

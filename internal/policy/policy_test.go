@@ -10,27 +10,84 @@ import (
 	"repro/internal/nn"
 )
 
-// setup builds a GNN + policy over two small random jobs and returns the
-// embeddings plus all candidates.
-func setup(t *testing.T, cfg Config) (*gnn.GNN, *Policy, *gnn.Embeddings, []Candidate) {
-	t.Helper()
+// fixture is a GNN + policy over two small random jobs with every node a
+// candidate. decide runs the inference path end to end; replay rebuilds one
+// decision on the tracked path, as a one-step episode.
+type fixture struct {
+	g      *gnn.GNN
+	p      *Policy
+	graphs []*gnn.Graph
+	cands  []Candidate
+	s      nn.Scratch
+}
+
+func setup(cfg Config) *fixture {
 	rng := rand.New(rand.NewSource(1))
-	g := gnn.New(gnn.Config{FeatDim: 2, EmbedDim: cfg.EmbedDim, Hidden: []int{8}}, rng)
-	p := New(cfg, rng)
-	var graphs []*gnn.Graph
-	var cands []Candidate
+	f := &fixture{g: gnn.New(gnn.Config{FeatDim: 2, EmbedDim: cfg.EmbedDim, Hidden: []int{8}}, rng), p: New(cfg, rng)}
 	for ji := 0; ji < 2; ji++ {
 		j := dag.Random(rand.New(rand.NewSource(int64(ji+10))), 4, 0.4)
 		feats := nn.Zeros(4, 2)
 		for i := range feats.Data {
 			feats.Data[i] = rng.NormFloat64()
 		}
-		graphs = append(graphs, gnn.NewGraph(j, feats))
+		f.graphs = append(f.graphs, gnn.NewGraph(j, feats))
 		for ni := 0; ni < 4; ni++ {
-			cands = append(cands, Candidate{JobIdx: ji, NodeIdx: ni})
+			f.cands = append(f.cands, Candidate{JobIdx: ji, NodeIdx: ni})
 		}
 	}
-	return g, p, g.Forward(graphs), cands
+	return f
+}
+
+// request floors every candidate's limit at minLimit and, with a class head,
+// masks every candidate's classes with classOK.
+func (f *fixture) request(minLimit int, classOK []bool) Request {
+	req := Request{Cands: f.cands, ClassMem: []float64{0.25, 0.5, 0.75, 1.0}}
+	for range f.cands {
+		req.MinLimits = append(req.MinLimits, minLimit)
+		if classOK != nil {
+			req.ClassOKPer = append(req.ClassOKPer, classOK)
+		}
+	}
+	return req
+}
+
+func (f *fixture) decide(req Request, rng *rand.Rand) Decision {
+	f.s.Reset()
+	emb := &gnn.Embeddings{Jobs: f.s.AllocTensor(len(f.graphs), f.g.Cfg.EmbedDim)}
+	for i, gr := range f.graphs {
+		e := f.g.EmbedNodesInference(gr, &f.s)
+		emb.Nodes = append(emb.Nodes, e)
+		copy(emb.Jobs.Data[i*e.Cols:], f.g.JobSummaryInference(gr, e, &f.s).Data)
+	}
+	emb.Global = f.g.GlobalInference(emb.Jobs, &f.s)
+	return f.p.DecideInference(emb, req, rng, &f.s)
+}
+
+func (f *fixture) replay(req Request, d Decision, wLogp, wEnt float64) (*nn.Tensor, StepVals) {
+	b := f.g.ForwardBatch(f.graphs)
+	globals := f.g.GlobalsBatch(b.Jobs, []int{0, 1}, []int{0, 0}, 1)
+	loss, vals := f.p.ReplayLoss(b.Nodes, b.Off, b.Jobs, globals, req.ClassMem, []ReplayStep{{
+		Gids: []int{0, 1}, Cands: req.Cands, MinLimits: req.MinLimits, ClassOKs: req.ClassOKPer,
+		Choice: d.Choice, Limit: d.Limit, Class: d.Class, WLogp: wLogp, WEnt: wEnt,
+	}})
+	return loss, vals[0]
+}
+
+// checkReplay requires the one-step replay to rebuild the decision's
+// log-probability bit for bit and the entropy of its node distribution.
+func (f *fixture) checkReplay(t *testing.T, req Request, d Decision) {
+	t.Helper()
+	_, v := f.replay(req, d, 1, 1)
+	if math.Float64bits(v.LogProb) != math.Float64bits(d.LogProb) {
+		t.Fatalf("replayed log-prob %v != sampled-with %v", v.LogProb, d.LogProb)
+	}
+	var ent float64
+	for _, p := range d.NodeProbs {
+		ent -= p * math.Log(p)
+	}
+	if math.Abs(v.Entropy-ent) > 1e-12 {
+		t.Fatalf("replayed entropy %v, want %v", v.Entropy, ent)
+	}
 }
 
 func baseCfg() Config {
@@ -38,10 +95,10 @@ func baseCfg() Config {
 }
 
 func TestDecideBasics(t *testing.T) {
-	_, p, emb, cands := setup(t, baseCfg())
-	rng := rand.New(rand.NewSource(2))
-	d := p.Decide(emb, Request{Cands: cands, MinLimit: 1}, rng)
-	if d.Choice < 0 || d.Choice >= len(cands) {
+	f := setup(baseCfg())
+	req := f.request(1, nil)
+	d := f.decide(req, rand.New(rand.NewSource(2)))
+	if d.Choice < 0 || d.Choice >= len(f.cands) {
 		t.Fatalf("choice %d out of range", d.Choice)
 	}
 	if d.Limit < 1 || d.Limit > 10 {
@@ -50,8 +107,8 @@ func TestDecideBasics(t *testing.T) {
 	if d.Class != -1 {
 		t.Fatalf("class head should be disabled, got %d", d.Class)
 	}
-	if d.LogProb.Value() > 0 {
-		t.Fatalf("log prob %v > 0", d.LogProb.Value())
+	if d.LogProb > 0 {
+		t.Fatalf("log prob %v > 0", d.LogProb)
 	}
 	var sum float64
 	for _, pr := range d.NodeProbs {
@@ -60,29 +117,31 @@ func TestDecideBasics(t *testing.T) {
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("node probs sum to %v", sum)
 	}
+	f.checkReplay(t, req, d)
 }
 
 func TestMinLimitRespected(t *testing.T) {
-	_, p, emb, cands := setup(t, baseCfg())
+	f := setup(baseCfg())
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 50; trial++ {
-		d := p.Decide(emb, Request{Cands: cands, MinLimit: 7}, rng)
-		if d.Limit < 7 {
-			t.Fatalf("limit %d below MinLimit 7", d.Limit)
+		if d := f.decide(f.request(7, nil), rng); d.Limit < 7 {
+			t.Fatalf("limit %d below the floor of 7", d.Limit)
 		}
 	}
-	// MinLimit beyond NumLimits clamps to the top level.
-	d := p.Decide(emb, Request{Cands: cands, MinLimit: 99}, rng)
+	// A floor beyond NumLimits clamps to the top level, in the replay too.
+	req := f.request(99, nil)
+	d := f.decide(req, rng)
 	if d.Limit != 10 {
 		t.Fatalf("clamped limit = %d, want 10", d.Limit)
 	}
+	f.checkReplay(t, req, d)
 }
 
 func TestGreedyDeterministic(t *testing.T) {
-	_, p, emb, cands := setup(t, baseCfg())
-	rng := rand.New(rand.NewSource(4))
-	a := p.Decide(emb, Request{Cands: cands, MinLimit: 1, Greedy: true}, rng)
-	b := p.Decide(emb, Request{Cands: cands, MinLimit: 1, Greedy: true}, rng)
+	f := setup(baseCfg())
+	req := f.request(1, nil)
+	req.Greedy = true
+	a, b := f.decide(req, nil), f.decide(req, nil)
 	if a.Choice != b.Choice || a.Limit != b.Limit {
 		t.Fatal("greedy decisions differ across calls")
 	}
@@ -91,28 +150,25 @@ func TestGreedyDeterministic(t *testing.T) {
 func TestClassHeadMasks(t *testing.T) {
 	cfg := baseCfg()
 	cfg.NumClasses = 4
-	_, p, emb, cands := setup(t, cfg)
+	f := setup(cfg)
 	rng := rand.New(rand.NewSource(5))
-	mem := []float64{0.25, 0.5, 0.75, 1.0}
+	req := f.request(1, []bool{false, false, true, true})
 	for trial := 0; trial < 40; trial++ {
-		d := p.Decide(emb, Request{
-			Cands: cands, MinLimit: 1,
-			ClassOK:  []bool{false, false, true, true},
-			ClassMem: mem,
-		}, rng)
+		d := f.decide(req, rng)
 		if d.Class != 2 && d.Class != 3 {
 			t.Fatalf("masked class %d selected", d.Class)
 		}
+		f.checkReplay(t, req, d)
 	}
 }
 
 func TestLogProbGradientFlows(t *testing.T) {
-	g, p, emb, cands := setup(t, baseCfg())
-	rng := rand.New(rand.NewSource(6))
-	d := p.Decide(emb, Request{Cands: cands, MinLimit: 1}, rng)
-	d.LogProb.Backward(1)
+	f := setup(baseCfg())
+	req := f.request(1, nil)
+	loss, _ := f.replay(req, f.decide(req, rand.New(rand.NewSource(6))), 1, 0)
+	loss.Backward(1)
 	nonzero := 0
-	for _, par := range append(g.Params(), p.Params()...) {
+	for _, par := range append(f.g.Params(), f.p.Params()...) {
 		for _, v := range par.Grad {
 			if v != 0 {
 				nonzero++
@@ -128,25 +184,25 @@ func TestLogProbGradientFlows(t *testing.T) {
 func TestReinforceShiftsProbability(t *testing.T) {
 	// Rewarding a fixed choice must increase its selection probability —
 	// the core REINFORCE property end to end through GNN and policy.
-	g, p, emb, cands := setup(t, baseCfg())
+	f := setup(baseCfg())
 	opt := nn.NewAdam(0.01)
-	params := append(g.Params(), p.Params()...)
+	params := append(f.g.Params(), f.p.Params()...)
 	rng := rand.New(rand.NewSource(7))
+	req := f.request(1, nil)
 	target := 3
-	before := p.Decide(emb, Request{Cands: cands, MinLimit: 1}, rng).NodeProbs[target]
+	before := f.decide(req, rng).NodeProbs[target]
 	for it := 0; it < 50; it++ {
 		nn.ZeroGrads(params)
-		d := p.Decide(emb, Request{Cands: cands, MinLimit: 1}, rng)
+		d := f.decide(req, rng)
 		reward := -1.0
 		if d.Choice == target {
 			reward = 1.0
 		}
-		// loss = -reward · log π  →  seed = -reward
-		d.LogProb.Backward(-reward)
+		loss, _ := f.replay(req, d, -reward, 0) // loss = −reward · log π
+		loss.Backward(1)
 		opt.Step(params)
 	}
-	after := p.Decide(emb, Request{Cands: cands, MinLimit: 1}, rng).NodeProbs[target]
-	if after <= before {
+	if after := f.decide(req, rng).NodeProbs[target]; after <= before {
 		t.Fatalf("probability of rewarded action fell: %v → %v", before, after)
 	}
 }
@@ -154,30 +210,32 @@ func TestReinforceShiftsProbability(t *testing.T) {
 func TestNoLimitInputVariant(t *testing.T) {
 	cfg := baseCfg()
 	cfg.NoLimitInput = true
-	_, p, emb, cands := setup(t, cfg)
-	rng := rand.New(rand.NewSource(8))
-	d := p.Decide(emb, Request{Cands: cands, MinLimit: 4}, rng)
+	f := setup(cfg)
+	req := f.request(4, nil)
+	d := f.decide(req, rand.New(rand.NewSource(8)))
 	if d.Limit < 4 || d.Limit > 10 {
 		t.Fatalf("limit %d out of masked range", d.Limit)
 	}
 	// The ablated W must expose one output unit per limit.
-	if p.W.OutDim() != 10 {
-		t.Fatalf("NoLimitInput W out dim = %d, want 10", p.W.OutDim())
+	if f.p.W.OutDim() != 10 {
+		t.Fatalf("NoLimitInput W out dim = %d, want 10", f.p.W.OutDim())
 	}
+	f.checkReplay(t, req, d)
 }
 
 func TestStageLevelVariant(t *testing.T) {
 	cfg := baseCfg()
 	cfg.StageLevelLimits = true
-	_, p, emb, cands := setup(t, cfg)
-	rng := rand.New(rand.NewSource(9))
-	d := p.Decide(emb, Request{Cands: cands, MinLimit: 1}, rng)
+	f := setup(cfg)
+	req := f.request(1, nil)
+	d := f.decide(req, rand.New(rand.NewSource(9)))
 	if d.Limit < 1 || d.Limit > 10 {
 		t.Fatalf("limit %d out of range", d.Limit)
 	}
-	if p.W.InDim() != 3*4+1 {
-		t.Fatalf("stage-level W in dim = %d, want 13", p.W.InDim())
+	if f.p.W.InDim() != 3*4+1 {
+		t.Fatalf("stage-level W in dim = %d, want 13", f.p.W.InDim())
 	}
+	f.checkReplay(t, req, d)
 }
 
 func TestParamCountsComparable(t *testing.T) {
@@ -197,21 +255,21 @@ func TestParamCountsComparable(t *testing.T) {
 }
 
 func TestEntropyNonNegative(t *testing.T) {
-	_, p, emb, cands := setup(t, baseCfg())
-	rng := rand.New(rand.NewSource(11))
-	d := p.Decide(emb, Request{Cands: cands, MinLimit: 1}, rng)
-	if d.Entropy.Value() < -1e-9 {
-		t.Fatalf("entropy %v negative", d.Entropy.Value())
+	f := setup(baseCfg())
+	req := f.request(1, nil)
+	_, v := f.replay(req, f.decide(req, rand.New(rand.NewSource(11))), 0, 1)
+	if v.Entropy < -1e-9 {
+		t.Fatalf("entropy %v negative", v.Entropy)
 	}
-	if d.Entropy.Value() > math.Log(float64(len(cands)))+1e-9 {
-		t.Fatalf("entropy %v exceeds log(n)", d.Entropy.Value())
+	if v.Entropy > math.Log(float64(len(f.cands)))+1e-9 {
+		t.Fatalf("entropy %v exceeds log(n)", v.Entropy)
 	}
 }
 
 func TestSingleCandidate(t *testing.T) {
-	_, p, emb, _ := setup(t, baseCfg())
-	rng := rand.New(rand.NewSource(12))
-	d := p.Decide(emb, Request{Cands: []Candidate{{JobIdx: 0, NodeIdx: 1}}, MinLimit: 1}, rng)
+	f := setup(baseCfg())
+	req := Request{Cands: []Candidate{{JobIdx: 0, NodeIdx: 1}}, MinLimits: []int{1}}
+	d := f.decide(req, rand.New(rand.NewSource(12)))
 	if d.Choice != 0 {
 		t.Fatalf("choice = %d with one candidate", d.Choice)
 	}

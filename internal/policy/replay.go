@@ -9,10 +9,9 @@ import (
 // backward pass rebuilds every decision's log-probability and entropy in one
 // tracked forward per episode — one Q/W/C matmul over all decisions' stacked
 // rows instead of one per decision — feeding a single REINFORCE loss scalar.
-// Per-decision values are bit-identical to the tracked Decide graph (and to
-// the inference-path probabilities the actions were sampled from): rows are
-// scored by row-independent arithmetic and every softmax stays segmented per
-// decision.
+// Per-decision log-probabilities are bit-identical to the ones DecideInference
+// sampled the actions with: rows are scored by row-independent arithmetic and
+// every softmax stays segmented per decision.
 
 // ReplayStep is one recorded decision, in replay coordinates: Gids maps the
 // decision's job indices to rows of the episode's deduplicated graph batch
@@ -94,7 +93,7 @@ func (p *Policy) ReplayLoss(nodes *nn.Tensor, nodeOff []int, jobs, globals *nn.T
 	return loss, vals
 }
 
-// limitBounds mirrors decide's admissible-limit clamping for one step.
+// limitBounds mirrors DecideInference's admissible-limit clamping for one step.
 func (p *Policy) limitBounds(st *ReplayStep) (minL, nL int) {
 	minL = st.MinLimits[st.Choice]
 	if minL < 1 {

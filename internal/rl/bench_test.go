@@ -12,46 +12,30 @@ import (
 // iteration does comparable work) and a single worker, so the number is the
 // per-iteration compute cost rather than a parallel-speedup measurement
 // (BenchmarkParallelRollout covers scaling).
-func benchTrainer(direct bool) (*Trainer, JobSource, sim.Config) {
+func benchTrainer() (*Trainer, JobSource, sim.Config) {
 	agent := smallAgent(1)
 	cfg := DefaultConfig()
 	cfg.EpisodesPerIter = 8
 	cfg.Workers = 1
 	cfg.NoCurriculum = true
 	cfg.MaxHorizon = 400
-	cfg.DirectTape = direct
 	tr := NewTrainer(agent, cfg, rand.New(rand.NewSource(2)))
 	return tr, smallSource(4), sim.SparkDefaults(5)
 }
 
-// BenchmarkTrainIteration measures one full training iteration — inference-
-// mode rollout collection, advantage pass, episode replay backward, gradient
-// merge and Adam step — on the two replay backends:
-//
-//   - replay: the default batched episode replay (one fused tracked forward
-//     and one backward per episode);
-//   - direct: the per-decision direct-tape reference, which rebuilds each
-//     decision's graph with the generic tracked ops — the same per-decision
-//     autograd work the pre-replay trainer did during rollouts, so it
-//     doubles as the pre-change cost model for the ≥3× acceptance bar.
-//
-// The "episodes/sec" extra metric lands in BENCH_training.json via
+// BenchmarkTrainIteration measures one full training iteration — rollout
+// collection, advantage pass, episode replay backward (one fused tracked
+// forward and one backward per episode), gradient merge and Adam step. The
+// "episodes/sec" extra metric lands in BENCH_training.json via
 // `make bench-json`.
 func BenchmarkTrainIteration(b *testing.B) {
-	for _, bc := range []struct {
-		name   string
-		direct bool
-	}{{"replay", false}, {"direct", true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			tr, src, simCfg := benchTrainer(bc.direct)
-			var episodes int
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tr.Iteration(src, simCfg)
-				episodes += tr.Cfg.EpisodesPerIter
-			}
-			b.ReportMetric(float64(episodes)/b.Elapsed().Seconds(), "episodes/sec")
-		})
+	tr, src, simCfg := benchTrainer()
+	var episodes int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Iteration(src, simCfg)
+		episodes += tr.Cfg.EpisodesPerIter
 	}
+	b.ReportMetric(float64(episodes)/b.Elapsed().Seconds(), "episodes/sec")
 }

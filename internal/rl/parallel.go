@@ -75,10 +75,10 @@ func (e *engine) collect(cfg Config, rbar float64, tasks []rolloutTask, simCfg s
 // *could* run it; keeping the collector's assignment keeps the episode's
 // pooled record buffers on the goroutine that owns them, and the recorded
 // owner guards against the assignment ever drifting from fanOut's.
-func (e *engine) backward(episodes []*episode, stdA, scale, entropyWeight float64, direct bool) {
+func (e *engine) backward(episodes []*episode, stdA, scale, entropyWeight float64) {
 	e.fanOut(len(episodes), func(w *worker, i int) {
 		if ep := episodes[i]; ep.worker == w.idx {
-			w.backward(ep, stdA, scale, entropyWeight, direct)
+			w.backward(ep, stdA, scale, entropyWeight)
 		} else {
 			panic("rl: episode backward scheduled on a worker that does not own its storage")
 		}

@@ -13,14 +13,14 @@
 //     penalties is subtracted to optimise time-average rather than total
 //     reward (Appendix B).
 //
-// Training runs on the fast path: rollouts execute entirely in inference
-// mode (no autograd graph, fused forwards, warm per-job embedding cache),
-// recording a minimal replay record per decision, and the backward pass
-// replays each episode once through a batched tracked forward that fuses
-// all of the episode's decisions (see internal/core's replay and DESIGN.md,
-// "The training fast path"). Replayed actions and log-probabilities are
-// bit-identical to the rollout's, and training remains bit-identical for
-// any worker count.
+// Rollouts decide on the inference path like every other decision (no
+// autograd graph, fused forwards, warm per-job embedding cache), recording a
+// minimal replay record per decision, and the backward pass replays each
+// episode once through a batched tracked forward that fuses all of the
+// episode's decisions (see internal/core's replay and DESIGN.md, "The
+// training fast path"). Replayed log-probabilities are bit-identical to the
+// ones the rollout sampled with, and training remains bit-identical for any
+// worker count.
 package rl
 
 import (
@@ -86,14 +86,6 @@ type Config struct {
 	// seed regardless of this setting. When Workers > 1 the JobSource is
 	// still only ever called from the trainer's goroutine.
 	Workers int
-	// DirectTape selects the per-decision direct-tape replay backward
-	// (core.Agent.ReplayLossDirect) instead of the default batched episode
-	// replay. Rollouts, actions, per-step log-probabilities and entropies
-	// are bit-identical either way; the two backwards accumulate the same
-	// gradient in different floating-point orders, so trained parameters
-	// agree to numerical precision but not bit-for-bit. The direct tape is
-	// the reference the batched path is tested and benchmarked against.
-	DirectTape bool
 }
 
 // DefaultConfig returns the training configuration used across the
@@ -174,17 +166,16 @@ func (t *Trainer) pool() *engine {
 // reallocated once warm), so steady-state training allocates no episode
 // bookkeeping.
 type episode struct {
-	steps    []core.ReplayStep // one replay record per decision
-	arena    core.StepArena    // backs the steps' slices
-	result   *sim.Result
-	returns  []float64   // R_k per step
-	advs     []float64   // baseline-subtracted advantage per step
-	wLogp    []float64   // per-step log-prob loss weights (backward scratch)
-	wEnt     []float64   // per-step entropy loss weights (backward scratch)
-	logpVals []float64   // log π(a_k|s_k) values, filled by the replay
-	entVals  []float64   // entropy values, filled by the replay
-	grads    [][]float64 // per-parameter gradient contribution
-	worker   int         // pool index of the worker that owns the storage
+	steps   []core.ReplayStep // one replay record per decision
+	arena   core.StepArena    // backs the steps' slices
+	result  *sim.Result
+	returns []float64   // R_k per step
+	advs    []float64   // baseline-subtracted advantage per step
+	wLogp   []float64   // per-step log-prob loss weights (backward scratch)
+	wEnt    []float64   // per-step entropy loss weights (backward scratch)
+	entVals []float64   // entropy values, filled by the replay
+	grads   [][]float64 // per-parameter gradient contribution
+	worker  int         // pool index of the worker that owns the storage
 }
 
 // reset recycles the episode's pooled storage for a new rollout.
@@ -193,7 +184,6 @@ func (ep *episode) reset() {
 	ep.arena.Reset()
 	ep.returns = ep.returns[:0]
 	ep.advs = ep.advs[:0]
-	ep.logpVals = ep.logpVals[:0]
 	ep.entVals = ep.entVals[:0]
 	ep.result = nil
 }
@@ -280,7 +270,7 @@ func baselineAt(ep *episode, tt float64) float64 {
 }
 
 // Iteration runs one Algorithm-1 iteration: sample horizon and sequence,
-// roll out N episodes across the worker pool on the inference fast path,
+// roll out N episodes across the worker pool on the inference path,
 // compute input-dependent baselines, replay each episode through one
 // batched tracked forward to accumulate its policy gradient, merge the
 // gradients in episode order, and step Adam.
@@ -378,7 +368,7 @@ func (t *Trainer) Iteration(src JobSource, simCfg sim.Config) IterStats {
 	if totalSteps > 0 {
 		scale = 1 / float64(totalSteps)
 	}
-	eng.backward(episodes, stdA, scale, t.Cfg.EntropyWeight, t.Cfg.DirectTape)
+	eng.backward(episodes, stdA, scale, t.Cfg.EntropyWeight)
 	params := t.Agent.Params()
 	nn.ZeroGrads(params)
 	var sumEntropy float64
@@ -442,40 +432,23 @@ func (t *Trainer) Train(iters int, src JobSource, simCfg sim.Config, onIter func
 
 // Evaluate runs the agent greedily over the given sequences to completion
 // and returns the mean average-JCT across sequences (and the mean
-// makespan).
-//
-// Evaluation runs on the inference fast path: clearing the Hook makes the
-// agent skip the autograd graph and serve embeddings from its incremental
-// per-job cache, and the rollout is additionally wrapped in nn.Inference so
-// any remaining tensor op skips backward-closure construction. Decisions
-// are bit-identical to the tracked path, just cheaper. (Training rollouts
-// use the same fast path, plus a per-decision replay record; see
-// runEpisode.)
+// makespan). The agent's Greedy setting is restored before returning.
 func Evaluate(agent *core.Agent, seqs [][]*dag.Job, simCfg sim.Config, seed int64) (avgJCT, makespan float64) {
-	prevGreedy, prevHook := agent.Greedy, agent.Hook
+	prevGreedy := agent.Greedy
 	agent.Greedy = true
-	agent.Hook = nil
 	defer func() {
-		agent.Greedy, agent.Hook = prevGreedy, prevHook
+		agent.Greedy = prevGreedy
 		// Drop references to the finished runs' jobs and embeddings rather
-		// than holding them until the agent's next fast-path decision.
+		// than holding them until the agent's next decision.
 		agent.ResetCache()
 	}()
-	var jctSum, msSum float64
-	nn.Inference(func() {
-		for i, jobs := range seqs {
-			rng := rand.New(rand.NewSource(seed + int64(i)))
-			res := sim.New(simCfg, workload.CloneAll(jobs), agent, rng).Run()
-			jctSum += res.AvgJCT()
-			msSum += res.Makespan
-		}
-	})
-	n := float64(len(seqs))
-	return jctSum / n, msSum / n
+	return EvaluateScheduler(func() sim.Scheduler { return agent }, seqs, simCfg, seed)
 }
 
-// EvaluateScheduler mirrors Evaluate for arbitrary (heuristic) schedulers;
-// mk must return a fresh scheduler per run.
+// EvaluateScheduler runs any scheduler over the given sequences to
+// completion (sequence i's simulator seeded seed+i) and returns the mean
+// average-JCT and the mean makespan; mk must return a scheduler ready for a
+// fresh run.
 func EvaluateScheduler(mk func() sim.Scheduler, seqs [][]*dag.Job, simCfg sim.Config, seed int64) (avgJCT, makespan float64) {
 	var jctSum, msSum float64
 	for i, jobs := range seqs {

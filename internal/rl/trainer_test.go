@@ -165,19 +165,13 @@ func TestTrainingImproves(t *testing.T) {
 
 func TestEvaluateRestoresAgentState(t *testing.T) {
 	agent := smallAgent(11)
-	agent.Greedy = false
-	called := 0
-	agent.Hook = func(*core.Step) { called++ }
-	src := smallSource(2)
-	Evaluate(agent, [][]*dag.Job{src(rand.New(rand.NewSource(1)))}, sim.Idealized(5), 1)
-	if agent.Greedy {
-		t.Fatal("Evaluate left agent greedy")
-	}
-	if agent.Hook == nil {
-		t.Fatal("Evaluate cleared the hook")
-	}
-	if called != 0 {
-		t.Fatal("Evaluate leaked steps into the training hook")
+	seqs := [][]*dag.Job{smallSource(2)(rand.New(rand.NewSource(1)))}
+	for _, greedy := range []bool{false, true} {
+		agent.Greedy = greedy
+		Evaluate(agent, seqs, sim.Idealized(5), 1)
+		if agent.Greedy != greedy {
+			t.Fatalf("Evaluate left Greedy = %v, was %v", agent.Greedy, greedy)
+		}
 	}
 }
 

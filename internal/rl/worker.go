@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/nn"
-	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -65,16 +64,15 @@ func (w *worker) rollout(cfg Config, rbar float64, i int, tk rolloutTask, simCfg
 
 // runEpisode rolls out one episode on the given agent, which must not be in
 // use by any other goroutine, writing into ep's pooled storage. The rollout
-// runs entirely on the inference fast path — nil Hook, nn.Inference scope,
-// fused forwards, warm embedding cache — and records one ReplayStep per
-// decision; no autograd graph is built until the episode is replayed for its
-// backward pass. The agent's hook, recorder and RNG are restored before
-// returning. One RNG drives both action sampling and simulator noise, so the
-// episode is a pure function of (parameters, task, config, rbar).
+// records one ReplayStep per decision; no autograd graph is built until the
+// episode is replayed for its backward pass. The agent's recorder and RNG
+// are restored before returning. One RNG drives both action sampling and
+// simulator noise, so the episode is a pure function of (parameters, task,
+// config, rbar).
 func runEpisode(agent *core.Agent, cfg Config, rbar float64, tk rolloutTask, simCfg sim.Config, ep *episode) *episode {
-	prevHook, prevRec, prevRNG := agent.Hook, agent.Record, agent.RNG()
+	prevRec, prevRNG := agent.Record, agent.RNG()
 	defer func() {
-		agent.Hook, agent.Record = prevHook, prevRec
+		agent.Record = prevRec
 		agent.SetRNG(prevRNG)
 		// Drop the episode's embedding cache: its pointer keys can never hit
 		// again (the next episode builds fresh JobStates) and the entries
@@ -83,15 +81,12 @@ func runEpisode(agent *core.Agent, cfg Config, rbar float64, tk rolloutTask, sim
 	}()
 	rng := rand.New(rand.NewSource(tk.seed))
 	agent.SetRNG(rng)
-	agent.Hook = nil
 	agent.Record = func(rs core.ReplayStep) {
 		// The record's slices alias agent scratch; carve stable copies out
 		// of the episode's pooled arena.
 		ep.steps = append(ep.steps, ep.arena.Retain(rs))
 	}
-	nn.Inference(func() {
-		ep.result = sim.New(simCfg, workload.CloneAll(tk.jobs), agent, rng).RunUntil(tk.horizon)
-	})
+	ep.result = sim.New(simCfg, workload.CloneAll(tk.jobs), agent, rng).RunUntil(tk.horizon)
 	computeReturns(cfg, rbar, ep)
 	return ep
 }
@@ -99,11 +94,8 @@ func runEpisode(agent *core.Agent, cfg Config, rbar float64, tk rolloutTask, sim
 // backward replays one of this worker's episodes — rebuilding the tracked
 // graph the rollout skipped — runs one backward pass over the episode's
 // REINFORCE loss, and snapshots the resulting per-episode gradient into
-// pooled storage. With direct=false the replay is the batched fused forward
-// (core.Agent.ReplayLoss); direct=true selects the per-decision direct-tape
-// reference. Per-step weights reproduce the old per-step seeding exactly:
-// loss = Σ −(adv/σ)·scale·logπ − β·scale·H.
-func (w *worker) backward(ep *episode, stdA, scale, entropyWeight float64, direct bool) {
+// pooled storage. Per-step weights: loss = Σ −(adv/σ)·scale·logπ − β·scale·H.
+func (w *worker) backward(ep *episode, stdA, scale, entropyWeight float64) {
 	n := len(ep.steps)
 	if n == 0 {
 		return
@@ -117,18 +109,10 @@ func (w *worker) backward(ep *episode, stdA, scale, entropyWeight float64, direc
 	}
 	params := w.agent.Params()
 	nn.ZeroGrads(params)
-	var loss *nn.Tensor
-	var vals []policy.StepVals
-	if direct {
-		loss, vals = w.agent.ReplayLossDirect(ep.steps, ep.wLogp, ep.wEnt)
-	} else {
-		loss, vals = w.agent.ReplayLoss(ep.steps, ep.wLogp, ep.wEnt)
-	}
+	loss, vals := w.agent.ReplayLoss(ep.steps, ep.wLogp, ep.wEnt)
 	loss.Backward(1)
-	ep.logpVals = resizeF(ep.logpVals, n)
 	ep.entVals = resizeF(ep.entVals, n)
 	for k, v := range vals {
-		ep.logpVals[k] = v.LogProb
 		ep.entVals[k] = v.Entropy
 	}
 	ep.grads = nn.CloneGradsInto(ep.grads, params)
