@@ -37,7 +37,9 @@ bench:
 # own run length, alternating which side goes first, and ends each seed with
 # `bench compare BASE… -- HEAD…`. Binaries, records and logs go to
 # COMPARE_OUT, outside the tracked tree; a run that fails its oracle stops
-# the comparison.
+# the comparison. The training-only gate (≈8 minutes on the two default seeds):
+#
+#	make bench-compare BASE=HEAD~1 WORKLOADS=train-replay PAIRS=5
 BASE ?= HEAD
 PAIRS ?= 10
 SEEDS ?= 1 7

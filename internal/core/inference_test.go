@@ -42,7 +42,7 @@ func trackedEmbed(a *Agent, s *sim.State) (*gnn.Batch, *nn.Tensor) {
 		graphs = append(graphs, heapGraph(a.observe(j, freeTotal, total, local, true)))
 		all, seg = append(all, i), append(seg, 0)
 	}
-	b := a.GNN.ForwardBatch(graphs)
+	b := a.GNN.ForwardBatch(nil, graphs)
 	return b, a.GNN.GlobalsBatch(b.Jobs, all, seg, 1)
 }
 

@@ -98,28 +98,64 @@ func appendTail[T any](pool, src []T) (grown, tail []T) {
 	return pool, pool[lo:len(pool):len(pool)]
 }
 
-// replayPlan resolves an episode's records into replay coordinates: the
+// ReplayScratch is the reusable storage of one replay at a time: the nn.Tape
+// that owns every tensor, gradient buffer and index list of the tracked
+// computation, plus the plan bookkeeping that is not tensor-shaped. A rollout
+// worker owns one and hands it to every ReplayLoss, which Resets it on entry,
+// so a warm replay allocates next to nothing. The loss tensor a ReplayLoss
+// returned dies with the next one on the same scratch: the caller runs
+// Backward and copies out what it keeps first (parameter gradients live on
+// the parameters and are not affected). The zero value is ready to use.
+type ReplayScratch struct {
+	// Tape owns the replayed graph.
+	Tape nn.Tape
+
+	ids    map[*gnn.Graph]int
+	unique []*gnn.Graph
+	psteps []policy.ReplayStep
+}
+
+// Reset recycles everything the previous replay built; its tensors and
+// buffers are invalid from here on (and overwritten by the next replay).
+func (rs *ReplayScratch) Reset() {
+	rs.Tape.Reset()
+	clear(rs.ids)
+	clear(rs.unique) // drop the finished episode's graphs
+	rs.unique = rs.unique[:0]
+}
+
+// plan resolves an episode's records into replay coordinates: the
 // deduplicated graph list (first-seen order, so the plan is identical for
 // any worker count) and per-step policy views.
-func replayPlan(steps []ReplayStep, wLogp, wEnt []float64) (unique []*gnn.Graph, flat, seg []int, psteps []policy.ReplayStep) {
-	ids := make(map[*gnn.Graph]int)
-	psteps = make([]policy.ReplayStep, len(steps))
+func (rs *ReplayScratch) plan(steps []ReplayStep, wLogp, wEnt []float64) (unique []*gnn.Graph, flat, seg []int, psteps []policy.ReplayStep) {
+	if rs.ids == nil {
+		rs.ids = make(map[*gnn.Graph]int)
+	}
+	nRefs := 0
+	for k := range steps {
+		nRefs += len(steps[k].Graphs)
+	}
+	// gids of all steps, flat: flat is every step's Gids back to back.
+	flat, seg = rs.Tape.Ints(nRefs)[:0], rs.Tape.Ints(nRefs)[:0]
+	if cap(rs.psteps) < len(steps) {
+		rs.psteps = make([]policy.ReplayStep, len(steps))
+	}
+	psteps = rs.psteps[:len(steps)]
 	for k := range steps {
 		st := &steps[k]
-		gids := make([]int, len(st.Graphs))
-		for j, gr := range st.Graphs {
-			id, ok := ids[gr]
+		lo := len(flat)
+		for _, gr := range st.Graphs {
+			id, ok := rs.ids[gr]
 			if !ok {
-				id = len(unique)
-				ids[gr] = id
-				unique = append(unique, gr)
+				id = len(rs.unique)
+				rs.ids[gr] = id
+				rs.unique = append(rs.unique, gr)
 			}
-			gids[j] = id
 			flat = append(flat, id)
 			seg = append(seg, k)
 		}
 		psteps[k] = policy.ReplayStep{
-			Gids:      gids,
+			Gids:      flat[lo:len(flat):len(flat)],
 			Cands:     st.Cands,
 			MinLimits: st.MinLimits,
 			ClassOKs:  st.ClassOKs,
@@ -130,7 +166,7 @@ func replayPlan(steps []ReplayStep, wLogp, wEnt []float64) (unique []*gnn.Graph,
 			WEnt:      wEnt[k],
 		}
 	}
-	return unique, flat, seg, psteps
+	return rs.unique, flat, seg, psteps
 }
 
 // ReplayLoss rebuilds the tracked computation for an episode's recorded
@@ -139,25 +175,33 @@ func replayPlan(steps []ReplayStep, wLogp, wEnt []float64) (unique []*gnn.Graph,
 // summaries, and stacked policy heads — and returns the differentiable
 // REINFORCE loss Σ_k wLogp[k]·logπ(a_k) + wEnt[k]·H_k together with each
 // step's (log-prob, entropy) values. The caller seeds Backward(1) on the
-// loss exactly once.
-func (a *Agent) ReplayLoss(steps []ReplayStep, wLogp, wEnt []float64) (*nn.Tensor, []policy.StepVals) {
-	unique, flat, seg, psteps := replayPlan(steps, wLogp, wEnt)
+// loss exactly once. The computation is built on rs, which is Reset first,
+// and is valid until rs is Reset again; nil replays on a scratch of its own
+// that the garbage collector reclaims.
+func (a *Agent) ReplayLoss(rs *ReplayScratch, steps []ReplayStep, wLogp, wEnt []float64) (*nn.Tensor, []policy.StepVals) {
+	if rs == nil {
+		rs = new(ReplayScratch)
+	}
+	rs.Reset()
+	tp := &rs.Tape
+	unique, flat, seg, psteps := rs.plan(steps, wLogp, wEnt)
 	if a.GNN != nil {
-		batch := a.GNN.ForwardBatch(unique)
+		batch := a.GNN.ForwardBatch(tp, unique)
 		globals := a.GNN.GlobalsBatch(batch.Jobs, flat, seg, len(steps))
 		return a.Pol.ReplayLoss(batch.Nodes, batch.Off, batch.Jobs, globals, a.Cfg.ClassMem, psteps)
 	}
 	// GNN ablation: raw features stand in for node embeddings and the job
 	// and global summaries are zero, exactly as in embedInference.
 	d := a.Cfg.FeatDim()
-	off := make([]int, len(unique))
-	feats := make([]*nn.Tensor, len(unique))
+	off := tp.Ints(len(unique))
 	total := 0
 	for i, gr := range unique {
 		off[i] = total
 		total += gr.Feats.Rows
-		feats[i] = gr.Feats
 	}
-	nodes := nn.ConcatRows(feats...)
-	return a.Pol.ReplayLoss(nodes, off, nn.Zeros(len(unique), d), nn.Zeros(len(steps), d), a.Cfg.ClassMem, psteps)
+	nodes := tp.Zeros(total, d)
+	for i, gr := range unique {
+		copy(nodes.Data[off[i]*d:], gr.Feats.Data)
+	}
+	return a.Pol.ReplayLoss(nodes, off, tp.Zeros(len(unique), d), tp.Zeros(len(steps), d), a.Cfg.ClassMem, psteps)
 }

@@ -164,7 +164,7 @@ func Fig19(sc Scale, evalEvery int) *Table {
 		return gnn.NewGraph(j, feats), cp
 	}
 	// embed is the tracked forward of one graph: a batch of one.
-	embed := func(m *model, gr *gnn.Graph) *nn.Tensor { return m.g.ForwardBatch([]*gnn.Graph{gr}).Nodes }
+	embed := func(m *model, gr *gnn.Graph) *nn.Tensor { return m.g.ForwardBatch(nil, []*gnn.Graph{gr}).Nodes }
 	params := func(m *model) []*nn.Tensor { return append(m.g.Params(), m.head.Params()...) }
 	trainStep := func(m *model, rng *rand.Rand) {
 		gr, cp := sample(rng)

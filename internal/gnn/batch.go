@@ -19,7 +19,8 @@ import (
 // order as the per-graph pass — batching changes which rows share a matmul
 // call, never the arithmetic a row sees.
 
-// Batch is the stacked embedding of several graphs.
+// Batch is the stacked embedding of several graphs, owned by the tape it was
+// built on.
 type Batch struct {
 	// Nodes is the totalNodes×D stacked node-embedding matrix; graph g's
 	// rows are Nodes[Off[g] : Off[g]+len(g.Heights)].
@@ -33,29 +34,43 @@ type Batch struct {
 
 // ForwardBatch embeds all graphs in one level-batched tracked pass,
 // producing node embeddings and per-graph summaries bit-identical to
-// embedding each graph separately.
-func (g *GNN) ForwardBatch(graphs []*Graph) *Batch {
+// embedding each graph separately. Every tensor and index list of the pass
+// is drawn from tp and lives until its next Reset; a nil tp is the heap.
+func (g *GNN) ForwardBatch(tp *nn.Tape, graphs []*Graph) *Batch {
 	if len(graphs) == 0 {
 		panic("gnn: ForwardBatch of no graphs")
 	}
-	off := make([]int, len(graphs))
+	off := tp.Ints(len(graphs))
 	total, maxH := 0, 0
-	feats := make([]*nn.Tensor, len(graphs))
 	for i, gr := range graphs {
 		off[i] = total
 		total += len(gr.Heights)
-		feats[i] = gr.Feats
 		if len(gr.Levels) > maxH {
 			maxH = len(gr.Levels)
 		}
 	}
-	allFeats := nn.ConcatRows(feats...)
+	f := graphs[0].Feats.Cols
+	allFeats := tp.Zeros(total, f)
+	graphSeg := tp.Ints(total)
+	for gi, gr := range graphs {
+		copy(allFeats.Data[off[gi]*f:], gr.Feats.Data)
+		for r := range gr.Heights {
+			graphSeg[off[gi]+r] = gi
+		}
+	}
 	x := g.Prep.Forward(allFeats) // total×D projected features
 	e := x
 	for h := 0; h < maxH; h++ {
 		// Stack this height's level of every graph that reaches it, in graph
 		// order and stacked row coordinates.
-		var lv dag.Level
+		nPar, nChild := 0, 0
+		for _, gr := range graphs {
+			if h < len(gr.Levels) {
+				nPar += len(gr.Levels[h].Parents)
+				nChild += len(gr.Levels[h].ChildIdx)
+			}
+		}
+		lv := dag.Level{Parents: tp.Ints(nPar)[:0], ChildIdx: tp.Ints(nChild)[:0], Seg: tp.Ints(nChild)[:0]}
 		for gi, gr := range graphs {
 			if h >= len(gr.Levels) {
 				continue
@@ -82,16 +97,6 @@ func (g *GNN) ForwardBatch(graphs []*Graph) *Batch {
 	// Per-graph summaries: one FJob pass over every (x_v, e_v) pair, summed
 	// per graph (same row order as the per-graph SumRows), one GJob pass
 	// over the stacked per-graph aggregates.
-	graphSeg := make([]int, total)
-	for gi := range graphs {
-		end := total
-		if gi+1 < len(graphs) {
-			end = off[gi+1]
-		}
-		for r := off[gi]; r < end; r++ {
-			graphSeg[r] = gi
-		}
-	}
 	pair := nn.ConcatCols(allFeats, e)
 	sums := nn.SegmentSum(g.FJob.Forward(pair), graphSeg, len(graphs))
 	return &Batch{Nodes: e, Off: off, Jobs: g.GJob.Forward(sums)}

@@ -41,13 +41,13 @@ func TestForwardBatchBitIdentical(t *testing.T) {
 			graphs = append(graphs, NewGraph(j, featsFor(j)))
 			all, seg = append(all, i), append(seg, 0)
 		}
-		batch := g.ForwardBatch(graphs)
+		batch := g.ForwardBatch(nil, graphs)
 		s.Reset()
 		for i, gr := range graphs {
 			what := fmt.Sprintf("trial %d graph %d", trial, i)
 			d := batch.Nodes.Cols
 			nodes := batch.Nodes.Data[batch.Off[i]*d : (batch.Off[i]+len(gr.Heights))*d]
-			one := g.ForwardBatch([]*Graph{gr})
+			one := g.ForwardBatch(nil, []*Graph{gr})
 			sameBits(t, what+": nodes, batch of N vs batch of one", nodes, one.Nodes.Data)
 			sameBits(t, what+": summary, batch of N vs batch of one", batch.Jobs.Data[i*d:(i+1)*d], one.Jobs.Data)
 			fast := g.EmbedNodesInference(gr, &s)
@@ -69,7 +69,7 @@ func TestGlobalsBatchBitIdentical(t *testing.T) {
 		j := dag.Random(rand.New(rand.NewSource(int64(i))), 2+rng.Intn(8), 0.3)
 		graphs = append(graphs, NewGraph(j, featsFor(j)))
 	}
-	batch := g.ForwardBatch(graphs)
+	batch := g.ForwardBatch(nil, graphs)
 
 	// Three "decisions" observing different job subsets (in job order).
 	decisions := [][]int{{0, 1, 2, 3, 4}, {1, 3}, {0, 2, 4}}

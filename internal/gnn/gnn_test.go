@@ -27,12 +27,12 @@ func testGNN(rng *rand.Rand) *GNN {
 
 // embedOne returns one graph's node embeddings from the tracked forward: a
 // batch of one.
-func embedOne(g *GNN, gr *Graph) *nn.Tensor { return g.ForwardBatch([]*Graph{gr}).Nodes }
+func embedOne(g *GNN, gr *Graph) *nn.Tensor { return g.ForwardBatch(nil, []*Graph{gr}).Nodes }
 
 // summary stacks everything the tracked forward outputs for one graph —
 // column-summed node embeddings, job summary, global summary — into a row.
 func summary(g *GNN, gr *Graph) *nn.Tensor {
-	b := g.ForwardBatch([]*Graph{gr})
+	b := g.ForwardBatch(nil, []*Graph{gr})
 	return nn.ConcatCols(nn.SumRows(b.Nodes), b.Jobs, g.GlobalsBatch(b.Jobs, []int{0}, []int{0}, 1))
 }
 
@@ -45,7 +45,7 @@ func TestForwardShapes(t *testing.T) {
 		j := dag.Random(rand.New(rand.NewSource(int64(i))), n, 0.3)
 		graphs = append(graphs, NewGraph(j, featsFor(j)))
 	}
-	b := g.ForwardBatch(graphs)
+	b := g.ForwardBatch(nil, graphs)
 	if b.Nodes.Rows != 18 || b.Nodes.Cols != 4 || b.Off[0] != 0 || b.Off[1] != 1 || b.Off[2] != 6 {
 		t.Fatalf("node emb shape %d×%d, offsets %v", b.Nodes.Rows, b.Nodes.Cols, b.Off)
 	}
@@ -66,7 +66,7 @@ func TestEmptyInput(t *testing.T) {
 			t.Fatal("ForwardBatch of no graphs did not panic")
 		}
 	}()
-	testGNN(rand.New(rand.NewSource(1))).ForwardBatch(nil)
+	testGNN(rand.New(rand.NewSource(1))).ForwardBatch(nil, nil)
 }
 
 func TestChildPermutationInvariance(t *testing.T) {
@@ -156,7 +156,7 @@ func TestGNNGradcheck(t *testing.T) {
 	for i := range feats.Data {
 		feats.Data[i] = rng.NormFloat64()
 	}
-	build := func() *nn.Tensor { return nn.Sum(nn.Tanh(summary(g, NewGraph(j, feats)))) }
+	build := func() *nn.Tensor { return nn.Sum(nn.Square(summary(g, NewGraph(j, feats)))) }
 	out := build()
 	out.Backward(1)
 	f := func() float64 { return build().Value() }

@@ -49,7 +49,7 @@ func SegmentPickLoss(scores *Tensor, start []int, pick []int, wPick, wEnt []floa
 	if start[0] != 0 || start[nSeg] != scores.Rows {
 		panic("nn: SegmentPickLoss segments do not cover the scores")
 	}
-	lp := make([]float64, scores.Rows) // retained for the backward closure
+	lp := scores.tape.alloc(scores.Rows) // retained for the backward closure
 	vals := make([]SegVals, nSeg)
 	loss := 0.0
 	for s := 0; s < nSeg; s++ {
@@ -93,7 +93,9 @@ func SegmentPickLoss(scores *Tensor, start []int, pick []int, wPick, wEnt []floa
 			}
 		}
 	}
-	out = newResult(1, 1, []float64{loss}, back, scores)
+	data := scores.tape.alloc(1)
+	data[0] = loss
+	out = newResult(scores.tape, 1, 1, data, back, scores)
 	return out, vals
 }
 
@@ -102,7 +104,7 @@ func SegmentPickLoss(scores *Tensor, start []int, pick []int, wPick, wEnt []floa
 // uses it to pull each decision's admissible limit scores out of one stacked
 // W forward.
 func GatherElems(a *Tensor, idx []int) *Tensor {
-	data := make([]float64, len(idx))
+	data := a.tape.alloc(len(idx))
 	for i, k := range idx {
 		data[i] = a.Data[k]
 	}
@@ -116,6 +118,6 @@ func GatherElems(a *Tensor, idx []int) *Tensor {
 			a.Grad[k] += out.Grad[i]
 		}
 	}
-	out = newResult(len(idx), 1, data, back, a)
+	out = newResult(a.tape, len(idx), 1, data, back, a)
 	return out
 }

@@ -4,16 +4,18 @@
 // tensors, differentiable operations, layers, initialisers and optimizers.
 //
 // The engine is deliberately minimal: matrices are row-major, operations
-// allocate fresh result tensors, and Backward walks the recorded computation
-// graph in reverse topological order. Gradients accumulate into Tensor.Grad,
+// allocate fresh result tensors — from the Tape their operands live on, or
+// the heap — and Backward walks the recorded computation graph in reverse
+// topological order. Gradients accumulate into Tensor.Grad,
 // so several Backward calls (e.g. one per REINFORCE step) can share one
 // optimizer step.
 //
 // Package map:
 //
 //   - tensor.go — Tensor, the autograd graph and Backward
-//   - ops.go — the differentiable operations (MatMul, activations, …)
-//   - layers.go — Linear and MLP, with initialisers
+//   - ops.go — the differentiable operations (MatMul, gathers, segment sums, …)
+//   - layers.go — Linear and MLP: one tracked node per layer, with initialisers
+//   - tape.go — Tape, the arena that owns a tracked computation's tensors
 //   - optim.go, params.go, serialize.go — SGD/Adam, parameter sets, model I/O
 //   - nograd.go — no-grad inference mode and the Scratch bump arena
 //   - fused.go — fused no-grad MLP forward (matmul + bias + activation)

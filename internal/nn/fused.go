@@ -18,14 +18,22 @@ func (l *Linear) ForwardInference(x *Tensor, act Activation, s *Scratch) *Tensor
 	n, k, m := x.Rows, x.Cols, l.W.Cols
 	w, bias := l.W.Data, l.B.Data
 	data := s.alloc(n * m) // every element is written by the kernel
+	linearF64(data, x.Data, w, bias, n, k, m, act)
+	return s.wrap(n, m, data)
+}
+
+// linearF64 computes out = act(a·w + bias) for row-major a (n×k), w (k×m),
+// spreading row blocks over the kernel pool when the shape warrants it. The
+// single-worker case calls the row kernel directly — no closure, no
+// allocation.
+func linearF64(out, a, w, bias []float64, n, k, m int, act Activation) {
 	if workers := kernelWorkers(n, kernelBlockRows, n*k*m); workers <= 1 {
-		linearRowsF64(data, x.Data, w, bias, k, m, act, 0, n)
+		linearRowsF64(out, a, w, bias, k, m, act, 0, n)
 	} else {
 		forEachRowBlock(n, kernelBlockRows, workers, func(lo, hi int) {
-			linearRowsF64(data, x.Data, w, bias, k, m, act, lo, hi)
+			linearRowsF64(out, a, w, bias, k, m, act, lo, hi)
 		})
 	}
-	return s.wrap(n, m, data)
 }
 
 // linearRowsF64 computes rows [lo, hi) of act(a·w + bias). Per output

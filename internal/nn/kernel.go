@@ -238,25 +238,69 @@ func matmulDARows(agrad, g, b []float64, k, m, lo, hi int) {
 }
 
 // matmulDBRows accumulates rows [plo, phi) of dB += Aᵀ·G (the MatMul
-// backward for the right operand): dB[p,:] += Σ_i a[i,p]·g[i,:], ascending i
-// per element — the streaming row-major walk PR 4 introduced, restricted to
-// an owned band of dB rows. Each worker streams a and g once and touches only
-// its own rows of bgrad, so any worker count accumulates bit-identically to
-// the scalar kernel (ascending i is preserved; only ownership is split). The
-// zero-skip stays: dA-side activations are often sparse (zero locality
-// flags, ablated duration features) and a skipped i contributes nothing
-// either way.
+// backward for the right operand): dB[p,j] += Σ_i a[i,p]·g[i,j], ascending i
+// per element, starting from the value bgrad already holds. A tile of two dB
+// rows × four columns lives in locals across the i loop, so the inner loop
+// loads two a's and four g's for eight multiply-adds and stores nothing; the
+// i range is walked in kernelBlockRows-row chunks so the a and g rows a
+// chunk's (k/2)·(m/4) tiles re-read stay cache-resident. Tiling and chunking
+// change which elements share a loop, never the order one element
+// accumulates in, and a worker touches only its own band of bgrad, so any
+// band split and worker count is bit-identical to the scalar kernel. The zero-skip stays, per
+// a[i,p]: dA-side activations are often sparse (zero locality flags, ablated
+// duration features) and a skipped i contributes nothing either way.
 func matmulDBRows(bgrad, a, g []float64, n, k, m, plo, phi int) {
-	for i := 0; i < n; i++ {
-		ar := a[i*k+plo : i*k+phi]
-		gr := g[i*m : (i+1)*m]
-		for pp, av := range ar {
-			if av == 0 {
-				continue
+	for i0 := 0; i0 < n; i0 += kernelBlockRows {
+		i1 := min(i0+kernelBlockRows, n)
+		p := plo
+		for ; p+2 <= phi; p += 2 {
+			b0 := bgrad[p*m : (p+1)*m]
+			b1 := bgrad[(p+1)*m : (p+2)*m]
+			j := 0
+			for ; j+4 <= m; j += 4 {
+				s00, s01, s02, s03 := b0[j], b0[j+1], b0[j+2], b0[j+3]
+				s10, s11, s12, s13 := b1[j], b1[j+1], b1[j+2], b1[j+3]
+				for i := i0; i < i1; i++ {
+					a0, a1 := a[i*k+p], a[i*k+p+1]
+					gr := g[i*m+j : i*m+j+4 : i*m+j+4]
+					if a0 != 0 {
+						s00 += a0 * gr[0]
+						s01 += a0 * gr[1]
+						s02 += a0 * gr[2]
+						s03 += a0 * gr[3]
+					}
+					if a1 != 0 {
+						s10 += a1 * gr[0]
+						s11 += a1 * gr[1]
+						s12 += a1 * gr[2]
+						s13 += a1 * gr[3]
+					}
+				}
+				b0[j], b0[j+1], b0[j+2], b0[j+3] = s00, s01, s02, s03
+				b1[j], b1[j+1], b1[j+2], b1[j+3] = s10, s11, s12, s13
 			}
-			bgr := bgrad[(plo+pp)*m : (plo+pp+1)*m]
-			for j, gv := range gr {
-				bgr[j] += av * gv
+			for ; j < m; j++ {
+				s0, s1 := b0[j], b1[j]
+				for i := i0; i < i1; i++ {
+					gv := g[i*m+j]
+					if a0 := a[i*k+p]; a0 != 0 {
+						s0 += a0 * gv
+					}
+					if a1 := a[i*k+p+1]; a1 != 0 {
+						s1 += a1 * gv
+					}
+				}
+				b0[j], b1[j] = s0, s1
+			}
+		}
+		if p < phi { // odd band: the last row streams g's rows
+			bgr := bgrad[p*m : (p+1)*m]
+			for i := i0; i < i1; i++ {
+				if av := a[i*k+p]; av != 0 {
+					for j, gv := range g[i*m : (i+1)*m] {
+						bgr[j] += av * gv
+					}
+				}
 			}
 		}
 	}

@@ -51,6 +51,26 @@ func BenchmarkKernelMatMulF64(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelMatMulDB measures the dB = Aᵀ·G backward kernel alone over
+// the whole band [0, k), at the replay row count and the layer shapes of the
+// stack's 24→32→16→1 and 8→32→16→8 networks (k×m is the weight's shape).
+func BenchmarkKernelMatMulDB(b *testing.B) {
+	for _, sh := range []struct{ n, k, m int }{{8192, 32, 16}, {8192, 24, 32}, {8192, 16, 8}, {8192, 16, 1}} {
+		b.Run(fmt.Sprintf("%dx%dx%d", sh.n, sh.k, sh.m), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(4))
+			a := randTensor(rng, sh.n, sh.k)
+			g := randTensor(rng, sh.n, sh.m)
+			db := make([]float64, sh.k*sh.m)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				matmulDBRows(db, a.Data, g.Data, sh.n, sh.k, sh.m, 0, sh.k)
+			}
+			reportGFLOPs(b, sh.n, sh.k, sh.m)
+		})
+	}
+}
+
 // BenchmarkKernelMLPInference measures the full fused MLP forward (matmul +
 // bias + activation per layer, arena-backed) at the decision and replay row
 // counts — the end-to-end cost the serving and replay paths pay.

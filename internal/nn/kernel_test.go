@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -63,7 +64,9 @@ func withSparsity(t *Tensor, rng *rand.Rand, frac float64) *Tensor {
 // dA and dB of the blocked register-tiled MatMul are bit-identical to the
 // scalar reference kernels for every worker count, on shapes that exercise
 // the single-thread path, the parallel path, tile remainders (m and k not
-// multiples of 4) and sparse activations.
+// multiples of 4) and sparse activations. The register-tiled dB kernel is
+// then driven directly: every band split [plo, phi) of odd-shaped operands,
+// dense and sparse a, accumulating onto a pre-loaded non-zero bgrad.
 func TestMatMulBlockedBitIdentical(t *testing.T) {
 	defer SetMatMulWorkers(0)
 	shapes := []struct{ n, k, m int }{
@@ -107,6 +110,47 @@ func TestMatMulBlockedBitIdentical(t *testing.T) {
 			for i, v := range b.Grad {
 				if v != wantDB[i] {
 					t.Fatalf("%dx%dx%d workers=%d: dB[%d] = %v, want %v (not bitwise)", sh.n, sh.k, sh.m, workers, i, v, wantDB[i])
+				}
+			}
+		}
+	}
+	for _, sh := range []struct{ n, k, m int }{
+		{1, 1, 1},
+		{5, 3, 7},                     // odd k: a lone last row; m = 4+3
+		{kernelBlockRows + 2, 7, 5},   // crosses one row chunk
+		{2*kernelBlockRows + 1, 6, 9}, // even k, m = 8+1
+		{3 * kernelBlockRows, 9, 4},   // exact chunks, exact column tile
+		{kernelBlockRows - 1, 4, 1},   // a score head's single column
+	} {
+		for _, sparsity := range []float64{0, 0.5} {
+			a := withSparsity(randTensor(rng, sh.n, sh.k), rng, sparsity)
+			g := randTensor(rng, sh.n, sh.m)
+			loaded := randTensor(rng, sh.k, sh.m).Data
+			want := append([]float64(nil), loaded...)
+			for i := 0; i < sh.n; i++ { // the scalar kernel
+				for p := 0; p < sh.k; p++ {
+					av := a.Data[i*sh.k+p]
+					if av == 0 {
+						continue
+					}
+					for j := 0; j < sh.m; j++ {
+						want[p*sh.m+j] += av * g.Data[i*sh.m+j]
+					}
+				}
+			}
+			for plo := 0; plo <= sh.k; plo++ {
+				for phi := plo; phi <= sh.k; phi++ {
+					got := append([]float64(nil), loaded...)
+					matmulDBRows(got, a.Data, g.Data, sh.n, sh.k, sh.m, plo, phi)
+					for i, v := range got {
+						w := loaded[i] // rows outside the band are not the caller's
+						if p := i / sh.m; p >= plo && p < phi {
+							w = want[i]
+						}
+						if math.Float64bits(v) != math.Float64bits(w) {
+							t.Fatalf("dB %dx%dx%d sparsity=%v band [%d,%d): [%d] = %v, want %v (not bitwise)", sh.n, sh.k, sh.m, sparsity, plo, phi, i, v, w)
+						}
+					}
 				}
 			}
 		}

@@ -37,44 +37,13 @@ func Inference(fn func()) {
 // that must outlive the decision (e.g. cached per-job embeddings) must be
 // copied out.
 type Scratch struct {
-	slabs [][]float64
-	slab  int // index of the slab alloc currently fills
-	off   int // write offset into that slab
-
-	// hdrs is the header pool: fixed-size chunks that are never reallocated,
-	// so a handed-out *Tensor stays valid while later chunks are added.
-	hdrs [][]Tensor
-	nhdr int // headers handed out since the last Reset
+	f    arena[float64]
+	hdrs headerPool
 }
-
-// hdrChunk is the header pool's growth unit; one warm decision uses ≈100.
-const hdrChunk = 64
 
 // alloc returns a length-n slice carved from the arena WITHOUT clearing it:
 // for buffers the caller overwrites in full (kernel outputs).
-func (s *Scratch) alloc(n int) []float64 {
-	for {
-		if s.slab < len(s.slabs) {
-			sl := s.slabs[s.slab]
-			if s.off+n <= len(sl) {
-				b := sl[s.off : s.off+n : s.off+n]
-				s.off += n
-				return b
-			}
-			s.slab++
-			s.off = 0
-			continue
-		}
-		size := 1 << 12
-		if len(s.slabs) > 0 {
-			size = 2 * len(s.slabs[len(s.slabs)-1])
-		}
-		if size < n {
-			size = n
-		}
-		s.slabs = append(s.slabs, make([]float64, size))
-	}
-}
+func (s *Scratch) alloc(n int) []float64 { return s.f.alloc(n) }
 
 // Alloc returns a zeroed length-n slice carved from the arena.
 func (s *Scratch) Alloc(n int) []float64 {
@@ -89,12 +58,7 @@ func (s *Scratch) wrap(rows, cols int, data []float64) *Tensor {
 	if len(data) != rows*cols {
 		panic(fmt.Sprintf("nn: data length %d != %d×%d", len(data), rows, cols))
 	}
-	c := s.nhdr / hdrChunk
-	if c == len(s.hdrs) {
-		s.hdrs = append(s.hdrs, make([]Tensor, hdrChunk))
-	}
-	t := &s.hdrs[c][s.nhdr%hdrChunk]
-	s.nhdr++
+	t := s.hdrs.next()
 	*t = Tensor{Rows: rows, Cols: cols, Data: data}
 	return t
 }
@@ -107,4 +71,7 @@ func (s *Scratch) AllocTensor(rows, cols int) *Tensor {
 // Reset recycles every buffer and header handed out since the last Reset.
 // The slabs and header chunks themselves are retained, so a warmed-up
 // Scratch allocates nothing.
-func (s *Scratch) Reset() { s.slab, s.off, s.nhdr = 0, 0, 0 }
+func (s *Scratch) Reset() {
+	s.f.reset()
+	s.hdrs.n = 0
+}

@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // MatMul returns a×b for a (n×k) and b (k×m). Forward and both backwards run
 // on the blocked kernels in kernel.go: register-tiled inner loops, spread
@@ -16,38 +13,43 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("nn: MatMul shape mismatch %d×%d · %d×%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	n, k, m := a.Rows, a.Cols, b.Cols
-	data := make([]float64, n*m)
+	tp := tapeOf(a, b)
+	data := tp.alloc(n * m)
 	matmulF64(data, a.Data, b.Data, n, k, m)
 	var out *Tensor
-	back := func() {
-		g := out.Grad
-		if a.requiresGrad {
-			a.ensureGrad()
-			// dA = G · Bᵀ: dA rows are disjoint across blocks.
-			if workers := kernelWorkers(n, kernelBlockRows, n*k*m); workers <= 1 {
-				matmulDARows(a.Grad, g, b.Data, k, m, 0, n)
-			} else {
-				forEachRowBlock(n, kernelBlockRows, workers, func(lo, hi int) {
-					matmulDARows(a.Grad, g, b.Data, k, m, lo, hi)
-				})
-			}
-		}
-		if b.requiresGrad {
-			b.ensureGrad()
-			// dB = Aᵀ · G, owner-computes over dB rows: each worker streams
-			// all of A and G but accumulates only its own band of dB rows, in
-			// the same ascending-i order as the scalar kernel.
-			if workers := kernelWorkers(k, dbBlockRows, n*k*m); workers <= 1 {
-				matmulDBRows(b.Grad, a.Data, g, n, k, m, 0, k)
-			} else {
-				forEachRowBlock(k, dbBlockRows, workers, func(plo, phi int) {
-					matmulDBRows(b.Grad, a.Data, g, n, k, m, plo, phi)
-				})
-			}
+	back := func() { matmulBackward(a, b, out.Grad) }
+	out = newResult(tp, n, m, data, back, a, b)
+	return out
+}
+
+// matmulBackward accumulates the gradients of a·b given g = d(loss)/d(a·b):
+// dA then dB, each only if its operand takes gradients.
+func matmulBackward(a, b *Tensor, g []float64) {
+	n, k, m := a.Rows, a.Cols, b.Cols
+	if a.requiresGrad {
+		a.ensureGrad()
+		// dA = G · Bᵀ: dA rows are disjoint across blocks.
+		if workers := kernelWorkers(n, kernelBlockRows, n*k*m); workers <= 1 {
+			matmulDARows(a.Grad, g, b.Data, k, m, 0, n)
+		} else {
+			forEachRowBlock(n, kernelBlockRows, workers, func(lo, hi int) {
+				matmulDARows(a.Grad, g, b.Data, k, m, lo, hi)
+			})
 		}
 	}
-	out = newResult(n, m, data, back, a, b)
-	return out
+	if b.requiresGrad {
+		b.ensureGrad()
+		// dB = Aᵀ · G, owner-computes over dB rows: each worker streams
+		// all of A and G but accumulates only its own band of dB rows, in
+		// the same ascending-i order as the scalar kernel.
+		if workers := kernelWorkers(k, dbBlockRows, n*k*m); workers <= 1 {
+			matmulDBRows(b.Grad, a.Data, g, n, k, m, 0, k)
+		} else {
+			forEachRowBlock(k, dbBlockRows, workers, func(plo, phi int) {
+				matmulDBRows(b.Grad, a.Data, g, n, k, m, plo, phi)
+			})
+		}
+	}
 }
 
 // Add returns the element-wise sum of two same-shaped tensors.
@@ -55,7 +57,8 @@ func Add(a, b *Tensor) *Tensor {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic(fmt.Sprintf("nn: Add shape mismatch %d×%d + %d×%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	data := make([]float64, len(a.Data))
+	tp := tapeOf(a, b)
+	data := tp.alloc(len(a.Data))
 	for i := range data {
 		data[i] = a.Data[i] + b.Data[i]
 	}
@@ -68,40 +71,7 @@ func Add(a, b *Tensor) *Tensor {
 			accumulate(b, out.Grad)
 		}
 	}
-	out = newResult(a.Rows, a.Cols, data, back, a, b)
-	return out
-}
-
-// AddRow adds a 1×m row vector b to every row of a (n×m).
-func AddRow(a, b *Tensor) *Tensor {
-	if b.Rows != 1 || a.Cols != b.Cols {
-		panic(fmt.Sprintf("nn: AddRow shape mismatch %d×%d + %d×%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	m := a.Cols
-	data := make([]float64, len(a.Data))
-	for i := 0; i < a.Rows; i++ {
-		ar := a.Data[i*m : (i+1)*m]
-		or := data[i*m : (i+1)*m]
-		for j, v := range ar {
-			or[j] = v + b.Data[j]
-		}
-	}
-	var out *Tensor
-	back := func() {
-		if a.requiresGrad {
-			accumulate(a, out.Grad)
-		}
-		if b.requiresGrad {
-			b.ensureGrad()
-			for i := 0; i < a.Rows; i++ {
-				gr := out.Grad[i*m : (i+1)*m]
-				for j, g := range gr {
-					b.Grad[j] += g
-				}
-			}
-		}
-	}
-	out = newResult(a.Rows, a.Cols, data, back, a, b)
+	out = newResult(tp, a.Rows, a.Cols, data, back, a, b)
 	return out
 }
 
@@ -110,7 +80,8 @@ func Sub(a, b *Tensor) *Tensor {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic("nn: Sub shape mismatch")
 	}
-	data := make([]float64, len(a.Data))
+	tp := tapeOf(a, b)
+	data := tp.alloc(len(a.Data))
 	for i := range data {
 		data[i] = a.Data[i] - b.Data[i]
 	}
@@ -126,7 +97,7 @@ func Sub(a, b *Tensor) *Tensor {
 			}
 		}
 	}
-	out = newResult(a.Rows, a.Cols, data, back, a, b)
+	out = newResult(tp, a.Rows, a.Cols, data, back, a, b)
 	return out
 }
 
@@ -135,7 +106,8 @@ func Mul(a, b *Tensor) *Tensor {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic("nn: Mul shape mismatch")
 	}
-	data := make([]float64, len(a.Data))
+	tp := tapeOf(a, b)
+	data := tp.alloc(len(a.Data))
 	for i := range data {
 		data[i] = a.Data[i] * b.Data[i]
 	}
@@ -154,13 +126,13 @@ func Mul(a, b *Tensor) *Tensor {
 			}
 		}
 	}
-	out = newResult(a.Rows, a.Cols, data, back, a, b)
+	out = newResult(tp, a.Rows, a.Cols, data, back, a, b)
 	return out
 }
 
 // Scale returns a scaled by the constant s.
 func Scale(a *Tensor, s float64) *Tensor {
-	data := make([]float64, len(a.Data))
+	data := a.tape.alloc(len(a.Data))
 	for i := range data {
 		data[i] = a.Data[i] * s
 	}
@@ -173,75 +145,7 @@ func Scale(a *Tensor, s float64) *Tensor {
 			}
 		}
 	}
-	out = newResult(a.Rows, a.Cols, data, back, a)
-	return out
-}
-
-// LeakyReLU applies max(x, alpha·x) element-wise.
-func LeakyReLU(a *Tensor, alpha float64) *Tensor {
-	data := make([]float64, len(a.Data))
-	for i, v := range a.Data {
-		if v >= 0 {
-			data[i] = v
-		} else {
-			data[i] = alpha * v
-		}
-	}
-	var out *Tensor
-	back := func() {
-		if !a.requiresGrad {
-			return
-		}
-		a.ensureGrad()
-		for i, g := range out.Grad {
-			if a.Data[i] >= 0 {
-				a.Grad[i] += g
-			} else {
-				a.Grad[i] += g * alpha
-			}
-		}
-	}
-	out = newResult(a.Rows, a.Cols, data, back, a)
-	return out
-}
-
-// Tanh applies the hyperbolic tangent element-wise.
-func Tanh(a *Tensor) *Tensor {
-	data := make([]float64, len(a.Data))
-	for i, v := range a.Data {
-		data[i] = math.Tanh(v)
-	}
-	var out *Tensor
-	back := func() {
-		if !a.requiresGrad {
-			return
-		}
-		a.ensureGrad()
-		for i, g := range out.Grad {
-			a.Grad[i] += g * (1 - data[i]*data[i])
-		}
-	}
-	out = newResult(a.Rows, a.Cols, data, back, a)
-	return out
-}
-
-// Sigmoid applies the logistic function element-wise.
-func Sigmoid(a *Tensor) *Tensor {
-	data := make([]float64, len(a.Data))
-	for i, v := range a.Data {
-		data[i] = 1 / (1 + math.Exp(-v))
-	}
-	var out *Tensor
-	back := func() {
-		if !a.requiresGrad {
-			return
-		}
-		a.ensureGrad()
-		for i, g := range out.Grad {
-			a.Grad[i] += g * data[i] * (1 - data[i])
-		}
-	}
-	out = newResult(a.Rows, a.Cols, data, back, a)
+	out = newResult(a.tape, a.Rows, a.Cols, data, back, a)
 	return out
 }
 
@@ -251,6 +155,8 @@ func Sum(a *Tensor) *Tensor {
 	for _, v := range a.Data {
 		s += v
 	}
+	data := a.tape.alloc(1)
+	data[0] = s
 	var out *Tensor
 	back := func() {
 		if !a.requiresGrad {
@@ -262,7 +168,7 @@ func Sum(a *Tensor) *Tensor {
 			a.Grad[i] += g
 		}
 	}
-	out = newResult(1, 1, []float64{s}, back, a)
+	out = newResult(a.tape, 1, 1, data, back, a)
 	return out
 }
 
@@ -274,7 +180,7 @@ func Mean(a *Tensor) *Tensor {
 // SumRows column-sums an n×m tensor into a 1×m row.
 func SumRows(a *Tensor) *Tensor {
 	m := a.Cols
-	data := make([]float64, m)
+	data := a.tape.zeros(m)
 	for i := 0; i < a.Rows; i++ {
 		ar := a.Data[i*m : (i+1)*m]
 		for j, v := range ar {
@@ -294,7 +200,7 @@ func SumRows(a *Tensor) *Tensor {
 			}
 		}
 	}
-	out = newResult(1, m, data, back, a)
+	out = newResult(a.tape, 1, m, data, back, a)
 	return out
 }
 
@@ -311,7 +217,8 @@ func ConcatCols(ts ...*Tensor) *Tensor {
 		}
 		total += t.Cols
 	}
-	data := make([]float64, rows*total)
+	tp := tapeOf(ts...)
+	data := tp.alloc(rows * total)
 	off := 0
 	for _, t := range ts {
 		for i := 0; i < rows; i++ {
@@ -334,7 +241,7 @@ func ConcatCols(ts ...*Tensor) *Tensor {
 			off += t.Cols
 		}
 	}
-	out = newResult(rows, total, data, back, ts...)
+	out = newResult(tp, rows, total, data, back, ts...)
 	return out
 }
 
@@ -342,7 +249,7 @@ func ConcatCols(ts ...*Tensor) *Tensor {
 // repeat; gradients scatter-add back to the source rows.
 func GatherRows(a *Tensor, idx []int) *Tensor {
 	m := a.Cols
-	data := make([]float64, len(idx)*m)
+	data := a.tape.alloc(len(idx) * m)
 	for i, r := range idx {
 		copy(data[i*m:(i+1)*m], a.Data[r*m:(r+1)*m])
 	}
@@ -360,7 +267,7 @@ func GatherRows(a *Tensor, idx []int) *Tensor {
 			}
 		}
 	}
-	out = newResult(len(idx), m, data, back, a)
+	out = newResult(a.tape, len(idx), m, data, back, a)
 	return out
 }
 
@@ -372,7 +279,7 @@ func SegmentSum(a *Tensor, seg []int, numSegments int) *Tensor {
 		panic("nn: SegmentSum segment length mismatch")
 	}
 	m := a.Cols
-	data := make([]float64, numSegments*m)
+	data := a.tape.zeros(numSegments * m)
 	for i, s := range seg {
 		if s < 0 || s >= numSegments {
 			panic("nn: SegmentSum index out of range")
@@ -397,7 +304,7 @@ func SegmentSum(a *Tensor, seg []int, numSegments int) *Tensor {
 			}
 		}
 	}
-	out = newResult(numSegments, m, data, back, a)
+	out = newResult(a.tape, numSegments, m, data, back, a)
 	return out
 }
 
@@ -416,22 +323,35 @@ func ScatterRows(a *Tensor, idx []int, b *Tensor) *Tensor {
 		panic("nn: ScatterRows shape mismatch")
 	}
 	m := a.Cols
-	data := make([]float64, len(a.Data))
+	tp := tapeOf(a, b)
+	data := tp.alloc(len(a.Data))
 	copy(data, a.Data)
-	replaced := make(map[int]bool, len(idx))
+	// replaced marks idx's rows for the duration of one pass and is handed
+	// back all false: the backward re-marks from idx instead of retaining it.
+	replaced := tp.rowMarks(a.Rows)
+	dup := false
 	for i, r := range idx {
-		if replaced[r] {
-			panic("nn: ScatterRows duplicate index")
-		}
+		dup = dup || replaced[r]
 		replaced[r] = true
 		copy(data[r*m:(r+1)*m], b.Data[i*m:(i+1)*m])
+	}
+	for _, r := range idx {
+		replaced[r] = false
+	}
+	if dup {
+		panic("nn: ScatterRows duplicate index")
 	}
 	var out *Tensor
 	back := func() {
 		if a.requiresGrad {
 			a.ensureGrad()
+			replaced := tp.rowMarks(a.Rows)
+			for _, r := range idx {
+				replaced[r] = true
+			}
 			for r := 0; r < a.Rows; r++ {
 				if replaced[r] {
+					replaced[r] = false
 					continue
 				}
 				ag := a.Grad[r*m : (r+1)*m]
@@ -452,7 +372,7 @@ func ScatterRows(a *Tensor, idx []int, b *Tensor) *Tensor {
 			}
 		}
 	}
-	out = newResult(a.Rows, a.Cols, data, back, a, b)
+	out = newResult(tp, a.Rows, a.Cols, data, back, a, b)
 	return out
 }
 
@@ -469,7 +389,8 @@ func ConcatRows(ts ...*Tensor) *Tensor {
 		}
 		rows += t.Rows
 	}
-	data := make([]float64, rows*cols)
+	tp := tapeOf(ts...)
+	data := tp.alloc(rows * cols)
 	off := 0
 	for _, t := range ts {
 		copy(data[off:off+len(t.Data)], t.Data)
@@ -488,6 +409,6 @@ func ConcatRows(ts ...*Tensor) *Tensor {
 			off += len(t.Data)
 		}
 	}
-	out = newResult(rows, cols, data, back, ts...)
+	out = newResult(tp, rows, cols, data, back, ts...)
 	return out
 }

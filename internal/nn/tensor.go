@@ -22,6 +22,9 @@ type Tensor struct {
 	requiresGrad bool
 	parents      []*Tensor
 	backFn       func()
+	// tape owns Data, Grad and this header when the tensor was built on one
+	// (tape.go); nil for heap tensors such as parameters.
+	tape *Tape
 	// visited tags the tensor with the id of the last graph walk that saw
 	// it, replacing a per-Backward map allocation on the rollout hot path.
 	// A tensor only ever participates in one goroutine's Backward at a time
@@ -96,10 +99,11 @@ func (t *Tensor) Clone() *Tensor {
 	return New(t.Rows, t.Cols, d)
 }
 
-// ensureGrad allocates the gradient buffer if needed.
+// ensureGrad allocates the zeroed gradient buffer if needed, from the
+// tensor's tape when it has one.
 func (t *Tensor) ensureGrad() {
 	if t.Grad == nil {
-		t.Grad = make([]float64, len(t.Data))
+		t.Grad = t.tape.zeros(len(t.Data))
 	}
 }
 
@@ -110,12 +114,13 @@ func (t *Tensor) ZeroGrad() {
 	}
 }
 
-// newResult builds an op-result tensor wired to its parents. The backward
-// closure is only retained if some parent requires gradients. In inference
-// mode (nn.Inference) the result is a plain value tensor: no parents, no
-// backward closure, no requiresGrad propagation.
-func newResult(rows, cols int, data []float64, back func(), parents ...*Tensor) *Tensor {
-	t := New(rows, cols, data)
+// newResult builds an op-result tensor wired to its parents, its header
+// drawn from tp like its data (nil: the heap). The backward closure is only
+// retained if some parent requires gradients. In inference mode
+// (nn.Inference) the result is a plain value tensor: no parents, no backward
+// closure, no requiresGrad propagation.
+func newResult(tp *Tape, rows, cols int, data []float64, back func(), parents ...*Tensor) *Tensor {
+	t := tp.wrap(rows, cols, data)
 	if nogradDepth.Load() > 0 {
 		return t
 	}

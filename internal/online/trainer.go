@@ -97,6 +97,8 @@ type Trainer struct {
 	queue [][]core.ReplayStep
 	agent *core.Agent
 	opt   *nn.Adam
+	// replay is the tape of the update in progress, reused across updates.
+	replay core.ReplayScratch
 
 	submitted atomic.Uint64
 	consumed  atomic.Uint64
@@ -210,8 +212,9 @@ func (t *Trainer) update(steps []core.ReplayStep) bool {
 	}
 	params := t.agent.Params()
 	nn.ZeroGrads(params)
-	loss, _ := t.agent.ReplayLoss(steps, wLogp, wEnt)
+	loss, _ := t.agent.ReplayLoss(&t.replay, steps, wLogp, wEnt)
 	loss.Backward(1)
+	t.replay.Reset() // the episode's graphs are not held until the next one
 	nn.ClipGradNorm(params, t.cfg.GradClip)
 	t.opt.Step(params)
 	return true

@@ -64,7 +64,7 @@ func (f *fixture) decide(req Request, rng *rand.Rand) Decision {
 }
 
 func (f *fixture) replay(req Request, d Decision, wLogp, wEnt float64) (*nn.Tensor, StepVals) {
-	b := f.g.ForwardBatch(f.graphs)
+	b := f.g.ForwardBatch(nil, f.graphs)
 	globals := f.g.GlobalsBatch(b.Jobs, []int{0, 1}, []int{0, 0}, 1)
 	loss, vals := f.p.ReplayLoss(b.Nodes, b.Off, b.Jobs, globals, req.ClassMem, []ReplayStep{{
 		Gids: []int{0, 1}, Cands: req.Cands, MinLimits: req.MinLimits, ClassOKs: req.ClassOKPer,

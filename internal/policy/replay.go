@@ -52,16 +52,20 @@ func (p *Policy) ReplayLoss(nodes *nn.Tensor, nodeOff []int, jobs, globals *nn.T
 	if nSteps == 0 {
 		panic("policy: ReplayLoss with no steps")
 	}
+	tp := nodes.Tape() // index lists and weights live as long as the tensors
 	vals := make([]StepVals, nSteps)
 
 	// Node head: stack every decision's candidate rows [e_v, y_i, z] and run
 	// Q once; one softmax segment per decision.
-	var nIdx, yIdx, zIdx []int
-	start := make([]int, nSteps+1)
-	picks := make([]int, nSteps)
-	wPick := make([]float64, nSteps)
-	wEnt := make([]float64, nSteps)
-	for k, st := range steps {
+	nCands := 0
+	for k := range steps {
+		nCands += len(steps[k].Cands)
+	}
+	nIdx, yIdx, zIdx := tp.Ints(nCands)[:0], tp.Ints(nCands)[:0], tp.Ints(nCands)[:0]
+	start, picks := tp.Ints(nSteps+1), tp.Ints(nSteps)
+	wPick, wEnt := tp.Floats(nSteps), tp.Floats(nSteps)
+	for k := range steps {
+		st := &steps[k]
 		start[k] = len(nIdx)
 		picks[k] = st.Choice
 		wPick[k] = st.WLogp
@@ -109,19 +113,28 @@ func (p *Policy) limitBounds(st *ReplayStep) (minL, nL int) {
 // folding each step's log-probability of the recorded limit into vals.
 func (p *Policy) replayLimitLoss(nodes *nn.Tensor, nodeOff []int, jobs, globals *nn.Tensor, steps []ReplayStep, vals []StepVals) *nn.Tensor {
 	nSteps := len(steps)
-	start := make([]int, nSteps+1)
-	picks := make([]int, nSteps)
-	wPick := make([]float64, nSteps)
-	wEnt := make([]float64, nSteps) // limit head carries no entropy bonus
+	tp := nodes.Tape()
+	start, picks := tp.Ints(nSteps+1), tp.Ints(nSteps)
+	wPick, wEnt := tp.Floats(nSteps), tp.Floats(nSteps)
+	clear(wEnt) // limit head carries no entropy bonus
+	nRows := 0  // one per admissible limit per step
+	for k := range steps {
+		st := &steps[k]
+		minL, nL := p.limitBounds(st)
+		start[k] = nRows
+		picks[k] = st.Limit - minL
+		wPick[k] = st.WLogp
+		nRows += nL
+	}
+	start[nSteps] = nRows
 
 	// ctxRows gathers the per-step limit context [y, z] (or [e_v, y, z] with
 	// stage-level limits), one row per entry of reps (a step index).
 	ctxRows := func(reps []int) *nn.Tensor {
-		yIdx := make([]int, len(reps))
-		zIdx := make([]int, len(reps))
+		yIdx, zIdx := tp.Ints(len(reps)), tp.Ints(len(reps))
 		var eIdx []int
 		if p.Cfg.StageLevelLimits {
-			eIdx = make([]int, len(reps))
+			eIdx = tp.Ints(len(reps))
 		}
 		for i, k := range reps {
 			st := &steps[k]
@@ -141,106 +154,98 @@ func (p *Policy) replayLimitLoss(nodes *nn.Tensor, nodeOff []int, jobs, globals 
 		return nn.ConcatCols(y, z)
 	}
 
+	var scores *nn.Tensor
 	if p.Cfg.NoLimitInput {
 		// One W forward over every step's context; each step's admissible
 		// limits are a contiguous element range of its output row.
-		reps := make([]int, nSteps)
-		var flat []int
+		reps, flat := tp.Ints(nSteps), tp.Ints(nRows)[:0]
 		for k := range steps {
 			reps[k] = k
 			minL, _ := p.limitBounds(&steps[k])
-			start[k] = len(flat)
-			picks[k] = steps[k].Limit - minL
-			wPick[k] = steps[k].WLogp
 			for l := minL - 1; l < p.Cfg.NumLimits; l++ {
 				flat = append(flat, k*p.Cfg.NumLimits+l)
 			}
 		}
-		start[nSteps] = len(flat)
-		scores := nn.GatherElems(p.W.Forward(ctxRows(reps)), flat)
-		loss, lv := nn.SegmentPickLoss(scores, start, picks, wPick, wEnt)
-		for k := range vals {
-			vals[k].LogProb += lv[k].LogProb
+		scores = nn.GatherElems(p.W.Forward(ctxRows(reps)), flat)
+	} else {
+		// Limit-as-input design: one row per admissible limit per step, the
+		// context repeated and the normalised limit value appended as a plain
+		// (non-differentiable) column.
+		reps, lcol := tp.Ints(nRows)[:0], tp.Zeros(nRows, 1)
+		for k := range steps {
+			minL, nL := p.limitBounds(&steps[k])
+			for i := 0; i < nL; i++ {
+				lcol.Data[len(reps)] = float64(minL+i) / float64(p.Cfg.NumLimits)
+				reps = append(reps, k)
+			}
 		}
-		return loss
+		scores = p.W.Forward(nn.ConcatCols(ctxRows(reps), lcol))
 	}
-
-	// Limit-as-input design: one row per admissible limit per step, the
-	// context repeated and the normalised limit value appended as a plain
-	// (non-differentiable) column.
-	var reps []int
-	var lcol []float64
-	for k := range steps {
-		minL, nL := p.limitBounds(&steps[k])
-		start[k] = len(reps)
-		picks[k] = steps[k].Limit - minL
-		wPick[k] = steps[k].WLogp
-		for i := 0; i < nL; i++ {
-			reps = append(reps, k)
-			lcol = append(lcol, float64(minL+i)/float64(p.Cfg.NumLimits))
-		}
-	}
-	start[nSteps] = len(reps)
-	in := nn.ConcatCols(ctxRows(reps), nn.New(len(lcol), 1, lcol))
-	loss, lv := nn.SegmentPickLoss(p.W.Forward(in), start, picks, wPick, wEnt)
+	loss, lv := nn.SegmentPickLoss(scores, start, picks, wPick, wEnt)
 	for k := range vals {
 		vals[k].LogProb += lv[k].LogProb
 	}
 	return loss
 }
 
+// classChoices returns the admissible classes of a step's chosen candidate,
+// nil when the step made no class decision.
+func classChoices(st *ReplayStep) []bool {
+	if st.ClassOKs == nil {
+		return nil
+	}
+	return st.ClassOKs[st.Choice]
+}
+
 // replayClassLoss builds the executor-class head's loss over the steps that
 // actually made a class decision, or returns nil when none did.
 func (p *Policy) replayClassLoss(jobs, globals *nn.Tensor, classMem []float64, steps []ReplayStep, vals []StepVals) *nn.Tensor {
-	var yIdx, zIdx []int
-	var memCol []float64
-	var start []int
-	var picks []int
-	var wPick, wEnt []float64
-	var stepOf []int
+	tp := jobs.Tape()
+	nRows, nSegs := 0, 0 // one row per admissible class, one segment per deciding step
+	for k := range steps {
+		n := 0
+		for _, ok := range classChoices(&steps[k]) {
+			if ok {
+				n++
+			}
+		}
+		if n > 0 {
+			nRows += n
+			nSegs++
+		}
+	}
+	if nSegs == 0 {
+		return nil
+	}
+	yIdx, zIdx, memCol := tp.Ints(nRows)[:0], tp.Ints(nRows)[:0], tp.Zeros(nRows, 1)
+	start, picks, stepOf := tp.Ints(nSegs + 1)[:0], tp.Ints(nSegs)[:0], tp.Ints(nSegs)[:0]
+	wPick, wEnt := tp.Floats(nSegs)[:0], tp.Floats(nSegs)
+	clear(wEnt)
 	for k := range steps {
 		st := &steps[k]
-		if st.ClassOKs == nil {
-			continue
-		}
-		classOK := st.ClassOKs[st.Choice]
-		if len(classOK) == 0 {
-			continue
-		}
 		lo := len(yIdx)
 		ci := 0
-		n := 0
-		for id, ok := range classOK {
+		for id, ok := range classChoices(st) {
 			if !ok {
 				continue
 			}
 			if id == st.Class {
-				ci = n
+				ci = len(yIdx) - lo
 			}
-			chosen := st.Cands[st.Choice]
-			yIdx = append(yIdx, st.Gids[chosen.JobIdx])
+			memCol.Data[len(yIdx)] = classMem[id]
+			yIdx = append(yIdx, st.Gids[st.Cands[st.Choice].JobIdx])
 			zIdx = append(zIdx, k)
-			memCol = append(memCol, classMem[id])
-			n++
 		}
-		if n == 0 {
+		if len(yIdx) == lo {
 			continue
 		}
 		start = append(start, lo)
 		picks = append(picks, ci)
 		wPick = append(wPick, st.WLogp)
-		wEnt = append(wEnt, 0)
 		stepOf = append(stepOf, k)
 	}
-	if len(picks) == 0 {
-		return nil
-	}
 	start = append(start, len(yIdx))
-	in := nn.ConcatCols(
-		nn.GatherRows(jobs, yIdx),
-		nn.GatherRows(globals, zIdx),
-		nn.New(len(memCol), 1, memCol),
-	)
+	in := nn.ConcatCols(nn.GatherRows(jobs, yIdx), nn.GatherRows(globals, zIdx), memCol)
 	loss, cv := nn.SegmentPickLoss(p.C.Forward(in), start, picks, wPick, wEnt)
 	for i, k := range stepOf {
 		vals[k].LogProb += cv[i].LogProb

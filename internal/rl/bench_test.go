@@ -25,17 +25,34 @@ func benchTrainer() (*Trainer, JobSource, sim.Config) {
 
 // BenchmarkTrainIteration measures one full training iteration — rollout
 // collection, advantage pass, episode replay backward (one fused tracked
-// forward and one backward per episode), gradient merge and Adam step. The
-// "episodes/sec" extra metric lands in BENCH_training.json via
-// `make bench-json`.
+// forward and one backward per episode), gradient merge and Adam step — on
+// the small single-worker fixture ("episodes/sec" lands in
+// BENCH_training.json via `make bench-json`) and at the ledger's train-replay
+// shape with its two workers, where the per-worker tape arena and the
+// parallel tall-stack kernels engage ("decisions/sec" is the ledger's
+// events_per_s; B/op is its rl.alloc_mb_per_iter).
 func BenchmarkTrainIteration(b *testing.B) {
-	tr, src, simCfg := benchTrainer()
+	b.Run("small", func(b *testing.B) {
+		tr, src, simCfg := benchTrainer()
+		benchIterations(b, tr, src, simCfg)
+	})
+	b.Run("train-replay", func(b *testing.B) {
+		tr, src, simCfg := replayShapeTrainer(2, 1)
+		tr.Iteration(src, simCfg) // warm the arenas
+		benchIterations(b, tr, src, simCfg)
+	})
+}
+
+func benchIterations(b *testing.B, tr *Trainer, src JobSource, simCfg sim.Config) {
 	var episodes int
+	var decisions float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Iteration(src, simCfg)
+		st := tr.Iteration(src, simCfg)
 		episodes += tr.Cfg.EpisodesPerIter
+		decisions += st.MeanSteps * float64(tr.Cfg.EpisodesPerIter)
 	}
 	b.ReportMetric(float64(episodes)/b.Elapsed().Seconds(), "episodes/sec")
+	b.ReportMetric(decisions/b.Elapsed().Seconds(), "decisions/sec")
 }

@@ -32,6 +32,9 @@ type worker struct {
 	nw    int // pool size, for mapping episode index → local slot
 	agent *core.Agent
 	eps   []*episode // reusable episode storage, one per local slot
+	// replay owns the tracked graph of the episode being replayed: tensors,
+	// gradients of intermediates and plan indices, recycled by each backward.
+	replay core.ReplayScratch
 }
 
 // newWorker clones the master agent for worker idx of an nw-sized pool. The
@@ -95,6 +98,9 @@ func runEpisode(agent *core.Agent, cfg Config, rbar float64, tk rolloutTask, sim
 // graph the rollout skipped — runs one backward pass over the episode's
 // REINFORCE loss, and snapshots the resulting per-episode gradient into
 // pooled storage. Per-step weights: loss = Σ −(adv/σ)·scale·logπ − β·scale·H.
+// The graph lives on the worker's replay scratch and is gone with the next
+// backward; what the trainer reads afterwards (entVals, grads) is copied out
+// here.
 func (w *worker) backward(ep *episode, stdA, scale, entropyWeight float64) {
 	n := len(ep.steps)
 	if n == 0 {
@@ -109,7 +115,7 @@ func (w *worker) backward(ep *episode, stdA, scale, entropyWeight float64) {
 	}
 	params := w.agent.Params()
 	nn.ZeroGrads(params)
-	loss, vals := w.agent.ReplayLoss(ep.steps, ep.wLogp, ep.wEnt)
+	loss, vals := w.agent.ReplayLoss(&w.replay, ep.steps, ep.wLogp, ep.wEnt)
 	loss.Backward(1)
 	ep.entVals = resizeF(ep.entVals, n)
 	for k, v := range vals {
