@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-compare bench-json bench-robustness smoke-server smoke-restart smoke-fleet smoke-chaos smoke-online fuzz fmt vet docs-check
+.PHONY: all build test race bench bench-compare bench-robustness examples smoke-server smoke-restart smoke-fleet smoke-chaos smoke-online fuzz fmt vet docs-check
 
 all: build vet fmt docs-check test
 
@@ -22,9 +22,16 @@ test:
 race:
 	$(GO) test -race -short ./...
 
-# Benchmark smoke run: compile and execute every benchmark once.
+# Benchmark smoke run: compile and execute every benchmark once. The
+# numbers that gate a change come from the ledger (bench/README.md); run a
+# package's benchmarks at length with `go test -run '^$' -bench . <pkg>`.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+
+# Run every example program end to end (each exits non-zero on failure;
+# examples/rpc also fails if the remote schedule diverges from in-process).
+examples:
+	@set -e; for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d; done
 
 # Paired A/B on the ledger (ROADMAP item 1e, first piece; the rule is
 # choosing-metrics §8 as bench/compare.go implements it):
@@ -70,53 +77,6 @@ bench-compare:
 # must exist (see cmd/docscheck). Fails the build on rot.
 docs-check:
 	$(GO) run ./cmd/docscheck
-
-# Benchmark artifacts, uploaded by CI so the perf trajectory is tracked
-# commit over commit.
-#
-# BENCH_inference.json: event-decision latency (warm cache, one job
-# changed, cache off) plus the Fig. 9a end-to-end benchmark.
-# BENCH_serving.json: per-event serving latency over the wire — stateless
-# v1 protocol (state rebuilt per request, cache can't hit) vs the v2
-# session protocol (server-side mirror, embedding cache on), plus the
-# 16-concurrent-session benchmark; the "ns/event" extra metric is the
-# comparison that matters.
-# BENCH_training.json: full training-iteration cost (inference rollouts +
-# batched episode replay backward); ns/op, allocs/op and the
-# "episodes/sec" extra metric.
-# BENCH_kernels.json: raw matmul kernel throughput (the "GFLOP/s" extra
-# metric) at the stack's decision and replay shapes, the fused MLP forward
-# at the same row counts, plus the -matmul-workers scaling sweep; see
-# docs/KERNELS.md.
-# BENCH_fleet.json: aggregate serving throughput through the
-# session-sharding router at 1/2/4 replicas ("events/sec"), with the
-# "migrations" metric pinning the steady state at zero; see docs/FLEET.md.
-# BENCH_overload.json: the offered-load sweep past the admission bound —
-# "served/sec", "shed_frac" and "p99_ms" per load level; the bar is shed_frac
-# climbing past capacity while p99_ms stays bounded (load is refused at the
-# gate, never queued into a latency collapse); see docs/ROBUSTNESS.md.
-# BENCH_online.json: the online-loop serving costs — full recorded vs
-# unrecorded session runs ("events/sec"; the off/on delta is the recording
-# tax, bounded at ±2%) and the hot-swap sweep latency across 8 live
-# sessions; see docs/ONLINE.md.
-bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkInferenceDecision' -benchtime=200x ./internal/core/ > bench-core.out
-	$(GO) test -run '^$$' -bench 'BenchmarkFig9a$$' -benchtime=1x . > bench-fig9a.out
-	cat bench-core.out bench-fig9a.out | $(GO) run ./cmd/benchjson > BENCH_inference.json
-	$(GO) test -run '^$$' -bench 'BenchmarkServe' -benchtime=5x ./internal/rpcsvc/ > bench-serving.out
-	cat bench-serving.out | $(GO) run ./cmd/benchjson > BENCH_serving.json
-	$(GO) test -run '^$$' -bench 'BenchmarkTrainIteration' -benchtime=5x ./internal/rl/ > bench-training.out
-	cat bench-training.out | $(GO) run ./cmd/benchjson > BENCH_training.json
-	$(GO) test -run '^$$' -bench 'BenchmarkKernel' -benchtime=100x ./internal/nn/ > bench-kernels.out
-	cat bench-kernels.out | $(GO) run ./cmd/benchjson > BENCH_kernels.json
-	$(GO) test -run '^$$' -bench 'BenchmarkFleetThroughput' -benchtime=2x ./internal/fleet/ > bench-fleet.out
-	cat bench-fleet.out | $(GO) run ./cmd/benchjson > BENCH_fleet.json
-	$(GO) test -run '^$$' -bench 'BenchmarkOverload' -benchtime=200x ./internal/rpcsvc/ > bench-overload.out
-	cat bench-overload.out | $(GO) run ./cmd/benchjson > BENCH_overload.json
-	$(GO) test -run '^$$' -bench 'BenchmarkOnlineLoop' -benchtime=20x ./internal/online/ > bench-online.out
-	cat bench-online.out | $(GO) run ./cmd/benchjson > BENCH_online.json
-	@rm -f bench-core.out bench-fig9a.out bench-serving.out bench-training.out bench-kernels.out bench-fleet.out bench-overload.out bench-online.out
-	@cat BENCH_inference.json BENCH_serving.json BENCH_training.json BENCH_kernels.json BENCH_fleet.json BENCH_overload.json BENCH_online.json
 
 # Fuzz the serving decode surfaces: gob request frames into the session
 # service and checkpoint images into the registry reader. Each target gets

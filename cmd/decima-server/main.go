@@ -1,10 +1,10 @@
 // Command decima-server runs a scheduling service over TCP (the §6
-// integration surface). A cluster — or the driver in examples/rpc —
-// either opens a stateful session (Open/Event/Close, the v2 protocol:
-// incremental event deltas, server-side state, embedding cache warm across
-// events) or sends one-shot full-snapshot ScheduleRequests (the v1
-// compatibility path); the service replies with
-// ⟨stage, parallelism limit(, class)⟩ per scheduling event.
+// integration surface). A cluster — or the driver in examples/rpc — opens
+// a stateful session (Open/Event/Close: incremental event deltas,
+// server-side state, embedding cache warm across events) and the service
+// replies with ⟨stage, parallelism limit(, class)⟩ per scheduling event.
+// The stateless one-shot protocol of earlier releases is gone; its callers
+// get net/rpc's "can't find method" answer (docs/PROTOCOL.md).
 //
 // Any policy from the scheduler registry can be served; sessions may also
 // select a policy per OpenSession call. Every session decides on its own

@@ -8,8 +8,9 @@
 //
 // A reference is any token ending in .md, .json, .go or .yml. URLs are
 // ignored; tokens containing glob or brace-expansion metacharacters are
-// ignored, as are generated benchmark artifacts (BENCH_*.json — gitignored
-// outputs of `make bench-json`, absent on a fresh checkout by design). A
+// ignored, as is the one generated artifact, BENCH_robustness.json (the
+// gitignored output of `make bench-robustness`, absent on a fresh checkout
+// by design). A
 // reference resolves if it exists relative to the repository root or
 // relative to the referencing document's directory.
 //
@@ -65,8 +66,8 @@ func main() {
 			if ref == "" || seen[ref] || strings.ContainsAny(ref, "*{}$") {
 				continue
 			}
-			if strings.HasPrefix(filepath.Base(ref), "BENCH_") {
-				continue // generated bench artifact, absent on fresh checkouts
+			if filepath.Base(ref) == "BENCH_robustness.json" {
+				continue // generated artifact, absent on fresh checkouts
 			}
 			seen[ref] = true
 			if exists(filepath.Join(*root, ref)) ||

@@ -2,11 +2,11 @@
 // in-process, then drive a cluster simulation against it over TCP, exactly
 // as a Spark master would consult the agent on every scheduling event.
 //
-// The driver uses the v2 session protocol — OpenSession once, then one
+// The driver uses the session protocol — OpenSession once, then one
 // O(delta) Event per scheduling event against the server's persistent
 // cluster mirror (which keeps the agent's embedding cache warm) — and then
-// repeats the run over the legacy stateless protocol to show both wire
-// paths produce the identical schedule.
+// repeats the run with the same agent in-process to show the wire changes
+// nothing: the two schedules must be identical, or the program fails.
 package main
 
 import (
@@ -27,12 +27,10 @@ func main() {
 	// The service side: session-serving, minting one agent clone per
 	// session from a shared base (as cmd/decima-server does).
 	base := core.New(core.DefaultConfig(executors), rand.New(rand.NewSource(1)))
-	srv, err := rpcsvc.ListenAndServeSessions("127.0.0.1:0", rpcsvc.SessionConfig{
-		Default: "decima",
-		New: func(name string, seed int64) (scheduler.Scheduler, error) {
-			return scheduler.New(name, scheduler.Options{Executors: executors, Seed: seed, Agent: base})
-		},
-	})
+	newAgent := func(name string, seed int64) (scheduler.Scheduler, error) {
+		return scheduler.New(name, scheduler.Options{Executors: executors, Seed: seed, Agent: base})
+	}
+	srv, err := rpcsvc.ListenAndServeSessions("127.0.0.1:0", rpcsvc.SessionConfig{Default: "decima", New: newAgent})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,20 +53,23 @@ func main() {
 	if err := session.Close(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("session protocol:   %d jobs, avg JCT %.1f s, makespan %.1f s, %d events, %d rpc errors\n",
+	fmt.Printf("remote session: %d jobs, avg JCT %.1f s, makespan %.1f s, %d events, %d rpc errors\n",
 		len(res.Completed), res.AvgJCT(), res.Makespan, res.Invocations, rpcErrs)
 
-	// Same run over the stateless v1 protocol (full snapshot per request).
-	stateless := &rpcsvc.RemoteScheduler{Client: cli, OnError: func(error) { rpcErrs++ }}
-	res2 := sim.New(sim.SparkDefaults(executors), workload.CloneAll(jobs), stateless, rand.New(rand.NewSource(3))).Run()
-	fmt.Printf("stateless protocol: %d jobs, avg JCT %.1f s, makespan %.1f s, %d events, %d rpc errors\n",
-		len(res2.Completed), res2.AvgJCT(), res2.Makespan, res2.Invocations, rpcErrs)
+	// Same run with the agent the server's factory built, in this process.
+	agent, err := newAgent("decima", session.Seed)
+	if err != nil {
+		log.Fatal(err)
+	}
+	local := sim.New(sim.SparkDefaults(executors), workload.CloneAll(jobs), scheduler.Sim(agent), rand.New(rand.NewSource(3))).Run()
+	fmt.Printf("in-process:     %d jobs, avg JCT %.1f s, makespan %.1f s, %d events\n",
+		len(local.Completed), local.AvgJCT(), local.Makespan, local.Invocations)
 
-	if res.AvgJCT() != res2.AvgJCT() || res.Makespan != res2.Makespan {
-		log.Fatal("protocols diverged — they must produce identical schedules")
+	if rpcErrs > 0 || res.Unfinished > 0 {
+		log.Fatalf("remote run incomplete: %d rpc errors, %d jobs unfinished", rpcErrs, res.Unfinished)
 	}
-	fmt.Println("both protocols produced the identical schedule")
-	if res.Unfinished > 0 || res2.Unfinished > 0 {
-		log.Fatalf("jobs unfinished: %d / %d", res.Unfinished, res2.Unfinished)
+	if res.AvgJCT() != local.AvgJCT() || res.Makespan != local.Makespan || res.Invocations != local.Invocations {
+		log.Fatal("remote session diverged from the in-process agent — they must produce identical schedules")
 	}
+	fmt.Println("the remote session and the in-process agent produced the identical schedule")
 }

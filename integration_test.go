@@ -41,8 +41,12 @@ func TestEndToEndTrainSaveServeSchedule(t *testing.T) {
 	if err := served.Load(path); err != nil {
 		t.Fatal(err)
 	}
-	served.Greedy = true
-	srv, err := rpcsvc.ListenAndServe("127.0.0.1:0", served)
+	srv, err := rpcsvc.ListenAndServeSessions("127.0.0.1:0", rpcsvc.SessionConfig{
+		Default: "decima",
+		New: func(name string, seed int64) (scheduler.Scheduler, error) {
+			return scheduler.New(name, scheduler.Options{Seed: seed, Agent: served})
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +57,11 @@ func TestEndToEndTrainSaveServeSchedule(t *testing.T) {
 	}
 	defer cli.Close()
 
-	jobs := workload.Batch(rand.New(rand.NewSource(4)), 5)
-	res := sim.New(simCfg, jobs, &rpcsvc.RemoteScheduler{Client: cli}, rand.New(rand.NewSource(5))).Run()
+	ss := &rpcsvc.SessionScheduler{Client: cli}
+	res := sim.New(simCfg, workload.Batch(rand.New(rand.NewSource(4)), 5), ss, rand.New(rand.NewSource(5))).Run()
+	if err := ss.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if res.Deadlock || res.Unfinished != 0 {
 		t.Fatalf("remote trained agent failed: unfinished=%d deadlock=%v", res.Unfinished, res.Deadlock)
 	}
@@ -62,22 +69,11 @@ func TestEndToEndTrainSaveServeSchedule(t *testing.T) {
 		t.Fatal("no JCT recorded")
 	}
 
-	// The same deployment through the v2 session protocol (server-side
-	// state, O(delta) events) must produce the identical schedule.
-	ss := &rpcsvc.SessionScheduler{Client: cli}
-	sessRes := sim.New(simCfg, workload.Batch(rand.New(rand.NewSource(4)), 5), ss, rand.New(rand.NewSource(5))).Run()
-	if err := ss.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if sessRes.AvgJCT() != res.AvgJCT() {
-		t.Fatalf("session protocol diverges from stateless: %v vs %v", sessRes.AvgJCT(), res.AvgJCT())
-	}
-
 	// The served (loaded) model must behave identically to the original
 	// agent run locally in greedy mode.
 	agent.Greedy = true
 	local := sim.New(simCfg, workload.Batch(rand.New(rand.NewSource(4)), 5), agent, rand.New(rand.NewSource(5))).Run()
-	if local.AvgJCT() != res.AvgJCT() {
+	if local.AvgJCT() != res.AvgJCT() || local.Makespan != res.Makespan || local.Invocations != res.Invocations {
 		t.Fatalf("served model diverges from local: %v vs %v", res.AvgJCT(), local.AvgJCT())
 	}
 }

@@ -21,8 +21,9 @@ import (
 // The fleet scaling benchmark: the concurrent serving load of the rpcsvc
 // benchmarks pushed through the router at 1, 2 and 4 replicas. The
 // "events/sec" metric is the aggregate fleet throughput; "migrations" pins
-// that the steady-state path pays for zero migrations. make bench-json runs
-// it and emits BENCH_fleet.json.
+// that the steady-state path pays for zero migrations. Run it with
+//
+//	go test -run '^$' -bench BenchmarkFleetThroughput ./internal/fleet/
 
 const (
 	benchExecutors   = 10

@@ -1,9 +1,10 @@
 // Package fleet shards Decima scheduling sessions across a set of
 // decima-server replicas and keeps serving through replica churn.
 //
-// The router is a proxy speaking the exact rpcsvc "Decima" RPC surface, so
-// every existing client — including the self-healing SessionScheduler —
-// points at the router instead of a single server and works unchanged. A
+// The router is a proxy speaking the exact rpcsvc "Decima" RPC surface,
+// served through the same rpcsvc.Listener a replica uses, so every existing
+// client — including the self-healing SessionScheduler — points at the
+// router instead of a single server and works unchanged. A
 // session's routing key is consistent-hashed onto the replica ring (Ring);
 // the router rewrites session ids between its own fleet-wide id space and
 // each replica's local one and forwards requests verbatim otherwise.

@@ -139,12 +139,12 @@ type Router struct {
 	sessions map[uint64]*route
 	// tombs marks fleet sessions migrated away by a drain: their next event
 	// answers ErrWrongShard (reopen now, no backoff) instead of the
-	// ErrSessionEvicted an unknown id gets.
+	// ErrSessionEvicted an unknown id gets. That answer consumes the mark,
+	// as does a Close; the client reopens under a fresh id either way.
 	tombs   map[uint64]bool
 	nextSID uint64
 
 	nextKey atomic.Uint64
-	rr      atomic.Uint64
 
 	stats      routerStats
 	scrapeMu   sync.Mutex
@@ -432,9 +432,12 @@ func (rt *Router) open(req *rpcsvc.OpenRequest, resp *rpcsvc.OpenResponse) error
 func (rt *Router) event(req *rpcsvc.EventRequest, resp *rpcsvc.EventResponse) error {
 	rt.mu.RLock()
 	r := rt.sessions[req.SID]
-	tombed := rt.tombs[req.SID]
 	rt.mu.RUnlock()
 	if r == nil {
+		rt.mu.Lock()
+		tombed := rt.tombs[req.SID]
+		delete(rt.tombs, req.SID)
+		rt.mu.Unlock()
 		if tombed {
 			rt.stats.wrongShard.Add(1)
 			return fmt.Errorf("fleet: session %d migrated: %w", req.SID, rpcsvc.ErrWrongShard)
@@ -519,49 +522,6 @@ func (rt *Router) closeSession(req *rpcsvc.CloseRequest) error {
 		return err
 	}
 	return nil
-}
-
-// schedule forwards one stateless v1 request to any routable replica
-// (round-robin), failing over within the call on transport errors.
-func (rt *Router) schedule(req *rpcsvc.ScheduleRequest, resp *rpcsvc.ScheduleResponse) error {
-	ids := rt.routableIDs()
-	if len(ids) == 0 {
-		rt.stats.noReplica.Add(1)
-		return fmt.Errorf("fleet: no routable replica: %w", rpcsvc.ErrReplicaDraining)
-	}
-	n := int(rt.rr.Add(1))
-	var lastErr error
-	for i := 0; i < len(ids); i++ {
-		rep := rt.replica(ids[(n+i)%len(ids)])
-		if rep == nil || !rep.routable() || !rep.breakerReady() {
-			continue
-		}
-		start := time.Now()
-		bresp, err := rep.cli.Schedule(req)
-		if err == nil {
-			rep.forwardOK()
-			rep.forward.Observe(time.Since(start))
-			rep.events.Add(1)
-			rt.stats.events.Add(1)
-			*resp = *bresp
-			return nil
-		}
-		if rpcsvc.IsOverloaded(err) {
-			// Stateless requests are replica-agnostic: count the overload
-			// against this replica's breaker and try the next one.
-			rt.forwardFail(rep, "schedule overloaded")
-			lastErr = err
-			continue
-		}
-		if !rpcsvc.IsTransient(err) {
-			return err
-		}
-		rt.markFailed(rep, "schedule forward")
-		rt.forwardFail(rep, "schedule transport")
-		lastErr = err
-	}
-	rt.stats.noReplica.Add(1)
-	return fmt.Errorf("fleet: no replica answered (last error: %v): %w", lastErr, rpcsvc.ErrReplicaDraining)
 }
 
 // dropRoute removes one fleet session route, reporting whether it existed.

@@ -2,18 +2,15 @@ package fleet
 
 import (
 	"encoding/json"
-	"net"
 	"net/http"
-	"net/rpc"
-	"sync"
 
 	"repro/internal/rpcsvc"
 )
 
-// service adapts the Router to the net/rpc "Decima" surface. It is a
-// separate struct (rather than RPC-registering the Router itself) so only
-// the four protocol methods are visible to net/rpc — the Router's admin
-// methods would otherwise trip its method-suitability checks.
+// service adapts the Router to the session protocol's "Decima" surface. It
+// is a separate struct (rather than serving the Router itself) so only the
+// three protocol methods are visible to net/rpc, not the Router's admin
+// methods.
 type service struct{ rt *Router }
 
 // Open places a new session on the routing key's replica.
@@ -31,91 +28,17 @@ func (s *service) Close(req *rpcsvc.CloseRequest, resp *rpcsvc.CloseResponse) er
 	return s.rt.closeSession(req)
 }
 
-// Schedule forwards one stateless v1 request to any routable replica.
-func (s *service) Schedule(req *rpcsvc.ScheduleRequest, resp *rpcsvc.ScheduleResponse) error {
-	return s.rt.schedule(req, resp)
-}
-
-// Server is a listening fleet router speaking the rpcsvc session protocol.
-// Existing clients (SessionScheduler, RemoteScheduler) connect to it exactly
-// as they would to a single decima-server.
-type Server struct {
-	rt   *Router
-	lis  net.Listener
-	rpcS *rpc.Server
-
-	wg     sync.WaitGroup
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
-}
+// Server is a listening fleet router speaking the rpcsvc session protocol
+// through the same accept loop a replica uses. Existing clients
+// (SessionScheduler) connect to it exactly as they would to a single
+// decima-server. Its Close stops the listener and severs client
+// connections; it does not stop the Router — call Router.Stop separately.
+type Server = rpcsvc.Listener
 
 // ListenAndServe exposes the router's "Decima" RPC surface on addr. The
 // router's lifecycle (Start/Stop) stays with the caller.
 func ListenAndServe(addr string, rt *Router) (*Server, error) {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	rpcS := rpc.NewServer()
-	if err := rpcS.RegisterName("Decima", &service{rt: rt}); err != nil {
-		lis.Close()
-		return nil, err
-	}
-	s := &Server{rt: rt, lis: lis, rpcS: rpcS, conns: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s, nil
-}
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.lis.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.rpcS.ServeConn(conn)
-			s.mu.Lock()
-			delete(s.conns, conn)
-			s.mu.Unlock()
-		}()
-	}
-}
-
-// Addr returns the router's RPC listen address.
-func (s *Server) Addr() string { return s.lis.Addr().String() }
-
-// Router returns the router this server fronts.
-func (s *Server) Router() *Router { return s.rt }
-
-// Close stops the listener and severs open client connections. It does not
-// stop the Router — call Router.Stop separately.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	err := s.lis.Close()
-	s.wg.Wait()
-	return err
+	return rpcsvc.Listen(addr, &service{rt: rt})
 }
 
 // NewAdminHandler returns the fleet observability/admin HTTP surface:

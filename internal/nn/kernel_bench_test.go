@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// The BenchmarkKernel* family feeds BENCH_kernels.json (make bench-json):
-// raw matmul kernel throughput in GFLOP/s at the stack's real shapes,
-// single-decision vs stacked. docs/KERNELS.md explains how to read the
-// numbers.
+// The BenchmarkKernel* family measures raw matmul kernel throughput in
+// GFLOP/s at the stack's real shapes, single-decision vs stacked
+// (`go test -run '^$' -bench BenchmarkKernel ./internal/nn/`).
+// docs/KERNELS.md explains how to read the numbers.
 
 // kernelShapes are the matmul shapes that dominate the stack's flop budget:
 // "decision" is one event's fused policy forward (a few dozen candidate

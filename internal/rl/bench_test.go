@@ -26,11 +26,10 @@ func benchTrainer() (*Trainer, JobSource, sim.Config) {
 // BenchmarkTrainIteration measures one full training iteration — rollout
 // collection, advantage pass, episode replay backward (one fused tracked
 // forward and one backward per episode), gradient merge and Adam step — on
-// the small single-worker fixture ("episodes/sec" lands in
-// BENCH_training.json via `make bench-json`) and at the ledger's train-replay
-// shape with its two workers, where the per-worker tape arena and the
-// parallel tall-stack kernels engage ("decisions/sec" is the ledger's
-// events_per_s; B/op is its rl.alloc_mb_per_iter).
+// the small single-worker fixture (reporting "episodes/sec") and at the
+// ledger's train-replay shape with its two workers, where the per-worker
+// tape arena and the parallel tall-stack kernels engage ("decisions/sec" is
+// the ledger's events_per_s; B/op is its rl.alloc_mb_per_iter).
 func BenchmarkTrainIteration(b *testing.B) {
 	b.Run("small", func(b *testing.B) {
 		tr, src, simCfg := benchTrainer()

@@ -7,30 +7,26 @@
 // class to use.
 //
 // The wire protocol is plain-data structs over stdlib net/rpc with gob
-// encoding, in two flavours:
-//
-//   - v1, stateless: one ScheduleRequest carries the full cluster snapshot,
-//     the server rebuilds the state from scratch and answers. Kept as a
-//     compatibility shim (it now runs as an ephemeral one-event session).
-//   - v2, sessions: OpenSession(scheduler, seed) → sid establishes a
-//     long-lived server-side mirror of the cluster; each Event(sid, delta)
-//     sends only what changed since the previous event (O(delta), not
-//     O(cluster)) and returns the next action; CloseSession(sid) releases
-//     the mirror. Because the server's sim.JobState mirrors persist across
-//     events — with Version bumped exactly on the jobs a delta touches —
-//     the agent's incremental per-job embedding cache is sound in serving,
-//     converting the offline inference fast path into serving throughput.
+// encoding, and it is session-based: Open(scheduler, seed) → sid
+// establishes a long-lived server-side mirror of the cluster with a
+// scheduler instance of its own; each Event(sid, delta) sends only what
+// changed since the previous event (O(delta), not O(cluster)) and returns
+// the next action; Close(sid) releases the mirror. Because the server's
+// sim.JobState mirrors persist across events — with Version bumped exactly
+// on the jobs a delta touches — the agent's incremental per-job embedding
+// cache is sound in serving, converting the offline inference fast path into
+// serving throughput.
 //
 // Every event is validated, applied and decided on the goroutine that
 // delivered it, under its session's lock: sessions decide concurrently and
 // independently, and a session's result never depends on what else the
-// server is serving.
+// server is serving. One Listener serves both a replica (Server) and a
+// fleet router.
 //
-// A RemoteScheduler (v1) or SessionScheduler (v2) client implements
-// sim.Scheduler, so an entire simulation can be driven by a Decima agent
-// living in another process. The wire protocol — schemas, seq ordering,
-// eviction rules — is specified in docs/PROTOCOL.md at
-// the repository root.
+// The SessionScheduler client implements sim.Scheduler, so an entire
+// simulation can be driven by a Decima agent living in another process. The
+// wire protocol — schemas, seq ordering, eviction rules — is specified in
+// docs/PROTOCOL.md at the repository root.
 package rpcsvc
 
 import (
@@ -75,18 +71,8 @@ type ExecutorInfo struct {
 	LocalJob int
 }
 
-// ScheduleRequest is the cluster snapshot sent per scheduling event.
-type ScheduleRequest struct {
-	Time           float64
-	JobSeconds     float64
-	TotalExecutors int
-	MoveDelay      float64
-	Jobs           []JobInfo
-	FreeExecutors  []ExecutorInfo
-}
-
-// ScheduleResponse carries the scheduling decision; HasAction false means
-// "leave remaining executors idle".
+// ScheduleResponse carries the scheduling decision of one event (embedded
+// in EventResponse); HasAction false means "leave remaining executors idle".
 type ScheduleResponse struct {
 	HasAction bool
 	JobID     int
@@ -94,8 +80,6 @@ type ScheduleResponse struct {
 	Limit     int
 	Class     int
 }
-
-// --- session protocol (v2) ---
 
 // OpenRequest establishes a scheduling session: a long-lived server-side
 // mirror of one cluster, with one scheduler instance deciding for it.
@@ -208,31 +192,6 @@ type CloseRequest struct {
 // CloseResponse acknowledges a close.
 type CloseResponse struct{}
 
-// RequestFromState converts a simulator state into its wire form.
-func RequestFromState(s *sim.State) *ScheduleRequest {
-	req := &ScheduleRequest{
-		Time:           s.Time,
-		JobSeconds:     s.JobSeconds,
-		TotalExecutors: s.TotalExecutors,
-		MoveDelay:      s.MoveDelay,
-	}
-	jobIdx := make(map[*sim.JobState]int, len(s.Jobs))
-	for i, j := range s.Jobs {
-		jobIdx[j] = i
-		req.Jobs = append(req.Jobs, jobInfo(j))
-	}
-	for _, e := range s.FreeExecutors {
-		local := -1
-		if e.BoundTo != nil {
-			if i, ok := jobIdx[e.BoundTo]; ok {
-				local = req.Jobs[i].ID
-			}
-		}
-		req.FreeExecutors = append(req.FreeExecutors, ExecutorInfo{ID: e.ID, Class: e.Class, Mem: e.Mem, LocalJob: local})
-	}
-	return req
-}
-
 // jobStateFromInfo materialises one wire-form job as a fresh sim.JobState
 // mirror (static DAG plus runtime counters).
 func jobStateFromInfo(ji *JobInfo) *sim.JobState {
@@ -264,31 +223,6 @@ func jobStateFromInfo(ji *JobInfo) *sim.JobState {
 		}
 	}
 	return js
-}
-
-// StateFromRequest reconstructs a sim.State from the wire form so any
-// scheduler (including the Decima agent) can run server-side.
-func StateFromRequest(req *ScheduleRequest) *sim.State {
-	s := &sim.State{
-		Time:           req.Time,
-		JobSeconds:     req.JobSeconds,
-		TotalExecutors: req.TotalExecutors,
-		MoveDelay:      req.MoveDelay,
-	}
-	byID := make(map[int]*sim.JobState, len(req.Jobs))
-	for i := range req.Jobs {
-		js := jobStateFromInfo(&req.Jobs[i])
-		s.Jobs = append(s.Jobs, js)
-		byID[js.Job.ID] = js
-	}
-	for _, ei := range req.FreeExecutors {
-		e := &sim.Executor{ID: ei.ID, Class: ei.Class, Mem: ei.Mem}
-		if js, ok := byID[ei.LocalJob]; ok {
-			e.BoundTo = js
-		}
-		s.FreeExecutors = append(s.FreeExecutors, e)
-	}
-	return s
 }
 
 // ResponseFromAction converts a scheduler's action on state into its wire

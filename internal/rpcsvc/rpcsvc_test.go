@@ -4,28 +4,13 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
-	"repro/internal/core"
 	"repro/internal/sched"
+	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
-
-// startServer launches a service over the given scheduler on a random port.
-func startServer(t *testing.T, s sim.Scheduler) (*Server, *Client) {
-	t.Helper()
-	srv, err := ListenAndServe("127.0.0.1:0", s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cli.Close() })
-	return srv, cli
-}
 
 func TestRemoteFIFOMatchesLocal(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -34,37 +19,41 @@ func TestRemoteFIFOMatchesLocal(t *testing.T) {
 
 	local := sim.New(cfg, workload.CloneAll(jobs), sched.NewFIFO(), rand.New(rand.NewSource(2))).Run()
 
-	_, cli := startServer(t, sched.NewFIFO())
-	remote := sim.New(cfg, workload.CloneAll(jobs), &RemoteScheduler{Client: cli}, rand.New(rand.NewSource(2))).Run()
+	_, cli := startSessionServer(t, SessionConfig{Default: "fifo"})
+	ss := &SessionScheduler{Client: cli}
+	defer ss.Close()
+	remote := sim.New(cfg, workload.CloneAll(jobs), ss, rand.New(rand.NewSource(2))).Run()
 
-	if local.AvgJCT() != remote.AvgJCT() || local.Makespan != remote.Makespan {
-		t.Fatalf("remote FIFO diverges: %v/%v vs %v/%v",
-			local.AvgJCT(), local.Makespan, remote.AvgJCT(), remote.Makespan)
+	if runKey(local) != runKey(remote) {
+		t.Fatalf("remote FIFO diverges: %s vs %s", runKey(local), runKey(remote))
 	}
 }
 
 func TestRemoteDecimaAgentCompletes(t *testing.T) {
-	agent := core.New(core.DefaultConfig(6), rand.New(rand.NewSource(3)))
-	agent.Greedy = true
-	_, cli := startServer(t, agent)
+	_, cli := startSessionServer(t, SessionConfig{Default: "decima", New: agentFactory(6)})
+	ss := &SessionScheduler{Client: cli}
+	defer ss.Close()
 
 	rng := rand.New(rand.NewSource(4))
 	jobs := workload.Batch(rng, 4)
-	res := sim.New(sim.SparkDefaults(6), jobs, &RemoteScheduler{Client: cli}, rng).Run()
+	res := sim.New(sim.SparkDefaults(6), jobs, ss, rng).Run()
 	if res.Deadlock || res.Unfinished != 0 {
 		t.Fatalf("remote agent failed: unfinished=%d deadlock=%v", res.Unfinished, res.Deadlock)
 	}
 }
 
+// TestStateRoundTrip sends a live mid-run simulator state through the wire
+// path — the client's first delta (every job in full) applied to a fresh
+// server-side mirror — and checks that the state the scheduler then sees
+// preserves everything schedulers look at.
 func TestStateRoundTrip(t *testing.T) {
-	// Conversion through the wire form must preserve everything schedulers
-	// look at.
 	rng := rand.New(rand.NewSource(5))
 	jobs := workload.Batch(rng, 3)
-	var captured *sim.State
+	tripped := false
 	probe := sim.SchedulerFunc(func(s *sim.State) *sim.Action {
-		if captured == nil && len(s.Jobs) == 3 {
-			captured = s
+		if !tripped && len(s.Jobs) == 3 && s.Time > 0 {
+			tripped = true
+			roundTrip(t, s)
 		}
 		for _, j := range s.Jobs {
 			for _, st := range j.Stages {
@@ -76,10 +65,30 @@ func TestStateRoundTrip(t *testing.T) {
 		return nil
 	})
 	sim.New(sim.SparkDefaults(5), jobs, probe, rng).Run()
-	if captured == nil {
+	if !tripped {
 		t.Fatal("no state captured")
 	}
-	back := StateFromRequest(RequestFromState(captured))
+}
+
+// roundTrip applies Session.delta(captured) to a mirror opened with the
+// captured cluster constants and compares the state the mirror decides on.
+func roundTrip(t *testing.T, captured *sim.State) {
+	t.Helper()
+	var back sim.State
+	mirror := &session{
+		sched: scheduler.Func(func(s *sim.State) (*sim.Action, error) {
+			back = *s
+			return nil, nil
+		}),
+		total:     captured.TotalExecutors,
+		moveDelay: captured.MoveDelay,
+		jobs:      make(map[int]*sim.JobState),
+		execs:     make(map[int]*sim.Executor),
+	}
+	client := &Session{total: captured.TotalExecutors, shadow: make(map[int]*shadowJob)}
+	if _, err := mirror.event(client.delta(captured), time.Time{}); err != nil {
+		t.Fatal(err)
+	}
 	if back.Time != captured.Time || back.JobSeconds != captured.JobSeconds ||
 		back.TotalExecutors != captured.TotalExecutors || back.MoveDelay != captured.MoveDelay {
 		t.Fatal("scalar state fields lost")
@@ -89,7 +98,7 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 	for i, j := range captured.Jobs {
 		bj := back.Jobs[i]
-		if bj.Job.ID != j.Job.ID || bj.Executors != j.Executors || bj.Limit != j.Limit {
+		if bj.Job.ID != j.Job.ID || bj.Executors != j.Executors || bj.Limit != j.Limit || bj.StagesDone != j.StagesDone {
 			t.Fatal("job fields lost")
 		}
 		if len(bj.RunnableStages()) != len(j.RunnableStages()) {
@@ -98,7 +107,7 @@ func TestStateRoundTrip(t *testing.T) {
 		for si, st := range j.Stages {
 			bs := bj.Stages[si]
 			if bs.TasksDone != st.TasksDone || bs.TasksLaunched != st.TasksLaunched ||
-				bs.ParentsDone != st.ParentsDone || bs.Completed != st.Completed {
+				bs.ParentsDone != st.ParentsDone || bs.Running != st.Running || bs.Completed != st.Completed {
 				t.Fatal("stage counters lost")
 			}
 			if len(bs.Stage.Parents) != len(st.Stage.Parents) {
@@ -116,8 +125,7 @@ func TestStateRoundTrip(t *testing.T) {
 			t.Fatal("executor fields lost")
 		}
 		wantLocal := e.BoundTo != nil && jobInState(captured, e.BoundTo)
-		gotLocal := be.BoundTo != nil
-		if wantLocal != gotLocal {
+		if wantLocal != (be.BoundTo != nil) || wantLocal && be.BoundTo.Job.ID != e.BoundTo.Job.ID {
 			t.Fatal("locality lost")
 		}
 	}
@@ -133,21 +141,12 @@ func jobInState(s *sim.State, j *sim.JobState) bool {
 }
 
 func TestActionFromResponseErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	jobs := workload.Batch(rng, 1)
-	st := StateFromRequest(&ScheduleRequest{
-		TotalExecutors: 2,
-		Jobs: []JobInfo{{
-			ID: jobs[0].ID,
-			Stages: []StageInfo{{
-				ID: 0, NumTasks: 1, TaskDuration: 1, CPUReq: 1,
-			}},
-		}},
-	})
+	js := jobStateFromInfo(&JobInfo{ID: 7, Stages: []StageInfo{{ID: 0, NumTasks: 1, TaskDuration: 1, CPUReq: 1}}})
+	st := &sim.State{TotalExecutors: 2, Jobs: []*sim.JobState{js}}
 	if _, err := ActionFromResponse(&ScheduleResponse{HasAction: true, JobID: 999, StageID: 0}, st); err == nil {
 		t.Fatal("unknown job accepted")
 	}
-	if _, err := ActionFromResponse(&ScheduleResponse{HasAction: true, JobID: st.Jobs[0].Job.ID, StageID: 5}, st); err == nil {
+	if _, err := ActionFromResponse(&ScheduleResponse{HasAction: true, JobID: 7, StageID: 5}, st); err == nil {
 		t.Fatal("out-of-range stage accepted")
 	}
 	act, err := ActionFromResponse(&ScheduleResponse{HasAction: false}, st)
@@ -156,57 +155,46 @@ func TestActionFromResponseErrors(t *testing.T) {
 	}
 }
 
+// TestConcurrentClients drives 4 runs at once, each over its own
+// connection, and requires every one to equal an in-process run of the same
+// scheduler on the same jobs and seed.
 func TestConcurrentClients(t *testing.T) {
-	srv, err := ListenAndServe("127.0.0.1:0", sched.NewFIFO())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv, _ := startSessionServer(t, SessionConfig{Default: "fifo"})
 	var wg sync.WaitGroup
-	errs := make(chan error, 4)
 	for c := 0; c < 4; c++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
+			jobs := workload.Batch(rand.New(rand.NewSource(seed)), 3)
+			want := sim.New(sim.SparkDefaults(4), workload.CloneAll(jobs), sched.NewFIFO(), rand.New(rand.NewSource(seed))).Run()
 			cli, err := Dial(srv.Addr())
 			if err != nil {
-				errs <- err
+				t.Error(err)
 				return
 			}
 			defer cli.Close()
-			rng := rand.New(rand.NewSource(seed))
-			jobs := workload.Batch(rng, 3)
-			res := sim.New(sim.SparkDefaults(4), jobs, &RemoteScheduler{Client: cli}, rng).Run()
-			if res.Unfinished != 0 {
-				errs <- err
+			ss := &SessionScheduler{Client: cli, OnError: func(e error) { t.Errorf("client %d: %v", seed, e) }}
+			defer ss.Close()
+			got := sim.New(sim.SparkDefaults(4), jobs, ss, rand.New(rand.NewSource(seed))).Run()
+			if want.Unfinished != 0 || runKey(got) != runKey(want) {
+				t.Errorf("client %d: remote run %s, in-process %s (unfinished %d)", seed, runKey(got), runKey(want), want.Unfinished)
 			}
 		}(int64(c))
 	}
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
 }
 
-func TestRemoteSchedulerErrorHandling(t *testing.T) {
-	srv, err := ListenAndServe("127.0.0.1:0", sched.NewFIFO())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestSessionSchedulerDeclinesWhenServerGone: with the server gone and no
+// Fallback, every failure reaches OnError and the scheduler declines, so the
+// simulation deadlocks instead of crashing.
+func TestSessionSchedulerDeclinesWhenServerGone(t *testing.T) {
+	srv, cli := startSessionServer(t, SessionConfig{Default: "fifo"})
 	srv.Close()
-	cli.Close()
 	var got error
-	rs := &RemoteScheduler{Client: cli, OnError: func(e error) { got = e }}
+	ss := &SessionScheduler{Client: cli, MaxRetries: -1, Backoff: time.Microsecond, OnError: func(e error) { got = e }}
 	rng := rand.New(rand.NewSource(7))
 	jobs := workload.Batch(rng, 1)
-	res := sim.New(sim.SparkDefaults(2), jobs, rs, rng).Run()
+	res := sim.New(sim.SparkDefaults(2), jobs, ss, rng).Run()
 	if got == nil {
 		t.Fatal("error callback never fired")
 	}
@@ -216,7 +204,7 @@ func TestRemoteSchedulerErrorHandling(t *testing.T) {
 }
 
 func TestServerCloseIdempotent(t *testing.T) {
-	srv, err := ListenAndServe("127.0.0.1:0", sched.NewFIFO())
+	srv, err := ListenAndServeSessions("127.0.0.1:0", SessionConfig{Default: "fifo"})
 	if err != nil {
 		t.Fatal(err)
 	}

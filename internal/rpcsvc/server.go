@@ -18,9 +18,9 @@ type SessionConfig struct {
 	// Default names the registry scheduler used when OpenRequest.Scheduler
 	// is empty. Ignored when New is set and handles the empty name itself.
 	Default string
-	// New mints one fresh scheduler per session (and per stateless shim
-	// request). name is the client-requested registry name after defaulting;
-	// seed is the client's session seed. Nil falls back to
+	// New mints one fresh scheduler per session. name is the
+	// client-requested registry name after defaulting; seed is the client's
+	// session seed. Nil falls back to
 	// scheduler.New(name, scheduler.Options{Seed: seed}).
 	New func(name string, seed int64) (scheduler.Scheduler, error)
 	// MaxSessions bounds concurrent sessions; the least recently used is
@@ -60,23 +60,11 @@ const DefaultIdleTimeout = 5 * time.Minute
 
 // Decima is the RPC service object. Method signatures follow net/rpc
 // conventions; clients call "Decima.Open" / "Decima.Event" /
-// "Decima.Close" (the session protocol) or "Decima.Schedule" (the
-// stateless compatibility shim).
+// "Decima.Close". Every session decides on a scheduler of its own.
 type Decima struct {
 	factory func(name string, seed int64) (scheduler.Scheduler, error)
-	// shared + sharedMu back the legacy single-instance mode, where every
-	// session (and every stateless request) decides on the one scheduler
-	// the server was built around.
-	shared   scheduler.Scheduler
-	sharedMu sync.Mutex
-	defName  string
-	// shim + shimMu back the stateless v1 endpoint in factory mode: one
-	// lazily built default scheduler shared (serialised) across stateless
-	// requests, so the shim costs one decision per request — not one
-	// scheduler construction (for decima, a full parameter copy) each time.
-	shim   scheduler.Scheduler
-	shimMu sync.Mutex
-	tbl    *sessionTable
+	defName string
+	tbl     *sessionTable
 	// replicaID names this instance in Open replies (see SessionConfig).
 	replicaID string
 	// maxInflight, when positive, bounds admitted Events; the gate compares
@@ -94,15 +82,6 @@ type Decima struct {
 	modelName    string
 	modelVersion int
 	stats        ServerStats
-}
-
-// NewDecima wraps one scheduler instance as the service object: all
-// sessions and stateless requests share it, serialised by an internal
-// mutex. Prefer NewDecimaSessions for serving at concurrency.
-func NewDecima(s sim.Scheduler) *Decima {
-	d := &Decima{shared: scheduler.FromSim(s)}
-	d.tbl = newSessionTable(DefaultMaxSessions, DefaultIdleTimeout, &d.stats)
-	return d
 }
 
 // NewDecimaSessions builds the service object for per-session scheduler
@@ -144,21 +123,15 @@ func NewDecimaSessions(cfg SessionConfig) *Decima {
 // PRs; ROADMAP item 1 removes both.
 func (d *Decima) Stop() {}
 
-// newScheduler mints the scheduler for one session (or one stateless
-// request). In legacy mode it returns the shared instance plus the mutex
-// serialising decisions on it.
-func (d *Decima) newScheduler(name string, seed int64) (scheduler.Scheduler, *sync.Mutex, error) {
-	if d.shared != nil {
-		return d.shared, &d.sharedMu, nil
-	}
+// newScheduler mints the scheduler for one session.
+func (d *Decima) newScheduler(name string, seed int64) (scheduler.Scheduler, error) {
 	if name == "" {
 		name = d.defName
 	}
 	if name == "" {
-		return nil, nil, fmt.Errorf("rpcsvc: no scheduler named in request and no server default")
+		return nil, fmt.Errorf("rpcsvc: no scheduler named in request and no server default")
 	}
-	s, err := d.factory(name, seed)
-	return s, nil, err
+	return d.factory(name, seed)
 }
 
 // Open is the session-protocol entry point: it establishes a server-side
@@ -178,7 +151,7 @@ func (d *Decima) Open(req *OpenRequest, resp *OpenResponse) error {
 		return fmt.Errorf("rpcsvc: replica %q: admission queue full: %w", d.replicaID, ErrOverloaded)
 	}
 	arrival := time.Now()
-	sched, decideMu, err := d.newScheduler(req.Scheduler, req.Seed)
+	sched, err := d.newScheduler(req.Scheduler, req.Seed)
 	if err != nil {
 		return err
 	}
@@ -191,7 +164,6 @@ func (d *Decima) Open(req *OpenRequest, resp *OpenResponse) error {
 	}
 	sess := &session{
 		sched:     sched,
-		decideMu:  decideMu,
 		stats:     &d.stats,
 		total:     req.TotalExecutors,
 		moveDelay: req.MoveDelay,
@@ -202,7 +174,7 @@ func (d *Decima) Open(req *OpenRequest, resp *OpenResponse) error {
 		// Recording rides the agent's fast-path Record hook; non-agent
 		// schedulers (fifo, fair) have no trajectory to record and the flag
 		// is silently ignored — as it is on servers with no sink at all.
-		if ag, ok := sched.(*core.Agent); ok && decideMu == nil {
+		if ag, ok := sched.(*core.Agent); ok {
 			rec := &recorder{max: d.recordMax}
 			ag.Record = rec.record
 			sess.rec = rec
@@ -263,48 +235,6 @@ func (d *Decima) Close(req *CloseRequest, resp *CloseResponse) error {
 	return nil
 }
 
-// Schedule is the stateless v1 entry point, kept as a compatibility shim:
-// the full snapshot becomes an ephemeral one-event session (fresh scheduler,
-// fresh mirror, immediately discarded), so both protocols decide through
-// exactly the same code path. Ephemeral sessions never enter the session
-// table — stateless traffic cannot evict long-lived sessions.
-//
-// Because the state is rebuilt from the wire each request, nothing persists
-// between calls on this path (in particular no embedding-cache hits); the
-// session protocol exists precisely to lift that.
-func (d *Decima) Schedule(req *ScheduleRequest, resp *ScheduleResponse) error {
-	sched, decideMu, err := d.shimScheduler()
-	if err != nil {
-		return err
-	}
-	sess := &session{
-		sched:     sched,
-		decideMu:  decideMu,
-		stats:     &d.stats,
-		total:     req.TotalExecutors,
-		moveDelay: req.MoveDelay,
-		jobs:      make(map[int]*sim.JobState),
-		execs:     make(map[int]*sim.Executor),
-	}
-	ev := &EventRequest{
-		Seq:           1,
-		Time:          req.Time,
-		JobSeconds:    req.JobSeconds,
-		NewJobs:       req.Jobs,
-		FreeExecutors: req.FreeExecutors,
-	}
-	for i := range req.Jobs {
-		ev.Order = append(ev.Order, req.Jobs[i].ID)
-	}
-	r, err := sess.event(ev, time.Time{})
-	if err != nil {
-		return err
-	}
-	d.stats.Stateless.Add(1)
-	*resp = *r
-	return nil
-}
-
 // SetDraining switches the service in or out of drain mode: while draining,
 // Open is rejected with ErrReplicaDraining and health reports report it, but
 // existing sessions keep serving so they can be migrated or closed cleanly.
@@ -326,25 +256,6 @@ func (d *Decima) Stats() StatsSnapshot {
 	return s
 }
 
-// shimScheduler returns the scheduler backing the stateless endpoint: the
-// legacy shared instance, or (in factory mode) one default-policy instance
-// built on first use and reused — serialised by shimMu either way.
-func (d *Decima) shimScheduler() (scheduler.Scheduler, *sync.Mutex, error) {
-	if d.shared != nil {
-		return d.shared, &d.sharedMu, nil
-	}
-	d.shimMu.Lock()
-	defer d.shimMu.Unlock()
-	if d.shim == nil {
-		s, _, err := d.newScheduler("", 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		d.shim = s
-	}
-	return d.shim, &d.shimMu, nil
-}
-
 // resetAll resets evicted sessions outside the table lock.
 func resetAll(ss []*session) {
 	for _, s := range ss {
@@ -352,49 +263,23 @@ func resetAll(ss []*session) {
 	}
 }
 
-// Server is a listening Decima scheduling service.
+// Server is a listening Decima scheduling service: a session service object
+// behind the shared Listener, which supplies Addr and Close.
 type Server struct {
-	lis  net.Listener
-	rpcS *rpc.Server
-	wg   sync.WaitGroup
-	svc  *Decima
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]struct{}
+	*Listener
+	svc *Decima
 }
 
-// ListenAndServe starts serving the given scheduler on addr (e.g.
-// "127.0.0.1:0") and returns immediately; connections are handled on
-// background goroutines until Close. Every session and stateless request
-// shares the one scheduler instance, serialised by an internal mutex — the
-// legacy single-agent deployment. Use ListenAndServeSessions for
-// per-session scheduler instances.
-func ListenAndServe(addr string, sched sim.Scheduler) (*Server, error) {
-	return listen(addr, NewDecima(sched))
-}
-
-// ListenAndServeSessions starts a session-serving scheduling service:
-// every session gets its own scheduler instance from cfg.New (or the
-// scheduler registry), so sessions decide concurrently.
+// ListenAndServeSessions starts a session-serving scheduling service on addr
+// (e.g. "127.0.0.1:0"): every session gets its own scheduler instance from
+// cfg.New (or the scheduler registry), so sessions decide concurrently.
 func ListenAndServeSessions(addr string, cfg SessionConfig) (*Server, error) {
-	return listen(addr, NewDecimaSessions(cfg))
-}
-
-func listen(addr string, svc *Decima) (*Server, error) {
-	lis, err := net.Listen("tcp", addr)
+	svc := NewDecimaSessions(cfg)
+	lis, err := Listen(addr, svc)
 	if err != nil {
 		return nil, err
 	}
-	rpcS := rpc.NewServer()
-	if err := rpcS.RegisterName("Decima", svc); err != nil {
-		lis.Close()
-		return nil, err
-	}
-	s := &Server{lis: lis, rpcS: rpcS, svc: svc, conns: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s, nil
+	return &Server{Listener: lis, svc: svc}, nil
 }
 
 // Sessions reports the number of live sessions (for tests and ops
@@ -408,50 +293,90 @@ func (s *Server) Service() *Decima { return s.svc }
 // Stats snapshots the serving counters (see Decima.Stats).
 func (s *Server) Stats() StatsSnapshot { return s.svc.Stats() }
 
+// protocol is the session surface a Listener serves: the three methods a
+// Client calls. A replica's *Decima and a fleet router both implement it.
+type protocol interface {
+	Open(*OpenRequest, *OpenResponse) error
+	Event(*EventRequest, *EventResponse) error
+	Close(*CloseRequest, *CloseResponse) error
+}
+
+// Listener is the one net/rpc accept loop of the serving stack: it serves a
+// session-protocol receiver under the name "Decima" on a TCP address and
+// tracks every connection so Close can sever them. A replica (Server) and a
+// fleet router (fleet.Server) both listen through it.
+type Listener struct {
+	lis  net.Listener
+	rpcS *rpc.Server
+	wg   sync.WaitGroup
+
+	mu     sync.Mutex
+	closed bool
+	conns  map[net.Conn]struct{}
+}
+
+// Listen starts serving svc on addr and returns immediately; connections are
+// handled on background goroutines until Close.
+func Listen(addr string, svc protocol) (*Listener, error) {
+	lis, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	rpcS := rpc.NewServer()
+	if err := rpcS.RegisterName("Decima", svc); err != nil {
+		lis.Close()
+		return nil, err
+	}
+	l := &Listener{lis: lis, rpcS: rpcS, conns: make(map[net.Conn]struct{})}
+	l.wg.Add(1)
+	go l.acceptLoop()
+	return l, nil
+}
+
 // acceptLoop serves connections until the listener closes.
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
+func (l *Listener) acceptLoop() {
+	defer l.wg.Done()
 	for {
-		conn, err := s.lis.Accept()
+		conn, err := l.lis.Accept()
 		if err != nil {
 			return
 		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
+		l.mu.Lock()
+		if l.closed {
+			l.mu.Unlock()
 			conn.Close()
 			return
 		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
+		l.conns[conn] = struct{}{}
+		l.mu.Unlock()
+		l.wg.Add(1)
 		go func() {
-			defer s.wg.Done()
-			s.rpcS.ServeConn(conn)
-			s.mu.Lock()
-			delete(s.conns, conn)
-			s.mu.Unlock()
+			defer l.wg.Done()
+			l.rpcS.ServeConn(conn)
+			l.mu.Lock()
+			delete(l.conns, conn)
+			l.mu.Unlock()
 		}()
 	}
 }
 
-// Addr returns the server's listen address.
-func (s *Server) Addr() string { return s.lis.Addr().String() }
+// Addr returns the listen address.
+func (l *Listener) Addr() string { return l.lis.Addr().String() }
 
 // Close stops the listener, severs open connections, and waits for the
-// serving goroutines to finish.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+// serving goroutines to finish. It leaves the served receiver alone.
+func (l *Listener) Close() error {
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
 		return nil
 	}
-	s.closed = true
-	for c := range s.conns {
+	l.closed = true
+	for c := range l.conns {
 		c.Close()
 	}
-	s.mu.Unlock()
-	err := s.lis.Close()
-	s.wg.Wait()
+	l.mu.Unlock()
+	err := l.lis.Close()
+	l.wg.Wait()
 	return err
 }

@@ -103,9 +103,8 @@ func (s HistSnapshot) WriteProm(w io.Writer, name, labels string) {
 // ServerStats is the serving-side counter set, owned by a Decima service
 // object and bumped on every protocol operation.
 type ServerStats struct {
-	// Opens/Closes/Events count successful protocol operations; Stateless
-	// counts v1 Schedule requests served through the ephemeral-session shim.
-	Opens, Closes, Events, Stateless atomic.Uint64
+	// Opens/Closes/Events count successful protocol operations.
+	Opens, Closes, Events atomic.Uint64
 	// OpensRejected counts Opens refused while draining.
 	OpensRejected atomic.Uint64
 	// SeqGaps counts events rejected for sequence-order violations.
@@ -124,24 +123,23 @@ type ServerStats struct {
 	// RecordingOpens counts sessions opened with trajectory recording on;
 	// Swaps counts SwapAgents sweeps (live model hot-swaps).
 	RecordingOpens, Swaps atomic.Uint64
-	// Decide observes the latency of every scheduling decision (session or
-	// stateless).
+	// Decide observes the latency of every scheduling decision.
 	Decide LatencyHist
 }
 
 // StatsSnapshot is a point-in-time copy of a server's counters plus the
 // live session-table occupancy.
 type StatsSnapshot struct {
-	Sessions                         int
-	Opens, Closes, Events, Stateless uint64
-	OpensRejected                    uint64
-	SeqGaps                          uint64
-	Shed, DeadlineMiss               uint64
-	Inflight                         int64
-	EvictedLRU, EvictedIdle          uint64
-	RecordingOpens, Swaps            uint64
-	Draining                         bool
-	Replica                          string
+	Sessions                int
+	Opens, Closes, Events   uint64
+	OpensRejected           uint64
+	SeqGaps                 uint64
+	Shed, DeadlineMiss      uint64
+	Inflight                int64
+	EvictedLRU, EvictedIdle uint64
+	RecordingOpens, Swaps   uint64
+	Draining                bool
+	Replica                 string
 	// ModelName/ModelVersion identify the served model (registry identity;
 	// empty name means unversioned parameters).
 	ModelName    string
@@ -156,7 +154,6 @@ func (st *ServerStats) snapshot() StatsSnapshot {
 		Opens:          st.Opens.Load(),
 		Closes:         st.Closes.Load(),
 		Events:         st.Events.Load(),
-		Stateless:      st.Stateless.Load(),
 		OpensRejected:  st.OpensRejected.Load(),
 		SeqGaps:        st.SeqGaps.Load(),
 		Shed:           st.Shed.Load(),
@@ -190,7 +187,6 @@ func (s StatsSnapshot) WriteProm(w io.Writer, labels string) {
 	c("decima_opens_rejected_total", s.OpensRejected)
 	c("decima_closes_total", s.Closes)
 	c("decima_events_total", s.Events)
-	c("decima_stateless_total", s.Stateless)
 	c("decima_seq_gaps_total", s.SeqGaps)
 	c("decima_shed_total", s.Shed)
 	c("decima_deadline_miss_total", s.DeadlineMiss)

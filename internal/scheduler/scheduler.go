@@ -148,17 +148,3 @@ func Sim(s Scheduler) sim.Scheduler {
 		return act
 	})
 }
-
-// FromSim wraps a legacy sim.Scheduler in the unified contract. Decide
-// never errors; Reset forwards to the wrapped value when it has one.
-func FromSim(s sim.Scheduler) Scheduler { return simAdapter{s} }
-
-type simAdapter struct{ s sim.Scheduler }
-
-func (a simAdapter) Decide(st *sim.State) (*sim.Action, error) { return a.s.Schedule(st), nil }
-
-func (a simAdapter) Reset() {
-	if r, ok := a.s.(interface{ Reset() }); ok {
-		r.Reset()
-	}
-}

@@ -93,21 +93,3 @@ func TestDecimaAgentCloneIsIndependent(t *testing.T) {
 		t.Fatalf("clone diverges from source: %v/%v vs %v/%v", a.AvgJCT(), a.Makespan, b.AvgJCT(), b.Makespan)
 	}
 }
-
-// TestFromSimForwardsReset checks the legacy adapter's Reset plumbing.
-func TestFromSimForwardsReset(t *testing.T) {
-	reset := 0
-	s := FromSim(&resettable{onReset: func() { reset++ }})
-	s.Reset()
-	if reset != 1 {
-		t.Fatalf("Reset not forwarded: %d calls", reset)
-	}
-	if act, err := s.Decide(&sim.State{}); err != nil || act != nil {
-		t.Fatalf("Decide: act=%v err=%v", act, err)
-	}
-}
-
-type resettable struct{ onReset func() }
-
-func (r *resettable) Schedule(*sim.State) *sim.Action { return nil }
-func (r *resettable) Reset()                          { r.onReset() }

@@ -242,8 +242,7 @@ func TestChurnTerminatesWithDecliningScheduler(t *testing.T) {
 }
 
 // BenchmarkSimulateLossy measures simulator throughput under the combined
-// failure regime and reports failure-activity counters as custom metrics
-// (picked up by cmd/benchjson into the Extra map).
+// failure regime and reports failure-activity counters as custom metrics.
 func BenchmarkSimulateLossy(b *testing.B) {
 	b.ReportAllocs()
 	var retries, failedTasks, churn int
