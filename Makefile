@@ -79,12 +79,14 @@ docs-check:
 	$(GO) run ./cmd/docscheck
 
 # Fuzz the serving decode surfaces: gob request frames into the session
-# service and checkpoint images into the registry reader. Each target gets
-# its own invocation (go test allows one -fuzz pattern per run); the seed
-# corpora are always exercised by plain `make test`.
+# service and checkpoint images into the registry reader; then decoded
+# events through a live session service (FuzzEventSemantics). Each target
+# gets its own invocation (go test allows one -fuzz pattern per run); the
+# seed corpora are always exercised by plain `make test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzGobOpenRequest' -fuzztime 30s ./internal/rpcsvc/
 	$(GO) test -run '^$$' -fuzz 'FuzzGobEventRequest' -fuzztime 30s ./internal/rpcsvc/
+	$(GO) test -run '^$$' -fuzz 'FuzzEventSemantics' -fuzztime 30s ./internal/rpcsvc/
 	$(GO) test -run '^$$' -fuzz 'FuzzCheckpoint' -fuzztime 30s ./internal/registry/
 
 # BENCH_robustness.json: the failure-regime matrix (CI `robustness` job).

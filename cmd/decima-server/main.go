@@ -7,8 +7,10 @@
 // get net/rpc's "can't find method" answer (docs/PROTOCOL.md).
 //
 // Any policy from the scheduler registry can be served; sessions may also
-// select a policy per OpenSession call. Every session decides on its own
-// agent clone, concurrently with and independently of every other session.
+// select a policy per OpenSession call. Every decima session is a runner of
+// one base agent: it reads the base's model, shared by pointer and never
+// written, and owns its embedding cache and RNG, so sessions decide
+// concurrently with and independently of each other.
 //
 // As a fleet replica (`-replica-id`, `-http`; see docs/FLEET.md) the server
 // announces its identity in Open replies and exposes /healthz and /metrics
@@ -21,8 +23,8 @@
 // (`name` or `name@version`, see docs/ONLINE.md) instead of a weights file,
 // and `-online` closes the training loop in-process: sessions opened with
 // recording stream their finished trajectories to a background trainer,
-// which periodically publishes a new registry version and hot-swaps every
-// live session onto it — without dropping a single session.
+// which periodically publishes a new registry version and hot-swaps it in —
+// every live session adopts it at its next decision, and none is dropped.
 //
 // Example:
 //
@@ -45,7 +47,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -82,15 +83,13 @@ func main() {
 	nn.SetMatMulWorkers(*matmulWk)
 
 	// The decima agent is built (and its model loaded) once; sessions get
-	// clones, so concurrent sessions share no mutable state while serving
-	// identical parameters. Each session's clone runs the inference fast
-	// path with the incremental embedding cache ON: the session protocol
-	// keeps the server-side sim.JobState mirrors alive across events, so
-	// the pointer+Version-keyed cache finally hits in serving too.
+	// runners of it, which share its model and own their mutable state. Each
+	// runner keeps the incremental embedding cache ON: the session protocol
+	// keeps the server-side sim.JobState mirrors alive across events, so the
+	// pointer+Version-keyed cache hits in serving too. The model is loaded
+	// here, before any session exists; later models are new Models installed
+	// whole, never written into this one.
 	base := core.New(core.DefaultConfig(*executors), rand.New(rand.NewSource(*seed)))
-	// baseMu guards base against the online hot-swap loop: session factories
-	// clone base, the swap loop installs new registry checkpoints into it.
-	var baseMu sync.Mutex
 	var reg *registry.Registry
 	modelName, modelVersion := "", 0
 	if *regDir != "" {
@@ -132,15 +131,11 @@ func main() {
 			if sessSeed == 0 {
 				sessSeed = *seed
 			}
-			// Cloning reads base's parameters; hold baseMu so a concurrent
-			// hot-swap install cannot tear the copy.
-			baseMu.Lock()
-			defer baseMu.Unlock()
 			return scheduler.New(name, scheduler.Options{
 				Executors: *executors,
 				Seed:      sessSeed,
 				Sampled:   *sampled,
-				Agent:     base, // used by "decima" only: serve a clone
+				Agent:     base, // used by "decima" only: serve a runner
 			})
 		},
 	}
@@ -166,9 +161,9 @@ func main() {
 
 	if trainer != nil {
 		// The online loop: drain finished episodes into gradient updates;
-		// every publishEvery episodes publish a registry version, reload it,
-		// and hot-swap every live session onto the published parameters. The
-		// reload (rather than syncing from the still-training agent) means
+		// every publishEvery episodes publish a registry version, reload it
+		// into a new model, and install that as the served model. The reload
+		// (rather than sharing the still-training agent's tensors) means
 		// sessions serve exactly the checksummed bytes the registry holds.
 		stop := make(chan struct{})
 		defer close(stop)
@@ -202,18 +197,13 @@ func main() {
 					logger.Error("online reload failed", "err", err)
 					continue
 				}
-				baseMu.Lock()
-				err = ck.LoadInto(base.Params())
-				var swapped int
-				if err == nil {
-					swapped = srv.Service().SwapAgents(base, ck.Name, ck.Version)
-				}
-				baseMu.Unlock()
-				if err != nil {
+				m := core.NewModel(base.Cfg, rand.New(rand.NewSource(*seed)))
+				if err := ck.LoadInto(m.Params()); err != nil {
 					logger.Error("online install failed", "err", err)
 					continue
 				}
-				logger.Info("hot-swapped model", "model", fmt.Sprintf("%s@%d", ck.Name, ck.Version), "sessions", swapped)
+				srv.Service().Install(base, m, ck.Name, ck.Version)
+				logger.Info("hot-swapped model", "model", fmt.Sprintf("%s@%d", ck.Name, ck.Version), "sessions", srv.Sessions())
 			}
 		}()
 		fmt.Printf("online learning on: publishing %q every %d episodes\n", *onlineName, *publishEvery)

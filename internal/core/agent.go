@@ -18,6 +18,7 @@ package core
 
 import (
 	"math/rand"
+	"sync/atomic"
 
 	"repro/internal/gnn"
 	"repro/internal/nn"
@@ -78,11 +79,22 @@ func (c Config) FeatDim() int {
 	return d
 }
 
-// Agent is the Decima scheduler.
-type Agent struct {
+// Model is what a decision reads: the configuration and the two networks.
+// Runners share one Model by pointer, so a shared model is never written: a
+// new parameter set is a new Model, installed with Agent.Install.
+type Model struct {
 	Cfg Config
 	GNN *gnn.GNN
 	Pol *policy.Policy
+}
+
+// Agent is the Decima scheduler: a Model plus what one run of decisions owns
+// (scratch, embedding cache, RNG, recorder).
+type Agent struct {
+	// Model is the one the agent decides with: at the top of every decision,
+	// whatever the slot shared with its runners (and its origin) holds.
+	*Model
+	shared *atomic.Pointer[Model]
 
 	// Greedy switches from sampling (training) to argmax (evaluation).
 	Greedy bool
@@ -105,8 +117,8 @@ type Agent struct {
 
 	// Fast-path state: the scratch arena backing one decision's tensors and
 	// the per-job embedding cache (see cache.go). Private to the agent, so
-	// concurrent agents (e.g. parallel evaluation workers holding clones)
-	// never share mutable state. emb and recGraphs are the per-decision
+	// concurrent agents (serving runners, parallel evaluation workers) never
+	// share mutable state. emb and recGraphs are the per-decision
 	// embeddings value and the graph list handed to Record; the remaining
 	// slices are the candidate set candidates() fills. All are reused across
 	// decisions, so a warm decision allocates only its returned Action.
@@ -122,8 +134,17 @@ type Agent struct {
 	classOK   []bool
 }
 
-// New builds an agent with freshly initialised networks.
+// New builds an agent with freshly initialised networks, sampling from rng.
 func New(cfg Config, rng *rand.Rand) *Agent {
+	m := NewModel(cfg, rng)
+	a := &Agent{Model: m, shared: new(atomic.Pointer[Model]), rng: rng}
+	a.shared.Store(m)
+	return a
+}
+
+// NewModel builds freshly initialised networks for cfg, drawing the initial
+// weights from rng.
+func NewModel(cfg Config, rng *rand.Rand) *Model {
 	if cfg.EmbedDim == 0 {
 		cfg.EmbedDim = 8
 	}
@@ -136,16 +157,16 @@ func New(cfg Config, rng *rand.Rand) *Agent {
 		// "embedding" dimensionality is the feature dimensionality.
 		embedDim = cfg.FeatDim()
 	}
-	a := &Agent{Cfg: cfg, rng: rng}
+	m := &Model{Cfg: cfg}
 	if !cfg.NoGraphEmbedding {
-		a.GNN = gnn.New(gnn.Config{
+		m.GNN = gnn.New(gnn.Config{
 			FeatDim:     cfg.FeatDim(),
 			EmbedDim:    cfg.EmbedDim,
 			Hidden:      cfg.Hidden,
 			SingleLevel: cfg.SingleLevelGNN,
 		}, rng)
 	}
-	a.Pol = policy.New(policy.Config{
+	m.Pol = policy.New(policy.Config{
 		EmbedDim:         embedDim,
 		Hidden:           cfg.Hidden,
 		NumLimits:        cfg.NumLimits,
@@ -153,22 +174,22 @@ func New(cfg Config, rng *rand.Rand) *Agent {
 		NoLimitInput:     cfg.NoLimitInput,
 		StageLevelLimits: cfg.StageLevelLimits,
 	}, rng)
-	return a
+	return m
 }
 
 // Params returns all trainable tensors in a stable order.
-func (a *Agent) Params() []*nn.Tensor {
+func (m *Model) Params() []*nn.Tensor {
 	var ps []*nn.Tensor
-	if a.GNN != nil {
-		ps = append(ps, a.GNN.Params()...)
+	if m.GNN != nil {
+		ps = append(ps, m.GNN.Params()...)
 	}
-	return append(ps, a.Pol.Params()...)
+	return append(ps, m.Pol.Params()...)
 }
 
-// Clone returns an agent with the same configuration and a deep copy of the
-// parameter values, sharing no mutable state with the receiver. The clone
-// samples actions from rng and starts with a nil Record; parallel rollout
-// workers each hold one clone and refresh it with SyncFrom every iteration.
+// Clone returns an agent with a deep copy of the model, sharing nothing with
+// the receiver: what a trainer writes gradients and optimizer steps into. It
+// samples from rng, which first draws the discarded initial weights, and
+// starts with a nil Record. Serving shares the model instead (Runner).
 func (a *Agent) Clone(rng *rand.Rand) *Agent {
 	b := New(a.Cfg, rng)
 	nn.CopyParams(b.Params(), a.Params())
@@ -177,10 +198,19 @@ func (a *Agent) Clone(rng *rand.Rand) *Agent {
 	return b
 }
 
-// SyncFrom copies parameter values from src, which must have the same
-// architecture (typically the agent this one was cloned from).
-func (a *Agent) SyncFrom(src *Agent) {
-	nn.CopyParams(a.Params(), src.Params())
+// Runner returns an agent that shares the receiver's model slot and owns its
+// scratch, embedding cache and RNG (rng). It copies Greedy and NoCache and
+// starts with a nil Record.
+func (a *Agent) Runner(rng *rand.Rand) *Agent {
+	return &Agent{Model: a.shared.Load(), shared: a.shared, rng: rng, Greedy: a.Greedy, NoCache: a.NoCache}
+}
+
+// Install stores m, never to be written again, into the slot the agent shares
+// with its runners. Each adopts it at its next decision and re-embeds from a
+// cold cache. It must not race the receiver's own decisions.
+func (a *Agent) Install(m *Model) {
+	a.Model = m
+	a.shared.Store(m)
 }
 
 // Decide implements the unified scheduler contract of internal/scheduler:
@@ -189,20 +219,15 @@ func (a *Agent) SyncFrom(src *Agent) {
 // agent is interchangeable with remote (RPC-backed) schedulers.
 func (a *Agent) Decide(s *sim.State) (*sim.Action, error) { return a.Schedule(s), nil }
 
-// Reset implements the unified scheduler contract: it clears per-run state
-// (the embedding cache) so the agent can serve a fresh run. Parameters,
-// greediness and the sampling RNG are untouched.
-func (a *Agent) Reset() { a.ResetCache() }
-
-// ResetCache drops the embedding cache and the per-decision buffers'
-// contents, releasing every reference to the last run's simulator state
-// (jobs, stages, DAGs, cached embeddings, recorded graphs). Callers that
-// keep an agent alive after a rollout finishes (e.g. rl.Evaluate, a trainer
-// that evaluates between iterations) call this so a finished run's memory
-// does not linger until the next decision. Correctness never
-// depends on it: entries are keyed by *sim.JobState pointer, so a new run
-// can never hit a stale entry.
-func (a *Agent) ResetCache() {
+// Reset implements the unified scheduler contract: it drops the embedding
+// cache and the per-decision buffers' contents, releasing every reference to
+// the last run's simulator state (jobs, stages, DAGs, cached embeddings,
+// recorded graphs). The model, greediness and the sampling RNG are untouched.
+// Callers that keep an agent alive after a rollout finishes (e.g.
+// rl.Evaluate) call this so a finished run's memory does not linger until
+// the next decision. A caller's correctness never depends on it: entries are
+// keyed by *sim.JobState pointer, so a new run can never hit a stale entry.
+func (a *Agent) Reset() {
 	a.cache = nil
 	a.emb, a.recGraphs, a.stages = gnn.Embeddings{}, nil, nil
 }
@@ -313,6 +338,10 @@ func (a *Agent) candidates(s *sim.State) {
 // Schedule implements sim.Scheduler: one invocation produces one
 // ⟨stage, limit(, class)⟩ action.
 func (a *Agent) Schedule(s *sim.State) *sim.Action {
+	if m := a.shared.Load(); m != a.Model {
+		a.Model = m
+		a.Reset()
+	}
 	a.candidates(s)
 	if len(a.cands) == 0 {
 		return nil

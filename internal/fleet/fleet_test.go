@@ -287,11 +287,17 @@ func TestReplicaDrainPropagates(t *testing.T) {
 	}
 	host.Service().SetDraining(true)
 
+	// Events that reach the replica before the drain propagates succeed, so
+	// the next one carries the next seq: a repeated seq would be a gap, and
+	// the router would drop the route before it could migrate the session.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, err = cli.EventRPC(&rpcsvc.EventRequest{SID: resp.SID, Seq: 1})
+	for seq := uint64(1); ; {
+		_, err = cli.EventRPC(&rpcsvc.EventRequest{SID: resp.SID, Seq: seq})
 		if rpcsvc.IsWrongShard(err) {
 			break
+		}
+		if err == nil {
+			seq++
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("drain never propagated; last event error: %v", err)

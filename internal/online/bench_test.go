@@ -11,14 +11,14 @@ import (
 	"repro/internal/workload"
 )
 
-// benchServer starts a session server cloning base, with sink as the
-// record sink when non-nil.
-func benchServer(b *testing.B, base *core.Agent, sink rpcsvc.RecordSink) (*rpcsvc.Server, *rpcsvc.Client) {
+// benchServer starts a session server serving runners of base, with sink as
+// the record sink when non-nil.
+func benchServer(b *testing.B, base *core.Agent, sink rpcsvc.RecordSink) *rpcsvc.Client {
 	b.Helper()
 	srv, err := rpcsvc.ListenAndServeSessions("127.0.0.1:0", rpcsvc.SessionConfig{
 		Default: "decima",
 		New: func(name string, seed int64) (scheduler.Scheduler, error) {
-			return base.Clone(rand.New(rand.NewSource(seed))), nil
+			return scheduler.New(name, scheduler.Options{Seed: seed, Agent: base})
 		},
 		RecordSink: sink,
 	})
@@ -34,7 +34,7 @@ func benchServer(b *testing.B, base *core.Agent, sink rpcsvc.RecordSink) (*rpcsv
 		cli.Close()
 		srv.Close()
 	})
-	return srv, cli
+	return cli
 }
 
 func benchServe(b *testing.B, record bool) {
@@ -43,7 +43,7 @@ func benchServe(b *testing.B, record bool) {
 	base.Greedy = true
 	// The sink swallows episodes without training — this measures the
 	// recording overhead on the serving path alone.
-	_, cli := benchServer(b, base, func(steps []core.ReplayStep) {})
+	cli := benchServer(b, base, func(steps []core.ReplayStep) {})
 
 	events := 0
 	b.ResetTimer()
@@ -66,33 +66,11 @@ func benchServe(b *testing.B, record bool) {
 	}
 }
 
-// BenchmarkOnlineLoop measures the serving-side costs of the online loop:
+// BenchmarkOnlineLoop measures the serving-side cost of the online loop:
 // full session runs with recording off vs on (the off/on delta is the
-// recording tax ISSUE acceptance bounds at ±2%), and the latency of one
-// SwapAgents sweep across live sessions.
+// recording tax, bounded at ±2%). A hot-swap is one atomic store and has no
+// benchmark.
 func BenchmarkOnlineLoop(b *testing.B) {
 	b.Run("serve-record-off", func(b *testing.B) { benchServe(b, false) })
 	b.Run("serve-record-on", func(b *testing.B) { benchServe(b, true) })
-
-	b.Run("hot-swap", func(b *testing.B) {
-		const executors = 5
-		const sessions = 8
-		base := core.New(core.DefaultConfig(executors), rand.New(rand.NewSource(77)))
-		base.Greedy = true
-		srv, cli := benchServer(b, base, nil)
-
-		// Hold live sessions open so every sweep visits real agents.
-		for k := 0; k < sessions; k++ {
-			if _, err := cli.OpenRPC(&rpcsvc.OpenRequest{Seed: int64(k), TotalExecutors: executors}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		staged := base.Clone(rand.New(rand.NewSource(1)))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if n := srv.Service().SwapAgents(staged, "bench", 1); n != sessions {
-				b.Fatalf("swap reached %d of %d sessions", n, sessions)
-			}
-		}
-	})
 }

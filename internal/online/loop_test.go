@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/nn"
 	"repro/internal/registry"
 	"repro/internal/rpcsvc"
@@ -32,7 +33,7 @@ func onlineLoopCheckpoint(t *testing.T, workers int) []byte {
 	srv, err := rpcsvc.ListenAndServeSessions("127.0.0.1:0", rpcsvc.SessionConfig{
 		Default: "decima",
 		New: func(name string, seed int64) (scheduler.Scheduler, error) {
-			return base.Clone(rand.New(rand.NewSource(seed))), nil
+			return scheduler.New(name, scheduler.Options{Seed: seed, Agent: base})
 		},
 		RecordSink: tr.Submit,
 	})
@@ -81,17 +82,19 @@ func onlineLoopCheckpoint(t *testing.T, workers int) []byte {
 		t.Fatal(err)
 	}
 
-	// Hot-swap: reload the published checkpoint and install it into the
-	// serving base — the same publish→reload→install flow decima-server
-	// runs, so the swap can never alias the still-mutating trainer agent.
+	// Hot-swap: reload the published checkpoint into a new model and install
+	// it as the served one — the same publish→reload→install flow
+	// decima-server runs, so the swap can never alias the still-mutating
+	// trainer agent.
 	ck, err := reg.Load(registry.Ref{Name: "loop"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ck.LoadInto(base.Params()); err != nil {
+	m := core.NewModel(base.Cfg, rand.New(rand.NewSource(1)))
+	if err := ck.LoadInto(m.Params()); err != nil {
 		t.Fatal(err)
 	}
-	srv.Service().SwapAgents(base, ck.Name, ck.Version)
+	srv.Service().Install(base, m, ck.Name, ck.Version)
 	if name, ver := srv.Service().Model(); name != "loop" || ver != 1 {
 		t.Fatalf("served model after swap = %q@%d, want loop@1", name, ver)
 	}

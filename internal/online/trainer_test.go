@@ -41,7 +41,7 @@ func recordEpisodes(t testing.TB, rounds, jobsN int) [][]core.ReplayStep {
 		jobs := workload.Batch(rand.New(rand.NewSource(int64(r))), jobsN)
 		res := sim.New(sim.SparkDefaults(5), jobs, agent, rand.New(rand.NewSource(int64(r)))).Run()
 		agent.Record = nil
-		agent.ResetCache()
+		agent.Reset()
 		if res.Deadlock || res.Unfinished != 0 {
 			t.Fatalf("round %d: unfinished=%d deadlock=%v", r, res.Unfinished, res.Deadlock)
 		}

@@ -440,7 +440,7 @@ func Evaluate(agent *core.Agent, seqs [][]*dag.Job, simCfg sim.Config, seed int6
 		agent.Greedy = prevGreedy
 		// Drop references to the finished runs' jobs and embeddings rather
 		// than holding them until the agent's next decision.
-		agent.ResetCache()
+		agent.Reset()
 	}()
 	return EvaluateScheduler(func() sim.Scheduler { return agent }, seqs, simCfg, seed)
 }

@@ -80,7 +80,7 @@ func runEpisode(agent *core.Agent, cfg Config, rbar float64, tk rolloutTask, sim
 		// Drop the episode's embedding cache: its pointer keys can never hit
 		// again (the next episode builds fresh JobStates) and the entries
 		// pin the finished run's jobs and recorded graphs.
-		agent.ResetCache()
+		agent.Reset()
 	}()
 	rng := rand.New(rand.NewSource(tk.seed))
 	agent.SetRNG(rng)

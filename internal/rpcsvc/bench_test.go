@@ -75,13 +75,13 @@ func BenchmarkServeSession(b *testing.B) {
 const benchConcurrency = 16
 
 // BenchmarkServeSessionConcurrent drives benchConcurrency full simulations
-// at once, each over its own session (own connection, own agent clone)
-// against one server, and reports the aggregate per-event serving latency
-// and event throughput.
+// at once, each over its own session (own connection, own runner of one
+// shared model) against one server, and reports the aggregate per-event
+// serving latency and event throughput.
 func BenchmarkServeSessionConcurrent(b *testing.B) {
 	srv, err := ListenAndServeSessions("127.0.0.1:0", SessionConfig{
 		Default: "decima",
-		New:     cloneFactory(benchAgent()),
+		New:     runnerFactory(benchAgent()),
 	})
 	if err != nil {
 		b.Fatal(err)

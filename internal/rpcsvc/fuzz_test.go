@@ -3,8 +3,12 @@ package rpcsvc
 import (
 	"bytes"
 	"encoding/gob"
+	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/scheduler"
 )
 
 // The session protocol rides net/rpc's gob codec, so the server-side decode
@@ -72,6 +76,66 @@ func FuzzGobEventRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req EventRequest
 		_ = gob.NewDecoder(bytes.NewReader(data)).Decode(&req)
+	})
+}
+
+// FuzzEventSemantics carries decoded requests past the decoder into the
+// service: on an in-process server it opens a session, applies a valid first
+// event (jobs 1 and 2, two stages each) and then the fuzzed event as the
+// session's second, once under "fifo" and once under "decima". A request
+// the mirror cannot apply must be rejected by validation. Panic containment
+// would turn a panic into a quiet eviction, so the target fails whenever
+// Stats counts one.
+func FuzzEventSemantics(f *testing.F) {
+	const executors = 4
+	chain := func(id int) JobInfo {
+		return JobInfo{ID: id, Stages: []StageInfo{
+			{ID: 0, NumTasks: 2, TaskDuration: 1, CPUReq: 1, Children: []int{1}},
+			{ID: 1, NumTasks: 3, TaskDuration: 2, CPUReq: 1, Parents: []int{0}},
+		}}
+	}
+	free := []ExecutorInfo{{ID: 0, Mem: 1, LocalJob: 1}, {ID: 1, Mem: 1, LocalJob: -1}}
+	for _, req := range []EventRequest{
+		// A delta for a job the order omits.
+		{Order: []int{}, Deltas: []JobDelta{{ID: 1}}},
+		// A well-formed second event: job 3 arrives, job 1 leaves, job 2 runs.
+		{Time: 3, JobSeconds: 6, NewJobs: []JobInfo{chain(3)}, Order: []int{2, 3},
+			Deltas:        []JobDelta{{ID: 2, Executors: 1, Limit: 2, Stages: []StageDelta{{Stage: 0, TasksLaunched: 1, Running: 1}}}},
+			FreeExecutors: free[1:]},
+	} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(req); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	base := core.New(core.DefaultConfig(executors), rand.New(rand.NewSource(1)))
+	d := NewDecimaSessions(SessionConfig{New: func(name string, seed int64) (scheduler.Scheduler, error) {
+		return scheduler.New(name, scheduler.Options{Seed: seed, Agent: base})
+	}})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var req EventRequest
+		if gob.NewDecoder(bytes.NewReader(data)).Decode(&req) != nil {
+			return
+		}
+		for _, name := range []string{"fifo", "decima"} {
+			var open OpenResponse
+			if err := d.Open(&OpenRequest{Scheduler: name, TotalExecutors: executors}, &open); err != nil {
+				t.Fatal(err)
+			}
+			var resp EventResponse
+			first := &EventRequest{SID: open.SID, Seq: 1, NewJobs: []JobInfo{chain(1), chain(2)}, Order: []int{1, 2}, FreeExecutors: free}
+			if err := d.Event(first, &resp); err != nil {
+				t.Fatalf("%s: valid first event: %v", name, err)
+			}
+			req.SID, req.Seq, req.Deadline = open.SID, 2, 0
+			panics := d.Stats().Panics
+			_ = d.Event(&req, &resp)
+			d.Close(&CloseRequest{SID: open.SID}, &CloseResponse{})
+			if d.Stats().Panics != panics {
+				t.Fatalf("%s: event panicked: %+v", name, req)
+			}
+		}
 	})
 }
 

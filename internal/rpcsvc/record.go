@@ -12,11 +12,12 @@ import "repro/internal/core"
 //     episode. Recording is opt-in per session and free when off: the
 //     agent's Record hook stays nil, which is also what keeps the
 //     recording-off serving path bit-identical to before.
-//   - SwapAgents installs new parameters into every live session between
-//     decisions: each session's lock is taken (an in-flight decision
-//     finishes first), the agent SyncFroms the staged source, and the
-//     session keeps serving. Sessions share no parameters, so a swap that
-//     is halfway through the table affects nobody's arithmetic.
+//   - Install hot-swaps the served model with one atomic store. Sessions
+//     minted by the "decima" factory are runners that share their base
+//     agent's model by pointer; each adopts the new model at its next
+//     decision and re-embeds from a cold cache. A shared model is never
+//     written, so no session lock is taken and the swap costs the same
+//     however many sessions are live.
 
 // DefaultRecordMaxSteps bounds a session's trajectory ring when
 // SessionConfig.RecordMaxSteps is zero.
@@ -69,42 +70,16 @@ func (r *recorder) take() []core.ReplayStep {
 	return out
 }
 
-// all snapshots the live sessions (for the hot-swap sweep).
-func (t *sessionTable) all() []*session {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]*session, 0, len(t.m))
-	for _, s := range t.m {
-		out = append(out, s)
-	}
-	return out
-}
-
-// SwapAgents hot-swaps serving parameters: every live session whose
-// scheduler is a Decima agent adopts src's parameter values, between
-// decisions and without dropping the session. src is typically a staging
-// agent that just loaded a registry checkpoint. Returns the number of
-// sessions swapped; name and version update the served-model identity
-// reported by Stats and /metrics.
-//
-// The caller must guarantee src's parameters are not mutated during the
-// sweep (publish-then-reload from the registry guarantees it: the trainer
-// keeps mutating its own agent, never the staged checkpoint).
-func (d *Decima) SwapAgents(src *core.Agent, name string, version int) int {
-	n := 0
-	for _, s := range d.tbl.all() {
-		s.mu.Lock()
-		if !s.closed {
-			if ag, ok := s.sched.(*core.Agent); ok {
-				ag.SyncFrom(src)
-				n++
-			}
-		}
-		s.mu.Unlock()
-	}
+// Install hot-swaps the served model: m becomes base's model
+// (core.Agent.Install), so every session whose scheduler is a runner of base
+// adopts it at its next decision, and name and version become the served
+// identity reported by Stats and /metrics. m is typically built from a
+// registry checkpoint just reloaded, never the trainer's own model, which
+// keeps changing.
+func (d *Decima) Install(base *core.Agent, m *core.Model, name string, version int) {
+	base.Install(m)
 	d.SetModel(name, version)
 	d.stats.Swaps.Add(1)
-	return n
 }
 
 // SetModel records the served model identity (shown in Stats, /healthz and
@@ -116,7 +91,7 @@ func (d *Decima) SetModel(name string, version int) {
 	d.modelMu.Unlock()
 }
 
-// Model returns the served model identity set by SetModel/SwapAgents.
+// Model returns the served model identity set by SetModel/Install.
 func (d *Decima) Model() (string, int) {
 	d.modelMu.Lock()
 	defer d.modelMu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/nn"
 	"repro/internal/registry"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
@@ -134,10 +135,10 @@ func TestRecordWithoutSinkIsIgnored(t *testing.T) {
 	}
 }
 
-// stageCheckpoint publishes params into a scratch registry and installs the
-// loaded checkpoint into a fresh staging agent — the exact publish→reload
-// flow the serving binary hot-swaps through.
-func stageCheckpoint(t *testing.T, template *core.Agent, src *core.Agent, name string) (*core.Agent, *registry.Checkpoint) {
+// stageCheckpoint publishes src's parameters into a scratch registry and
+// reloads the checkpoint into a new model shaped like template's — the exact
+// publish→reload flow the serving binary hot-swaps through.
+func stageCheckpoint(t *testing.T, template *core.Agent, src *core.Agent, name string) (*core.Model, *registry.Checkpoint) {
 	t.Helper()
 	reg, err := registry.Open(t.TempDir())
 	if err != nil {
@@ -151,69 +152,101 @@ func stageCheckpoint(t *testing.T, template *core.Agent, src *core.Agent, name s
 	if err != nil {
 		t.Fatal(err)
 	}
-	staged := template.Clone(rand.New(rand.NewSource(1)))
-	if err := ck.LoadInto(staged.Params()); err != nil {
+	m := core.NewModel(template.Cfg, rand.New(rand.NewSource(1)))
+	if err := ck.LoadInto(m.Params()); err != nil {
 		t.Fatal(err)
 	}
-	return staged, ck
+	return m, ck
 }
 
 // TestSwapIdenticalWeightsIsNoOp is the hot-swap half of the equivalence
-// bar: swapping every live session onto a staged checkpoint holding the
-// *identical* weights mid-run must be a bitwise no-op on the schedule. Any
-// state the swap would disturb beyond parameter values — mirrors, embedding
-// caches going stale the wrong way, RNG streams — would shift the noisy run.
+// bar. A swap installs a new model mid-run; the session adopts it at its
+// next decision and re-embeds from a cold cache. So a sampled run served
+// across a swap equals, bit for bit, an in-process agent that embeds every
+// job afresh (NoCache) and has the staged weights copied over its own at the
+// same decision — and swapping onto identical weights is a no-op on the
+// schedule. An embedding cache kept across the swap, a reseeded RNG or a
+// disturbed mirror would each shift the noisy run.
 func TestSwapIdenticalWeightsIsNoOp(t *testing.T) {
 	const executors = 8
+	const sessSeed = 21
 	cfg := sim.SparkDefaults(executors)
 	jobs := workload.Batch(rand.New(rand.NewSource(11)), 6)
-	base := core.New(core.DefaultConfig(executors), rand.New(rand.NewSource(77)))
-	base.Greedy = false // sampled: any perturbation changes the draws
-
-	srv, cli := startSessionServer(t, SessionConfig{Default: "decima", New: cloneFactory(base)})
-	staged, ck := stageCheckpoint(t, base, base, "same")
-
-	run := func(swapAt int) *sim.Result {
+	newBase := func() *core.Agent {
+		a := core.New(core.DefaultConfig(executors), rand.New(rand.NewSource(77)))
+		a.Greedy = false // sampled: any perturbation changes the draws
+		return a
+	}
+	// run drives the jobs through sched, calling swap just before decision
+	// swapAt (0: never).
+	run := func(sched sim.Scheduler, swapAt int, swap func()) *sim.Result {
 		n := 0
-		ss := &SessionScheduler{Client: cli, Seed: 21}
 		wrapped := sim.SchedulerFunc(func(st *sim.State) *sim.Action {
-			n++
-			if n == swapAt {
-				if got := srv.svc.SwapAgents(staged, ck.Name, ck.Version); got < 1 {
-					t.Errorf("swap reached %d sessions", got)
-				}
+			if n++; n == swapAt {
+				swap()
 			}
-			return ss.Schedule(st)
+			return sched.Schedule(st)
 		})
-		res := sim.New(cfg, workload.CloneAll(jobs), wrapped, rand.New(rand.NewSource(13))).Run()
-		if err := ss.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return sim.New(cfg, workload.CloneAll(jobs), wrapped, rand.New(rand.NewSource(13))).Run()
 	}
 
-	ref := run(0) // never fires
-	if ref.Invocations < 4 {
-		t.Fatalf("reference run too short (%d events)", ref.Invocations)
-	}
-	swapped := run(ref.Invocations / 2)
-	if runKey(ref) != runKey(swapped) {
-		t.Fatalf("identical-weights hot-swap changed the schedule:\n  ref     %s\n  swapped %s", runKey(ref), runKey(swapped))
-	}
-	snap := srv.svc.Stats()
-	if snap.Swaps != 1 {
-		t.Fatalf("Swaps = %d, want 1", snap.Swaps)
-	}
-	if snap.ModelName != "same" || snap.ModelVersion != 1 {
-		t.Fatalf("served model = %q@%d, want same@1", snap.ModelName, snap.ModelVersion)
+	for _, tc := range []struct {
+		name string
+		src  *core.Agent // whose weights the swap installs; nil: the base's own
+	}{
+		{"identical weights", nil},
+		{"different weights", core.New(core.DefaultConfig(executors), rand.New(rand.NewSource(177)))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := newBase()
+			src := tc.src
+			if src == nil {
+				src = base
+			}
+			srv, cli := startSessionServer(t, SessionConfig{Default: "decima", New: runnerFactory(base)})
+			m, ck := stageCheckpoint(t, base, src, "staged")
+			served := func(swapAt int) *sim.Result {
+				ss := &SessionScheduler{Client: cli, Seed: sessSeed}
+				res := run(ss, swapAt, func() { srv.svc.Install(base, m, ck.Name, ck.Version) })
+				if err := ss.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+
+			unswapped := served(0)
+			if unswapped.Invocations < 4 {
+				t.Fatalf("reference run too short (%d events)", unswapped.Invocations)
+			}
+			swapAt := unswapped.Invocations / 2
+			swapped := served(swapAt)
+			ref := newBase()
+			ref.NoCache = true
+			ref.SetRNG(rand.New(rand.NewSource(sessSeed)))
+			want := run(ref, swapAt, func() { nn.CopyParams(ref.Params(), m.Params()) })
+			if runKey(want) != runKey(swapped) {
+				t.Fatalf("hot-swap diverges from the in-process NoCache agent:\n  want    %s\n  swapped %s", runKey(want), runKey(swapped))
+			}
+			if (tc.src == nil) != (runKey(unswapped) == runKey(swapped)) {
+				t.Fatalf("swap changed the schedule = %v, want %v:\n  unswapped %s\n  swapped   %s",
+					runKey(unswapped) != runKey(swapped), tc.src != nil, runKey(unswapped), runKey(swapped))
+			}
+			snap := srv.svc.Stats()
+			if snap.Swaps != 1 {
+				t.Fatalf("Swaps = %d, want 1", snap.Swaps)
+			}
+			if snap.ModelName != "staged" || snap.ModelVersion != 1 {
+				t.Fatalf("served model = %q@%d, want staged@1", snap.ModelName, snap.ModelVersion)
+			}
+		})
 	}
 }
 
-// TestHotSwapUnderFire swaps parameters back and forth between two staged
-// registry checkpoints while 16 concurrent sampled sessions decide. The
-// invariants: every run completes (a swap never wedges or drops a session),
-// at least two swaps land while they run, and under -race (make race) the
-// sweep's locking is clean.
+// TestHotSwapUnderFire swaps the served model back and forth between two
+// staged registry checkpoints while 16 concurrent sampled sessions decide.
+// The invariants: every run completes (a swap never wedges or drops a
+// session), at least two swaps land while they run, and under -race (make
+// race) sessions adopting a model while it is being replaced is clean.
 func TestHotSwapUnderFire(t *testing.T) {
 	const executors = 6
 	const sessions = 16
@@ -223,10 +256,10 @@ func TestHotSwapUnderFire(t *testing.T) {
 	// Two parameter sets staged through the registry round-trip: A is base's
 	// weights, B a different initialisation.
 	other := core.New(core.DefaultConfig(executors), rand.New(rand.NewSource(177)))
-	stagedA, ckA := stageCheckpoint(t, base, base, "model-a")
-	stagedB, ckB := stageCheckpoint(t, base, other, "model-b")
+	mA, ckA := stageCheckpoint(t, base, base, "model-a")
+	mB, ckB := stageCheckpoint(t, base, other, "model-b")
 
-	srv, cli := startSessionServer(t, SessionConfig{Default: "decima", New: cloneFactory(base)})
+	srv, cli := startSessionServer(t, SessionConfig{Default: "decima", New: runnerFactory(base)})
 
 	// Swap loop: alternate the two staged models while the sessions run.
 	done := make(chan struct{})
@@ -240,9 +273,9 @@ func TestHotSwapUnderFire(t *testing.T) {
 			case <-time.After(2 * time.Millisecond):
 			}
 			if i%2 == 0 {
-				srv.svc.SwapAgents(stagedA, ckA.Name, ckA.Version)
+				srv.svc.Install(base, mA, ckA.Name, ckA.Version)
 			} else {
-				srv.svc.SwapAgents(stagedB, ckB.Name, ckB.Version)
+				srv.svc.Install(base, mB, ckB.Name, ckB.Version)
 			}
 		}
 	}()

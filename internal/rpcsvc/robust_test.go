@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -287,6 +288,77 @@ func TestConcurrentSessionsWithInjectedEvictions(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no evictions observed with 6 runs on a 2-slot table — test exercised nothing")
+	}
+}
+
+// panicOn wraps a scheduler and panics on its at-th decision (never when at
+// is 0).
+type panicOn struct {
+	scheduler.Scheduler
+	at, n int
+}
+
+func (p *panicOn) Decide(s *sim.State) (*sim.Action, error) {
+	if p.n++; p.n == p.at {
+		panic("scheduler blew up")
+	}
+	return p.Scheduler.Decide(s)
+}
+
+// TestEventPanicEvictsOnlyItsSession is per-event panic containment: the
+// first "panicky" session's scheduler panics on its third decision. That
+// event answers the evicted error, so the client reopens from its shadow and
+// its run completes; Stats counts one panic; and a decima session on the
+// same server, run afterwards, is still bit-identical to its in-process run.
+func TestEventPanicEvictsOnlyItsSession(t *testing.T) {
+	const executors = 6
+	agents := agentFactory(executors)
+	var panicky atomic.Int32
+	srv, cli := startSessionServer(t, SessionConfig{
+		Default: "decima",
+		New: func(name string, seed int64) (scheduler.Scheduler, error) {
+			if name != "panicky" {
+				return agents(name, seed)
+			}
+			fifo, err := scheduler.New("fifo", scheduler.Options{})
+			p := &panicOn{Scheduler: fifo}
+			if panicky.Add(1) == 1 {
+				p.at = 3
+			}
+			return p, err
+		},
+	})
+	cfg := sim.SparkDefaults(executors)
+
+	var errs []error
+	ss := &SessionScheduler{Client: cli, Name: "panicky", OnError: func(e error) { errs = append(errs, e) }}
+	res := sim.New(cfg, workload.Batch(rand.New(rand.NewSource(1)), 4), ss, rand.New(rand.NewSource(2))).Run()
+	if err := ss.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(errs) != 1 || !IsSessionEvicted(errs[0]) {
+		t.Fatalf("errors seen by the run = %v, want one evicted error", errs)
+	}
+	if res.Unfinished != 0 || res.Deadlock {
+		t.Fatalf("run did not recover from the panic: unfinished=%d deadlock=%v", res.Unfinished, res.Deadlock)
+	}
+	if st := srv.Stats(); st.Panics != 1 || st.Sessions != 0 {
+		t.Fatalf("stats after the panic: Panics=%d Sessions=%d, want 1 and 0", st.Panics, st.Sessions)
+	}
+
+	jobs := workload.Batch(rand.New(rand.NewSource(3)), 5)
+	local, err := agents("decima", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sim.New(cfg, workload.CloneAll(jobs), scheduler.Sim(local), rand.New(rand.NewSource(4))).Run()
+	other := &SessionScheduler{Client: cli}
+	got := sim.New(cfg, workload.CloneAll(jobs), other, rand.New(rand.NewSource(4))).Run()
+	if err := other.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if runKey(want) != runKey(got) {
+		t.Fatalf("session after the panic diverges from in-process:\n  local   %s\n  session %s", runKey(want), runKey(got))
 	}
 }
 

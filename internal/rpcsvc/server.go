@@ -77,7 +77,7 @@ type Decima struct {
 	// recordSink + recordMax enable opt-in trajectory recording (record.go).
 	recordSink RecordSink
 	recordMax  int
-	// modelMu guards the served model identity (SetModel/SwapAgents).
+	// modelMu guards the served model identity (SetModel/Install).
 	modelMu      sync.Mutex
 	modelName    string
 	modelVersion int
@@ -155,8 +155,8 @@ func (d *Decima) Open(req *OpenRequest, resp *OpenResponse) error {
 	if err != nil {
 		return err
 	}
-	// Scheduler construction is the expensive part of an Open (for decima, a
-	// full parameter copy); shed before binding a session the client has
+	// Scheduler construction is the expensive part of an Open (for decima,
+	// seeding the session's RNG); shed before binding a session the client has
 	// stopped waiting for. No table entry exists yet, so this is pre-mutation.
 	if req.Deadline > 0 && time.Since(arrival) > req.Deadline {
 		d.stats.DeadlineMiss.Add(1)
@@ -213,7 +213,7 @@ func (d *Decima) Event(req *EventRequest, resp *EventResponse) error {
 	if err != nil {
 		return err
 	}
-	r, err := sess.event(req, deadline)
+	r, err := d.contain(sess, req, deadline)
 	if err != nil {
 		if IsSeqGap(err) {
 			d.stats.SeqGaps.Add(1)
@@ -223,6 +223,24 @@ func (d *Decima) Event(req *EventRequest, resp *EventResponse) error {
 	d.stats.Events.Add(1)
 	resp.ScheduleResponse = *r
 	return nil
+}
+
+// contain runs one event on sess and turns a panic under it into the
+// eviction of that session alone: the mirror and scheduler may be half
+// updated, so the session leaves the table, its recording is dropped
+// undelivered, and the client gets the evicted error, which makes it reopen
+// from its shadow. net/rpc does not recover handler panics, so without this
+// one bad event would end the process and every session on it.
+func (d *Decima) contain(sess *session, req *EventRequest, deadline time.Time) (r *ScheduleResponse, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			d.stats.Panics.Add(1)
+			d.tbl.remove(sess.id)
+			sess.poison()
+			r, err = nil, fmt.Errorf("rpcsvc: session %d: event panicked: %v: %w", sess.id, p, ErrSessionEvicted)
+		}
+	}()
+	return sess.event(req, deadline)
 }
 
 // Close releases a session. Closing an unknown (already evicted) session is

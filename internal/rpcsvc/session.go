@@ -82,16 +82,12 @@ func (s *session) event(req *EventRequest, deadline time.Time) (*ScheduleRespons
 		s.jobs[js.Job.ID] = js
 	}
 	// Order: rebuild the observation-order job list; jobs absent from it
-	// have left the system. Every listed id is known (validate), so the
-	// mirror holds a departed job exactly when it outnumbers the ids seen.
+	// have left the system. Every listed id is known, and validate left them
+	// in seen, so the mirror holds a departed job exactly when it outnumbers
+	// the ids seen.
 	order := s.state.Jobs[:0]
-	if s.seen == nil {
-		s.seen = make(map[int]struct{}, len(req.Order))
-	}
-	clear(s.seen)
 	for _, id := range req.Order {
 		order = append(order, s.jobs[id])
-		s.seen[id] = struct{}{}
 	}
 	if len(s.jobs) > len(s.seen) {
 		for id := range s.jobs {
@@ -102,7 +98,8 @@ func (s *session) event(req *EventRequest, deadline time.Time) (*ScheduleRespons
 	}
 
 	// Deltas: overwrite the touched jobs' runtime counters and bump their
-	// Version so Version-keyed caches refresh exactly these jobs.
+	// Version so Version-keyed caches refresh exactly these jobs. Each is a
+	// job Order lists (validate), so none of them just left.
 	for _, d := range req.Deltas {
 		js := s.jobs[d.ID]
 		js.Executors = d.Executors
@@ -165,7 +162,8 @@ func (s *session) event(req *EventRequest, deadline time.Time) (*ScheduleRespons
 // check its DAG (dag.Job.Validate — stage ids, edge index ranges, symmetric
 // adjacency, acyclicity), and a DAG that fails that check would panic the
 // scheduler mid-decide rather than fail this one request. Only arrivals pay
-// for it; delta-only events carry no NewJobs. Called under s.mu.
+// for it; delta-only events carry no NewJobs. It leaves the ids of Order in
+// s.seen, the per-event scratch set event reads. Called under s.mu.
 func (s *session) validate(req *EventRequest) ([]*sim.JobState, error) {
 	if req.Seq != s.seq+1 {
 		return nil, fmt.Errorf("rpcsvc: session %d: event seq %d (want %d): %w", s.id, req.Seq, s.seq+1, ErrSeqGap)
@@ -195,15 +193,24 @@ func (s *session) validate(req *EventRequest) ([]*sim.JobState, error) {
 		}
 		arrivals = append(arrivals, js)
 	}
+	if s.seen == nil {
+		s.seen = make(map[int]struct{}, len(req.Order))
+	}
+	clear(s.seen)
 	for _, id := range req.Order {
 		if _, ok := stageCount(id); !ok {
 			return nil, fmt.Errorf("rpcsvc: session %d: order references unknown job %d", s.id, id)
 		}
+		s.seen[id] = struct{}{}
 	}
 	for _, d := range req.Deltas {
 		n, ok := stageCount(d.ID)
 		if !ok {
 			return nil, fmt.Errorf("rpcsvc: session %d: delta for unknown job %d", s.id, d.ID)
+		}
+		// A job the order omits leaves the mirror before deltas apply.
+		if _, listed := s.seen[d.ID]; !listed {
+			return nil, fmt.Errorf("rpcsvc: session %d: delta for job %d, which the order omits", s.id, d.ID)
 		}
 		for _, sd := range d.Stages {
 			if sd.Stage < 0 || sd.Stage >= n {
@@ -235,6 +242,17 @@ func (s *session) reset() {
 		s.rec, s.sink = nil, nil
 	}
 	s.sched.Reset()
+}
+
+// poison closes a session whose event panicked. Its mirror and scheduler may
+// be half updated, so the recording is dropped undelivered and the scheduler
+// is not asked to Reset.
+func (s *session) poison() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed = true
+	s.jobs, s.execs, s.state = nil, nil, sim.State{}
+	s.rec, s.sink = nil, nil
 }
 
 // sessionTable is the bounded session manager: most-recently-used sessions

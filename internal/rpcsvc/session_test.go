@@ -24,11 +24,12 @@ func agentFactory(executors int) func(name string, seed int64) (scheduler.Schedu
 	}
 }
 
-// cloneFactory mints per-session clones of one base agent, each sampling
-// from its session seed — the cmd/decima-server deployment shape.
-func cloneFactory(base *core.Agent) func(name string, seed int64) (scheduler.Scheduler, error) {
+// runnerFactory mints per-session runners of one base agent through the
+// registry's "decima" factory, each sampling from its session seed unless
+// base is greedy — the cmd/decima-server deployment shape.
+func runnerFactory(base *core.Agent) func(name string, seed int64) (scheduler.Scheduler, error) {
 	return func(name string, seed int64) (scheduler.Scheduler, error) {
-		return base.Clone(rand.New(rand.NewSource(seed))), nil
+		return scheduler.New("decima", scheduler.Options{Seed: seed, Sampled: !base.Greedy, Agent: base})
 	}
 }
 
@@ -150,22 +151,27 @@ func TestConcurrentSessions(t *testing.T) {
 
 // TestConcurrentSessionsBitIdentical drives 8 concurrent sampled sessions
 // through one server and compares every session's full noisy run against an
-// in-process reference using an identically seeded clone: the schedules and
+// in-process reference using an identically seeded runner: the schedules and
 // metrics — and therefore every RNG draw along the way — must match exactly,
 // however the sessions' events interleave on the server. Run under -race
-// (make race) this also guards that sessions share no mutable state.
+// (make race) this also guards that sessions share nothing mutable: they
+// read one model, by pointer.
 func TestConcurrentSessionsBitIdentical(t *testing.T) {
 	const executors = 8
 	const sessions = 8
 	base := core.New(core.DefaultConfig(executors), rand.New(rand.NewSource(77)))
 	base.Greedy = false // sampled: any probability or RNG drift changes the run
+	mint := runnerFactory(base)
 
-	_, cli := startSessionServer(t, SessionConfig{Default: "decima", New: cloneFactory(base)})
+	_, cli := startSessionServer(t, SessionConfig{Default: "decima", New: mint})
 
 	// In-process references, sequentially.
 	want := make([]string, sessions)
 	for k := 0; k < sessions; k++ {
-		a := base.Clone(rand.New(rand.NewSource(int64(k + 1))))
+		a, err := mint("decima", int64(k+1))
+		if err != nil {
+			t.Fatal(err)
+		}
 		jobs := workload.Batch(rand.New(rand.NewSource(int64(20+k))), 5)
 		res := sim.New(sim.SparkDefaults(executors), jobs, scheduler.Sim(a), rand.New(rand.NewSource(int64(k)))).Run()
 		if res.Unfinished != 0 || res.Deadlock {
@@ -326,7 +332,7 @@ func TestSessionEvictionUnderLoad(t *testing.T) {
 // that lost the race must fail cleanly.
 func TestEvictionRacesInflightDecide(t *testing.T) {
 	base := core.New(core.DefaultConfig(4), rand.New(rand.NewSource(99)))
-	hammerEviction(t, SessionConfig{Default: "decima", New: cloneFactory(base), MaxSessions: 2})
+	hammerEviction(t, SessionConfig{Default: "decima", New: runnerFactory(base), MaxSessions: 2})
 }
 
 // TestEventOnResetSessionFailsCleanly pins the eviction race down at the
@@ -387,55 +393,70 @@ func TestInvalidEventLeavesSessionUsable(t *testing.T) {
 	}
 }
 
-// TestMalformedNewJobIsRejected sends well-formed gob whose NewJobs describe
-// a structurally invalid DAG — a parent index out of range, then a two-stage
-// cycle. Either used to panic the replica inside the decide (taking every
-// session on it down); both must now be refused before the mirror mutates,
-// after which the same session accepts a normal event under the same seq and
-// the server still opens and serves a fresh session.
-func TestMalformedNewJobIsRejected(t *testing.T) {
+// TestMalformedEventIsRejected sends well-formed gob a replica cannot apply:
+// NewJobs describing a structurally invalid DAG (a parent index out of
+// range, a two-stage cycle), and a delta for a job the same request's Order
+// omits (a mirror job that is leaving, an unlisted arrival). Each used to
+// panic the replica (taking every session on it down); each must now be
+// refused by validation before the mirror mutates, after which the same
+// session accepts a normal event under the same seq and the server still
+// opens and serves a fresh session.
+func TestMalformedEventIsRejected(t *testing.T) {
 	const executors = 4
-	_, cli := startSessionServer(t, SessionConfig{Default: "decima", New: agentFactory(executors)})
-	event := func(sid uint64, stages []StageInfo) error {
+	srv, cli := startSessionServer(t, SessionConfig{Default: "decima", New: agentFactory(executors)})
+	call := func(sid uint64, req *EventRequest) error {
+		req.SID = sid
 		var resp EventResponse
-		return cli.rpc.Call("Decima.Event", &EventRequest{
-			SID:           sid,
-			Seq:           1,
-			NewJobs:       []JobInfo{{ID: 1, Stages: stages}},
-			Order:         []int{1},
-			FreeExecutors: []ExecutorInfo{{ID: 0, Mem: 1, LocalJob: -1}},
-		}, &resp)
+		return cli.rpc.Call("Decima.Event", req, &resp)
+	}
+	free := []ExecutorInfo{{ID: 0, Mem: 1, LocalJob: -1}}
+	// arrive is a session's first event: job 1 arrives with these stages.
+	arrive := func(stages ...StageInfo) *EventRequest {
+		return &EventRequest{Seq: 1, NewJobs: []JobInfo{{ID: 1, Stages: stages}}, Order: []int{1}, FreeExecutors: free}
 	}
 	stage := func(id int, parents, children []int) StageInfo {
 		return StageInfo{ID: id, NumTasks: 2, TaskDuration: 1, CPUReq: 1, Parents: parents, Children: children}
 	}
+	chain := []StageInfo{stage(0, nil, []int{1}), stage(1, []int{0}, nil)}
 	sess, err := cli.OpenSession(&OpenRequest{TotalExecutors: executors})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Stage 0 is a runnable root in both shapes, so the agent does embed the
-	// job (with no candidate it would return before touching the DAG).
+	// Stage 0 is a runnable root in both DAG shapes, so the agent does embed
+	// the job (with no candidate it would return before touching the DAG).
+	// The Seq 2 rows reach a session that holds job 1.
+	arrived := false
 	for _, bad := range []struct {
-		name   string
-		stages []StageInfo
+		name string
+		req  *EventRequest
 	}{
-		{"parent out of range", []StageInfo{stage(0, nil, nil), stage(1, []int{7}, nil)}},
-		{"cycle", []StageInfo{stage(0, nil, nil), stage(1, []int{2}, []int{2}), stage(2, []int{1}, []int{1})}},
+		{"parent out of range", arrive(stage(0, nil, nil), stage(1, []int{7}, nil))},
+		{"cycle", arrive(stage(0, nil, nil), stage(1, []int{2}, []int{2}), stage(2, []int{1}, []int{1}))},
+		{"delta for a job the order omits", &EventRequest{Seq: 2, Order: []int{}, Deltas: []JobDelta{{ID: 1}}}},
+		{"delta for an unlisted new job", &EventRequest{Seq: 2, NewJobs: []JobInfo{{ID: 2, Stages: chain}}, Order: []int{1}, Deltas: []JobDelta{{ID: 2}}, FreeExecutors: free}},
 	} {
-		if err := event(sess.SID(), bad.stages); err == nil {
-			t.Fatalf("%s: malformed job accepted", bad.name)
+		if bad.req.Seq == 2 && !arrived {
+			if err := call(sess.SID(), arrive(chain...)); err != nil {
+				t.Fatalf("session unusable after rejected jobs: %v", err)
+			}
+			arrived = true
+		}
+		if err := call(sess.SID(), bad.req); err == nil || IsSeqGap(err) {
+			t.Fatalf("%s: malformed event not rejected by validation: %v", bad.name, err)
 		}
 	}
-	chain := []StageInfo{stage(0, nil, []int{1}), stage(1, []int{0}, nil)}
-	if err := event(sess.SID(), chain); err != nil {
-		t.Fatalf("session unusable after rejected jobs: %v", err)
+	if err := call(sess.SID(), &EventRequest{Seq: 2, Order: []int{1}, Deltas: []JobDelta{{ID: 1}}, FreeExecutors: free}); err != nil {
+		t.Fatalf("session unusable after rejected deltas: %v", err)
 	}
 	fresh, err := cli.OpenSession(&OpenRequest{TotalExecutors: executors})
 	if err != nil {
-		t.Fatalf("server unusable after rejected jobs: %v", err)
+		t.Fatalf("server unusable after rejected events: %v", err)
 	}
-	if err := event(fresh.SID(), chain); err != nil {
-		t.Fatalf("fresh session after rejected jobs: %v", err)
+	if err := call(fresh.SID(), arrive(chain...)); err != nil {
+		t.Fatalf("fresh session after rejected events: %v", err)
+	}
+	if n := srv.Stats().Panics; n != 0 {
+		t.Fatalf("%d events panicked; validation must reject them first", n)
 	}
 }
 

@@ -121,8 +121,11 @@ type ServerStats struct {
 	// EvictedLRU and EvictedIdle count session-table evictions by cause.
 	EvictedLRU, EvictedIdle atomic.Uint64
 	// RecordingOpens counts sessions opened with trajectory recording on;
-	// Swaps counts SwapAgents sweeps (live model hot-swaps).
+	// Swaps counts live model hot-swaps (Install).
 	RecordingOpens, Swaps atomic.Uint64
+	// Panics counts events whose decision panicked; each evicted its
+	// session and the server kept serving.
+	Panics atomic.Uint64
 	// Decide observes the latency of every scheduling decision.
 	Decide LatencyHist
 }
@@ -138,6 +141,7 @@ type StatsSnapshot struct {
 	Inflight                int64
 	EvictedLRU, EvictedIdle uint64
 	RecordingOpens, Swaps   uint64
+	Panics                  uint64
 	Draining                bool
 	Replica                 string
 	// ModelName/ModelVersion identify the served model (registry identity;
@@ -163,6 +167,7 @@ func (st *ServerStats) snapshot() StatsSnapshot {
 		EvictedIdle:    st.EvictedIdle.Load(),
 		RecordingOpens: st.RecordingOpens.Load(),
 		Swaps:          st.Swaps.Load(),
+		Panics:         st.Panics.Load(),
 		Decide:         st.Decide.Snapshot(),
 	}
 }
@@ -188,6 +193,7 @@ func (s StatsSnapshot) WriteProm(w io.Writer, labels string) {
 	c("decima_closes_total", s.Closes)
 	c("decima_events_total", s.Events)
 	c("decima_seq_gaps_total", s.SeqGaps)
+	c("decima_panics_total", s.Panics)
 	c("decima_shed_total", s.Shed)
 	c("decima_deadline_miss_total", s.DeadlineMiss)
 	fmt.Fprintf(w, "# TYPE decima_inflight gauge\ndecima_inflight%s %d\n", braced, s.Inflight)

@@ -38,11 +38,11 @@ func init() {
 	RegisterAlias("graphene", "graphene-star")
 }
 
-// newDecima builds (or clones) a Decima agent. Greedy argmax is the serving
-// default; Options.Sampled restores training-style sampling.
+// newDecima builds a Decima agent, or a runner of Options.Agent. Greedy argmax
+// is the serving default; Options.Sampled restores training-style sampling.
 func newDecima(o Options) (Scheduler, error) {
 	if o.Agent != nil {
-		a := o.Agent.Clone(rand.New(rand.NewSource(o.Seed)))
+		a := o.Agent.Runner(rand.New(rand.NewSource(o.Seed)))
 		a.Greedy = !o.Sampled
 		return a, nil
 	}

@@ -67,10 +67,12 @@ type Options struct {
 	// WFairAlpha sets the weighted-fair exponent for "opt-wfair"; 0 selects
 	// the paper's tuned default of −1 (α = 0 itself is the "fair" policy).
 	WFairAlpha float64
-	// Agent, when non-nil, makes "decima" serve a clone of this pre-built
-	// (typically trained) agent instead of constructing a fresh one. The
-	// clone shares no mutable state with the original, so every New call
-	// still returns an independent instance.
+	// Agent, when non-nil, makes "decima" serve a runner of this pre-built
+	// (typically trained) agent (core.Agent.Runner) instead of constructing
+	// a fresh one. Runners share the agent's model by pointer, which is never
+	// written, and own their cache and RNG, so every New call still returns
+	// an independent instance. A model installed on Agent later reaches
+	// each runner at its next decision.
 	Agent *core.Agent
 }
 

@@ -67,7 +67,7 @@ func TestDecimaNeedsSizing(t *testing.T) {
 }
 
 // TestDecimaAgentCloneIsIndependent verifies that New(decima, {Agent})
-// serves clones: same decisions as the source, no shared mutable state.
+// serves a new instance, a runner, that makes the source's decisions.
 func TestDecimaAgentCloneIsIndependent(t *testing.T) {
 	const executors = 6
 	base := core.New(core.DefaultConfig(executors), rand.New(rand.NewSource(1)))
@@ -82,7 +82,7 @@ func TestDecimaAgentCloneIsIndependent(t *testing.T) {
 		t.Fatalf("decima factory returned %T, want *core.Agent", s)
 	}
 	if clone == base {
-		t.Fatal("factory returned the source agent, not a clone")
+		t.Fatal("factory returned the source agent, not a runner")
 	}
 
 	jobs := workload.Batch(rand.New(rand.NewSource(2)), 4)
