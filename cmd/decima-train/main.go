@@ -103,6 +103,10 @@ func main() {
 			fmt.Printf("iter %4d  return %10.1f  jct %8.1f  steps %5.0f  entropy %.2f\n",
 				st.Iter, st.MeanReturn, st.MeanJCT, st.MeanSteps, st.Entropy)
 		}
+		if st.LogProbMismatches > 0 {
+			fmt.Fprintf(os.Stderr, "warning: iter %d: %d replayed log-probs differ from the recorded ones; the gradient is not the acting policy's\n",
+				st.Iter, st.LogProbMismatches)
+		}
 	})
 	_ = stats
 

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
+	"repro/internal/nn"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -68,4 +71,54 @@ func BenchmarkInferenceDecisionNoCache(b *testing.B) {
 		a.NoCache = true
 		return a
 	}, false)
+}
+
+// BenchmarkDecideAtScale is ROADMAP item 11(a)'s probe: a warm greedy
+// decision (every embedding cached) on 20-, 100- and 200-job states, the
+// regime of Fig. 15b, and the Q head's forward alone over that decision's
+// own candidate rows, timed alternately in one loop so both see the same
+// machine. decide_ns/op is the decision, q_ns/op the Q forward, q_share
+// their ratio: the most a cheaper Q head could save. ns/op is their sum.
+func BenchmarkDecideAtScale(b *testing.B) {
+	for _, jobs := range []int{20, 100, 200} {
+		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
+			st := benchState(jobs, 20)
+			a := newBenchAgent()
+			a.Greedy = true
+			if a.Schedule(st) == nil {
+				b.Fatal("benchmark state yields no action")
+			}
+			// The decision's own Q input: one [e_v, y_i, z] row per candidate.
+			q, emb, cands := a.Pol.Q, &a.emb, len(a.cands)
+			var rows []float64
+			for _, c := range a.cands {
+				nodes, dy := emb.Nodes[c.JobIdx], emb.Jobs.Cols
+				rows = append(rows, nodes.Data[c.NodeIdx*nodes.Cols:(c.NodeIdx+1)*nodes.Cols]...)
+				rows = append(rows, emb.Jobs.Data[c.JobIdx*dy:(c.JobIdx+1)*dy]...)
+				rows = append(rows, emb.Global.Data...)
+			}
+			if len(rows) != cands*q.InDim() {
+				b.Fatalf("built %d Q inputs, want %d×%d", len(rows), cands, q.InDim())
+			}
+			var s nn.Scratch
+			var decide, qTime time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				a.Schedule(st)
+				t1 := time.Now()
+				s.Reset()
+				mat := s.AllocTensor(cands, q.InDim())
+				copy(mat.Data, rows)
+				q.ForwardInference(mat, &s)
+				decide += t1.Sub(t0)
+				qTime += time.Since(t1)
+			}
+			b.ReportMetric(float64(cands), "cands")
+			b.ReportMetric(float64(decide.Nanoseconds())/float64(b.N), "decide_ns/op")
+			b.ReportMetric(float64(qTime.Nanoseconds())/float64(b.N), "q_ns/op")
+			b.ReportMetric(float64(qTime)/float64(decide), "q_share")
+		})
+	}
 }

@@ -63,3 +63,26 @@ func TestRetainedStepsSurviveLaterDecisions(t *testing.T) {
 		}
 	}
 }
+
+// TestLogProbInvariant runs training at the train-replay shape and requires
+// every replayed log-probability to equal, bit for bit, the one the rollout
+// recorded; the negative control perturbs one recorded value and must see
+// exactly one mismatch per iteration.
+func TestLogProbInvariant(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		tr, src, simCfg := replayShapeTrainer(workers, 3)
+		for _, st := range tr.Train(3, src, simCfg, nil) {
+			if st.MeanSteps == 0 {
+				t.Fatalf("%d workers, iteration %d: no decisions to check", workers, st.Iter)
+			}
+			if st.LogProbMismatches != 0 {
+				t.Fatalf("%d workers, iteration %d: %d replayed log-probs differ from the recorded ones", workers, st.Iter, st.LogProbMismatches)
+			}
+		}
+	}
+	tr, src, simCfg := replayShapeTrainer(2, 3)
+	defer perturbOneRecordedLogProb()()
+	if st := tr.Iteration(src, simCfg); st.LogProbMismatches != 1 {
+		t.Fatalf("one perturbed recorded log-prob: %d mismatches, want 1", st.LogProbMismatches)
+	}
+}

@@ -124,6 +124,12 @@ type IterStats struct {
 	GradNorm float64
 	// Entropy is the mean decision entropy.
 	Entropy float64
+	// LogProbMismatches counts the decisions whose replayed log π(a|s)
+	// differs in any bit from the one the rollout recorded. The replay
+	// rebuilds the inference path's arithmetic exactly, so this is 0;
+	// anything else means training followed gradients of a different policy
+	// than the one that acted.
+	LogProbMismatches int
 }
 
 // Trainer trains a Decima agent.
@@ -176,6 +182,9 @@ type episode struct {
 	entVals []float64   // entropy values, filled by the replay
 	grads   [][]float64 // per-parameter gradient contribution
 	worker  int         // pool index of the worker that owns the storage
+	// mismatches counts steps whose replayed LogProb bits differ from the
+	// recorded ones, filled by the replay.
+	mismatches int
 }
 
 // reset recycles the episode's pooled storage for a new rollout.
@@ -269,6 +278,10 @@ func baselineAt(ep *episode, tt float64) float64 {
 	return ep.returns[i-1]
 }
 
+// testHookCollected, when a test sets it, sees every iteration's episodes
+// between collection and replay.
+var testHookCollected func([]*episode)
+
 // Iteration runs one Algorithm-1 iteration: sample horizon and sequence,
 // roll out N episodes across the worker pool on the inference path,
 // compute input-dependent baselines, replay each episode through one
@@ -305,6 +318,9 @@ func (t *Trainer) Iteration(src JobSource, simCfg sim.Config) IterStats {
 	eng := t.pool()
 	eng.sync(t.Agent)
 	episodes := eng.collect(t.Cfg, t.rbar, tasks, simCfg)
+	if testHookCollected != nil {
+		testHookCollected(episodes)
+	}
 
 	// Advantage pass: per-step advantages against the per-time
 	// input-dependent baseline, in episode order.
@@ -372,7 +388,7 @@ func (t *Trainer) Iteration(src JobSource, simCfg sim.Config) IterStats {
 	params := t.Agent.Params()
 	nn.ZeroGrads(params)
 	var sumEntropy float64
-	var entropyCount int
+	var entropyCount, mismatches int
 	for _, ep := range episodes {
 		if len(ep.steps) == 0 {
 			continue
@@ -382,6 +398,7 @@ func (t *Trainer) Iteration(src JobSource, simCfg sim.Config) IterStats {
 			sumEntropy += e
 		}
 		entropyCount += len(ep.entVals)
+		mismatches += ep.mismatches
 	}
 	grad := nn.ClipGradNorm(params, t.Cfg.GradClip)
 	t.opt.Step(params)
@@ -394,11 +411,12 @@ func (t *Trainer) Iteration(src JobSource, simCfg sim.Config) IterStats {
 	t.Cfg.EntropyWeight *= t.Cfg.EntropyDecay
 
 	stats := IterStats{
-		Iter:       t.iter,
-		MeanReturn: sumReturn / float64(n),
-		MeanSteps:  sumSteps / float64(n),
-		Horizon:    horizon,
-		GradNorm:   grad,
+		Iter:              t.iter,
+		MeanReturn:        sumReturn / float64(n),
+		MeanSteps:         sumSteps / float64(n),
+		Horizon:           horizon,
+		GradNorm:          grad,
+		LogProbMismatches: mismatches,
 	}
 	var jctSum float64
 	var jctN int

@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"math"
 	"math/rand"
 
 	"repro/internal/core"
@@ -97,11 +98,13 @@ func runEpisode(agent *core.Agent, cfg Config, rbar float64, tk rolloutTask, sim
 // backward replays one of this worker's episodes — rebuilding the tracked
 // graph the rollout skipped — runs one backward pass over the episode's
 // REINFORCE loss, and snapshots the resulting per-episode gradient into
-// pooled storage. Per-step weights: loss = Σ −(adv/σ)·scale·logπ − β·scale·H.
+// pooled storage. It also counts the steps whose replayed log-probability
+// is not bit-identical to the recorded one (IterStats.LogProbMismatches). Per-step weights: loss = Σ −(adv/σ)·scale·logπ − β·scale·H.
 // The graph lives on the worker's replay scratch and is gone with the next
 // backward; what the trainer reads afterwards (entVals, grads) is copied out
 // here.
 func (w *worker) backward(ep *episode, stdA, scale, entropyWeight float64) {
+	ep.mismatches = 0
 	n := len(ep.steps)
 	if n == 0 {
 		return
@@ -120,6 +123,9 @@ func (w *worker) backward(ep *episode, stdA, scale, entropyWeight float64) {
 	ep.entVals = resizeF(ep.entVals, n)
 	for k, v := range vals {
 		ep.entVals[k] = v.Entropy
+		if math.Float64bits(v.LogProb) != math.Float64bits(ep.steps[k].LogProb) {
+			ep.mismatches++
+		}
 	}
 	ep.grads = nn.CloneGradsInto(ep.grads, params)
 	nn.ZeroGrads(params)

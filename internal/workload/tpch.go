@@ -8,18 +8,26 @@
 // of the work), diverse DAG shapes (chains, diamonds, fan-ins, trees), and
 // per-query parallelism "sweet spots" (Fig. 2's Q2 vs Q9 contrast), encoded
 // as a work-inflation curve beyond each query's inherent parallelism.
+//
+// A (query, size) pair fixes a job completely, so each of the 22 × 6
+// templates is built once, on first use, and every instance TPCHJob hands
+// out is a Clone of it. A template draws only from its own seeded sources,
+// and the arrival generators draw from the caller's rng exactly what a
+// fresh build per job would: a seed generates the same jobs, bit for bit,
+// whichever templates were built before (TestGeneratedWorkloadGolden).
 package workload
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/dag"
 )
 
 // Sizes are the six TPC-H input sizes in GB used by the paper (§7.2).
-var Sizes = []float64{2, 5, 10, 20, 50, 100}
+var Sizes = [...]float64{2, 5, 10, 20, 50, 100}
 
 // NumQueries is the number of TPC-H query templates.
 const NumQueries = 22
@@ -160,11 +168,39 @@ func inflation(q int, sizeGB float64) func(int) float64 {
 
 // TPCHJob instantiates query q (1-based, 1..22) at the given input size.
 // The job's stages, work split and memory requests are deterministic per
-// (q, size); the caller assigns ID and arrival time.
+// (q, size), so an instance is a Clone of that pair's template, built once
+// on first use; the caller assigns ID and arrival time. A size outside
+// Sizes is built afresh, uncached.
 func TPCHJob(q int, sizeGB float64) *dag.Job {
 	if q < 1 || q > NumQueries {
 		panic(fmt.Sprintf("workload: query %d out of range", q))
 	}
+	for i, s := range Sizes {
+		if s == sizeGB {
+			return tpchTemplate(q, i).Clone()
+		}
+	}
+	return buildTPCHJob(q, sizeGB)
+}
+
+// templates holds each (query, size) job, built on first use. Templates are
+// never handed out or mutated; callers get clones.
+var templates [NumQueries][len(Sizes)]templateSlot
+
+type templateSlot struct {
+	once sync.Once
+	job  *dag.Job
+}
+
+// tpchTemplate returns the shared template of query q at Sizes[i].
+func tpchTemplate(q, i int) *dag.Job {
+	t := &templates[q-1][i]
+	t.once.Do(func() { t.job = buildTPCHJob(q, Sizes[i]) })
+	return t.job
+}
+
+// buildTPCHJob builds query q at the given size from its seeded rng sources.
+func buildTPCHJob(q int, sizeGB float64) *dag.Job {
 	spec := querySpecs[q-1]
 	rng := rand.New(rand.NewSource(int64(5000 + q)))
 	n := spec.stages
@@ -236,16 +272,19 @@ func RandomTPCHJob(rng *rand.Rand) *dag.Job {
 
 // MeanTPCHWork returns the mean total work (task-seconds) over the uniform
 // (query, size) distribution; used to pick interarrival times for a target
-// cluster load.
-func MeanTPCHWork() float64 {
+// cluster load. It is computed once, over the template table, so
+// IATForLoad costs nothing after its first call.
+func MeanTPCHWork() float64 { return meanTPCHWork() }
+
+var meanTPCHWork = sync.OnceValue(func() float64 {
 	var sum float64
 	for q := 1; q <= NumQueries; q++ {
-		for _, s := range Sizes {
-			sum += TPCHJob(q, s).TotalWork()
+		for i := range Sizes {
+			sum += tpchTemplate(q, i).TotalWork()
 		}
 	}
 	return sum / float64(NumQueries*len(Sizes))
-}
+})
 
 // IATForLoad returns the Poisson mean interarrival time that produces the
 // given cluster load on numExecutors executors, via

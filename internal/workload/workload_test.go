@@ -5,8 +5,11 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/dag"
 )
 
 func TestAllTemplatesValid(t *testing.T) {
@@ -258,5 +261,85 @@ func TestSampleTPCHRange(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// jobDigest hashes every field of one job (see golden_test.go).
+func jobDigest(j *dag.Job) uint64 { return digestJobs([]*dag.Job{j}) }
+
+// TestTPCHJobInstancesIndependent checks that instances are copies, never
+// the template. Mutating every part of a returned job must leave the next
+// instance of the same (query, size) equal to a fresh uncached build; and
+// eight goroutines building the table from scratch through Batch, Poisson
+// and TPCHJob at once (the race detector watches under `make race`) must
+// each generate what a serial run does.
+func TestTPCHJobInstancesIndependent(t *testing.T) {
+	for _, c := range []struct {
+		q    int
+		size float64
+	}{{9, 100}, {2, 2}, {21, 50}} {
+		want := jobDigest(buildTPCHJob(c.q, c.size))
+		j := TPCHJob(c.q, c.size)
+		if got := jobDigest(j); got != want {
+			t.Fatalf("q%d@%v: instance differs from a fresh build before any mutation", c.q, c.size)
+		}
+		j.Name = "mutated"
+		for _, s := range j.Stages {
+			s.NumTasks *= 3
+			s.TaskDuration = -1
+			s.ShuffleMB, s.MemReq, s.CPUReq = 7, 7, 7
+			s.Name = "x"
+			s.Parents = append(s.Parents, 99)
+			s.Children = append(s.Children, 98)
+			if len(s.Parents) > 1 {
+				s.Parents[0] = 97
+			}
+		}
+		j.AddEdge(0, len(j.Stages)-1)
+		j.Inflation = func(int) float64 { return 42 }
+		j.Stages[0] = &dag.Stage{}
+		if got := jobDigest(TPCHJob(c.q, c.size)); got != want {
+			t.Fatalf("q%d@%v: mutating an instance changed the next one", c.q, c.size)
+		}
+	}
+
+	generate := func(g int) uint64 {
+		rng := rand.New(rand.NewSource(int64(g)))
+		jobs := append(Batch(rng, 30), Poisson(rng, 30, IATForLoad(0.7, 10))...)
+		for q := 1; q <= NumQueries; q++ {
+			jobs = append(jobs, TPCHJob(q, Sizes[(q+g)%len(Sizes)]))
+		}
+		return digestJobs(jobs)
+	}
+	want := make([]uint64, 8)
+	for g := range want {
+		want[g] = generate(g)
+	}
+	templates = [NumQueries][len(Sizes)]templateSlot{}
+	got := make([]uint64, len(want))
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = generate(g)
+		}(g)
+	}
+	wg.Wait()
+	for g := range want {
+		if got[g] != want[g] {
+			t.Fatalf("goroutine %d generated different jobs concurrently", g)
+		}
+	}
+}
+
+// TestBatchAllocs bounds what one generated job costs: a copy of its
+// template (the job, its stage slice, each stage and its adjacency lists),
+// not a rebuild from seeded rng sources.
+func TestBatchAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	Batch(rng, 20) // build the templates first
+	if n := testing.AllocsPerRun(20, func() { Batch(rng, 20) }) / 20; n > 25 {
+		t.Fatalf("Batch makes %.1f allocations per job, want ≤ 25", n)
 	}
 }
