@@ -8,7 +8,11 @@
 // the heap — and Backward walks the recorded computation graph in reverse
 // topological order. Gradients accumulate into Tensor.Grad,
 // so several Backward calls (e.g. one per REINFORCE step) can share one
-// optimizer step.
+// optimizer step. The leaves' and the root's gradients stay after Backward;
+// an intermediate result built on a Tape hands its gradient back to the
+// tape as soon as its own backward has consumed it, and its Grad is nil
+// afterwards (heap intermediates keep theirs). A tape therefore holds a
+// computation's values plus a short gradient frontier.
 //
 // Package map:
 //

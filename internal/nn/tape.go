@@ -1,5 +1,7 @@
 package nn
 
+import "math"
+
 // Tape is the arena of one tracked computation at a time: it owns the Data
 // and (lazily created) Grad of every op result built from its tensors, the
 // result headers, and the index and weight scratch the caller's plan needs —
@@ -13,22 +15,30 @@ package nn
 // never met a tape (parameters, test inputs, the ledger's kernel probes)
 // allocate exactly as they always did.
 //
-// A Tape is owned by one goroutine at a time. Everything handed out is valid
-// until the next Reset and is NOT cleared by it: whatever must outlive the
-// replay — the loss value, per-step values, parameter gradients (which live
-// on the parameters, not here) — is copied out first.
+// Gradients are the exception to "until Reset": once an op result's own
+// backward has consumed its gradient, Backward hands the buffer back (the
+// field goes nil) and the next gradient that fits is cut from it, so a
+// replay holds its values plus a short gradient frontier rather than a
+// gradient for every value. The root and the leaves keep theirs.
+//
+// A Tape is owned by one goroutine at a time. Everything else handed out is
+// valid until the next Reset and is NOT cleared by it: whatever must outlive
+// the replay — the loss value, per-step values, parameter gradients (which
+// live on the parameters, not here) — is copied out first.
 type Tape struct {
 	f    arena[float64]
 	i    arena[int]
 	hdrs headerPool
 
-	marks []bool // ScatterRows' row marks: all false between uses
+	marks []bool      // ScatterRows' row marks: all false between uses
+	freed [][]float64 // gradients Backward handed back since the last Reset
 }
 
 // Reset recycles every buffer and header handed out since the last Reset.
 func (tp *Tape) Reset() {
 	tp.f.reset()
 	tp.i.reset()
+	tp.freed = tp.freed[:0]
 	// Stale headers would pin the finished computation's closures.
 	for c := 0; c*hdrChunk < tp.hdrs.n; c++ {
 		clear(tp.hdrs.chunks[c])
@@ -76,6 +86,40 @@ func (tp *Tape) zeros(n int) []float64 {
 	b := tp.f.alloc(n)
 	clear(b)
 	return b
+}
+
+// grad returns a cleared length-n gradient buffer: the smallest handed-back
+// buffer that fits, else fresh storage.
+func (tp *Tape) grad(n int) []float64 {
+	if tp == nil {
+		return make([]float64, n)
+	}
+	best := -1
+	for i, b := range tp.freed {
+		if cap(b) >= n && (best < 0 || cap(b) < cap(tp.freed[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return tp.zeros(n)
+	}
+	b := tp.freed[best][:n]
+	tp.freed[best] = tp.freed[len(tp.freed)-1]
+	tp.freed = tp.freed[:len(tp.freed)-1]
+	clear(b)
+	return b
+}
+
+// handBack takes back a gradient buffer nothing will read again. Race builds
+// poison it first, so a read after hand-back surfaces as a NaN.
+func (tp *Tape) handBack(g []float64) {
+	if poisonHandBack {
+		all := g[:cap(g)]
+		for i := range all {
+			all[i] = math.NaN()
+		}
+	}
+	tp.freed = append(tp.freed, g)
 }
 
 // wrap returns a rows×cols header over data, from the pool or the heap.

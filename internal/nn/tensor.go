@@ -103,7 +103,7 @@ func (t *Tensor) Clone() *Tensor {
 // tensor's tape when it has one.
 func (t *Tensor) ensureGrad() {
 	if t.Grad == nil {
-		t.Grad = t.tape.zeros(len(t.Data))
+		t.Grad = t.tape.grad(len(t.Data))
 	}
 }
 
@@ -138,7 +138,10 @@ func newResult(tp *Tape, rows, cols int, data []float64, back func(), parents ..
 
 // Backward runs reverse-mode differentiation from t, which must be a 1×1
 // scalar, seeding d(t)/d(t) = seed. Gradients accumulate into the Grad
-// buffers of every tensor that requires gradients.
+// buffers of every tensor that requires gradients. An op result on a tape
+// hands its gradient back to the tape once its own backward has run — reverse
+// topological order means nothing adds to it afterwards — and its Grad is nil
+// from then on; t and every leaf keep theirs, and heap graphs keep them all.
 //
 // The seed parameter lets callers weight a loss term without materialising
 // the multiplication in the graph (REINFORCE uses the advantage here).
@@ -157,6 +160,10 @@ func (t *Tensor) Backward(seed float64) {
 		n := order[i]
 		if n.backFn != nil {
 			n.backFn()
+			if n != t && n.tape != nil {
+				n.tape.handBack(n.Grad)
+				n.Grad = nil
+			}
 		}
 	}
 	// Recycle the walk buffers: REINFORCE calls Backward once per decision,

@@ -84,6 +84,35 @@ func TestTapeCapacitySettles(t *testing.T) {
 	}
 }
 
+// TestTapeHoldsGradientFrontier bounds the workers' tapes at the ledger's
+// train-replay shape. Backward hands each intermediate gradient back to its
+// tape once consumed, so a tape holds the replay's values plus a short
+// gradient frontier: 3.98M floats across both workers after 6 iterations,
+// against 5.56M when every gradient stayed on the tape until Reset.
+func TestTapeHoldsGradientFrontier(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains 6 iterations at the train-replay shape")
+	}
+	tr, src, simCfg := replayShapeTrainer(2, 1)
+	for i := 0; i < 6; i++ {
+		tr.Iteration(src, simCfg)
+	}
+	floats := tapeFloats(tr)
+	t.Logf("workers' tapes: %d floats (%.1f MB)", floats, float64(floats)*8/(1<<20))
+	if floats > 4_400_000 {
+		t.Errorf("workers' tapes hold %d floats after 6 iterations, want <= 4.4M", floats)
+	}
+}
+
+// tapeFloats sums the capacity of every worker's tape, in float64s.
+func tapeFloats(tr *Trainer) int {
+	n := 0
+	for _, w := range tr.eng.workers {
+		n += w.replay.Tape.Cap()
+	}
+	return n
+}
+
 // replayedNodes counts the rows of the episode's stacked GNN input: the nodes
 // of every distinct graph observation.
 func replayedNodes(ep *episode) int {

@@ -29,7 +29,8 @@ func benchTrainer() (*Trainer, JobSource, sim.Config) {
 // the small single-worker fixture (reporting "episodes/sec") and at the
 // ledger's train-replay shape with its two workers, where the per-worker
 // tape arena and the parallel tall-stack kernels engage ("decisions/sec" is
-// the ledger's events_per_s; B/op is its rl.alloc_mb_per_iter).
+// the ledger's events_per_s; B/op is its rl.alloc_mb_per_iter; tape_MB is
+// the workers' summed tape capacity).
 func BenchmarkTrainIteration(b *testing.B) {
 	b.Run("small", func(b *testing.B) {
 		tr, src, simCfg := benchTrainer()
@@ -39,6 +40,7 @@ func BenchmarkTrainIteration(b *testing.B) {
 		tr, src, simCfg := replayShapeTrainer(2, 1)
 		tr.Iteration(src, simCfg) // warm the arenas
 		benchIterations(b, tr, src, simCfg)
+		b.ReportMetric(float64(tapeFloats(tr))*8/(1<<20), "tape_MB")
 	})
 }
 
