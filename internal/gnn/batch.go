@@ -58,8 +58,12 @@ func (g *GNN) ForwardBatch(tp *nn.Tape, graphs []*Graph) *Batch {
 			graphSeg[off[gi]+r] = gi
 		}
 	}
-	x := g.Prep.Forward(allFeats) // total×D projected features
-	e := x
+	// One node-embedding matrix for the whole pass: it starts as the
+	// projected features x̂ and each level overwrites its parents' rows with
+	// e_v = agg_v + x̂_v, as EmbedNodesInference does in scratch. A child is
+	// final before any level reads it and x̂_v is read only at v's own level,
+	// so no backward reads an overwritten value.
+	e := g.Prep.Forward(allFeats)
 	for h := 0; h < maxH; h++ {
 		// Stack this height's level of every graph that reaches it, in graph
 		// order and stacked row coordinates.
@@ -86,19 +90,17 @@ func (g *GNN) ForwardBatch(tp *nn.Tape, graphs []*Graph) *Batch {
 		}
 		// Eq. (1): the level's parents aggregate their (already final)
 		// children's embeddings.
-		msgs := g.FNode.Forward(nn.GatherRows(e, lv.ChildIdx))
+		msgs := g.FNode.ForwardRows(nn.Rows{T: e, Idx: lv.ChildIdx})
 		agg := nn.SegmentSum(msgs, lv.Seg, len(lv.Parents))
 		if !g.Cfg.SingleLevel {
 			agg = g.GNode.Forward(agg)
 		}
-		rows := nn.Add(agg, nn.GatherRows(x, lv.Parents))
-		e = nn.ScatterRows(e, lv.Parents, rows)
+		e = nn.AddRowsInPlace(e, lv.Parents, agg)
 	}
 	// Per-graph summaries: one FJob pass over every (x_v, e_v) pair, summed
 	// per graph (same row order as the per-graph SumRows), one GJob pass
 	// over the stacked per-graph aggregates.
-	pair := nn.ConcatCols(allFeats, e)
-	sums := nn.SegmentSum(g.FJob.Forward(pair), graphSeg, len(graphs))
+	sums := nn.SegmentSum(g.FJob.ForwardRows(nn.Rows{T: allFeats}, nn.Rows{T: e}), graphSeg, len(graphs))
 	return &Batch{Nodes: e, Off: off, Jobs: g.GJob.Forward(sums)}
 }
 

@@ -28,9 +28,10 @@
 // GlobalsBatch — autograd, many graphs in one pass, one graph being the
 // degenerate batch). Which one runs follows from whether a gradient is being
 // taken; there is no option. They stay separate code because the inference
-// side's in-place level updates and arena-owned tensors are exactly what a
-// tape cannot share. EmbedNodesNaive is the unbatched reference of the level
-// batching itself.
+// side's arena-owned tensors and per-job caching are exactly what a tape
+// cannot share; both update one node-embedding matrix in place, level by
+// level. EmbedNodesNaive is the unbatched reference of the level batching
+// itself.
 package gnn
 
 import (
@@ -131,8 +132,8 @@ type Embeddings struct {
 // ablation benchmark (see DESIGN.md at the repository root, which covers
 // level batching and the two forwards).
 func (g *GNN) EmbedNodesNaive(gr *Graph) *nn.Tensor {
-	x := g.Prep.Forward(gr.Feats)
-	n := x.Rows
+	e := g.Prep.Forward(gr.Feats) // updated in place, as in ForwardBatch
+	n := e.Rows
 	// Process nodes in increasing height so children are done first.
 	order := make([]int, 0, n)
 	maxH := 0
@@ -148,7 +149,6 @@ func (g *GNN) EmbedNodesNaive(gr *Graph) *nn.Tensor {
 			}
 		}
 	}
-	e := x
 	for _, v := range order {
 		if len(gr.Children[v]) == 0 {
 			continue
@@ -158,8 +158,7 @@ func (g *GNN) EmbedNodesNaive(gr *Graph) *nn.Tensor {
 		if !g.Cfg.SingleLevel {
 			agg = g.GNode.Forward(agg)
 		}
-		row := nn.Add(agg, nn.GatherRows(x, []int{v}))
-		e = nn.ScatterRows(e, []int{v}, row)
+		e = nn.AddRowsInPlace(e, []int{v}, agg)
 	}
 	return e
 }

@@ -29,11 +29,12 @@ func testGNN(rng *rand.Rand) *GNN {
 // batch of one.
 func embedOne(g *GNN, gr *Graph) *nn.Tensor { return g.ForwardBatch(nil, []*Graph{gr}).Nodes }
 
-// summary stacks everything the tracked forward outputs for one graph —
-// column-summed node embeddings, job summary, global summary — into a row.
-func summary(g *GNN, gr *Graph) *nn.Tensor {
+// summaryLoss sums the squares of everything the tracked forward outputs for
+// one graph: column-summed node embeddings, job summary, global summary.
+func summaryLoss(g *GNN, gr *Graph) *nn.Tensor {
 	b := g.ForwardBatch(nil, []*Graph{gr})
-	return nn.ConcatCols(nn.SumRows(b.Nodes), b.Jobs, g.GlobalsBatch(b.Jobs, []int{0}, []int{0}, 1))
+	sq := func(t *nn.Tensor) *nn.Tensor { return nn.Sum(nn.Square(t)) }
+	return nn.Add(nn.Add(sq(nn.SumRows(b.Nodes)), sq(b.Jobs)), sq(g.GlobalsBatch(b.Jobs, []int{0}, []int{0}, 1)))
 }
 
 func TestForwardShapes(t *testing.T) {
@@ -136,7 +137,7 @@ func TestGradientsFlowToAllParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := testGNN(rng)
 	j := dag.Random(rng, 8, 0.4)
-	nn.Sum(nn.Square(summary(g, NewGraph(j, featsFor(j))))).Backward(1)
+	summaryLoss(g, NewGraph(j, featsFor(j))).Backward(1)
 	for i, p := range g.Params() {
 		var s float64
 		for _, v := range p.Grad {
@@ -156,7 +157,7 @@ func TestGNNGradcheck(t *testing.T) {
 	for i := range feats.Data {
 		feats.Data[i] = rng.NormFloat64()
 	}
-	build := func() *nn.Tensor { return nn.Sum(nn.Square(summary(g, NewGraph(j, feats)))) }
+	build := func() *nn.Tensor { return summaryLoss(g, NewGraph(j, feats)) }
 	out := build()
 	out.Backward(1)
 	f := func() float64 { return build().Value() }

@@ -65,7 +65,7 @@ func (g *GNN) EmbedNodesInference(gr *Graph, s *nn.Scratch) *nn.Tensor {
 		if !g.Cfg.SingleLevel {
 			agg = g.GNode.ForwardInference(agg, s)
 		}
-		// e_v = agg + x̂_v (the tracked path's Add + ScatterRows, fused).
+		// e_v = agg + x̂_v, as the tracked path's AddRowsInPlace.
 		for pi, v := range lv.Parents {
 			dst := e.Data[v*d : (v+1)*d]
 			ar := agg.Data[pi*d : (pi+1)*d]

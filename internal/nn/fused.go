@@ -83,13 +83,16 @@ func linearRowsF64(out, a, w, bias []float64, k, m int, act Activation, lo, hi i
 	}
 }
 
-// leaky is the LeakyReLU op's per-element arithmetic.
-func leaky(v float64) float64 {
-	if v >= 0 {
-		return v
-	}
-	return leakySlope * v
-}
+// leakyScale is LeakyReLU's multiplier indexed by the sign bit: 1 for +0 and
+// up, the slope for −0 and below, NaNs by their sign.
+var leakyScale = [2]float64{1, leakySlope}
+
+// leaky is the LeakyReLU op's per-element arithmetic, without a branch: the
+// sign bit picks the multiplier. It is bit-identical to the branch "v if
+// v >= 0, else slope·v" for every float64 — −0 maps to −0 either way, and a
+// NaN comes back with its own payload from both (reference_test.go keeps the
+// branch and a special-values table).
+func leaky(v float64) float64 { return v * leakyScale[math.Float64bits(v)>>63] }
 
 // activate applies act in place, with the tracked activation ops' arithmetic.
 func activate(v []float64, act Activation) {

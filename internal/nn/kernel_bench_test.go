@@ -119,3 +119,78 @@ func BenchmarkKernelMatMulWorkers(b *testing.B) {
 		})
 	}
 }
+
+// replayLayerShapes are the (k, m) weight shapes of the replay's layers with
+// the default 16/8 hidden widths and D = 8: FNode/GNode/FGlob/GGlob/GJob
+// (8→16, 16→8, 8→8), FJob's first layer (14 = F + D → 16) and Q's first
+// layer (24 = 3D → 16). replayLayerRows is a stacked replay's row count.
+var replayLayerShapes = []struct{ k, m int }{{16, 8}, {8, 8}, {8, 16}, {14, 16}, {24, 16}}
+
+const replayLayerRows = 3000
+
+// BenchmarkKernelLinear measures the fused layer kernel (matmul + bias +
+// LeakyReLU, one thread) at the replay's layer shapes over normal inputs, so
+// about half the pre-activations are negative: the sign is unpredictable,
+// as in training.
+func BenchmarkKernelLinear(b *testing.B) {
+	for _, sh := range replayLayerShapes {
+		b.Run(fmt.Sprintf("%dx%dx%d", replayLayerRows, sh.k, sh.m), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(5))
+			a := randTensor(rng, replayLayerRows, sh.k)
+			w := randTensor(rng, sh.k, sh.m)
+			bias := randTensor(rng, 1, sh.m)
+			out := make([]float64, replayLayerRows*sh.m)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				linearRowsF64(out, a.Data, w.Data, bias.Data, sh.k, sh.m, ActLeakyReLU, 0, replayLayerRows)
+			}
+			reportGFLOPs(b, replayLayerRows, sh.k, sh.m)
+		})
+	}
+}
+
+// BenchmarkKernelMatMulDA measures the dA = G·Wᵀ backward kernel alone, one
+// thread, at the replay's layer shapes.
+func BenchmarkKernelMatMulDA(b *testing.B) {
+	for _, sh := range replayLayerShapes {
+		b.Run(fmt.Sprintf("%dx%dx%d", replayLayerRows, sh.k, sh.m), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(6))
+			g := randTensor(rng, replayLayerRows, sh.m)
+			w := randTensor(rng, sh.k, sh.m)
+			da := make([]float64, replayLayerRows*sh.k)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				matmulDARows(da, g.Data, w.Data, sh.k, sh.m, 0, replayLayerRows)
+			}
+			reportGFLOPs(b, replayLayerRows, sh.k, sh.m)
+		})
+	}
+}
+
+// BenchmarkKernelActGrad measures the LeakyReLU derivative the layer
+// backward applies to its output gradient, over a replay-sized output of
+// either sign, in G elements per second.
+func BenchmarkKernelActGrad(b *testing.B) {
+	for _, m := range []int{8, 16} {
+		b.Run(fmt.Sprintf("%dx%d", replayLayerRows, m), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(7))
+			out := randTensor(rng, replayLayerRows, m).Data
+			g := make([]float64, len(out))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%256 == 0 { // 0.2^256 is still a normal float: no subnormal slow path
+					for j := range g {
+						g[j] = 1
+					}
+				}
+				scaleByActGrad(g, out, ActLeakyReLU)
+			}
+			if sec := b.Elapsed().Seconds(); sec > 0 {
+				b.ReportMetric(float64(len(out))*float64(b.N)/sec/1e9, "Gelem/s")
+			}
+		})
+	}
+}

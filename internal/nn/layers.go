@@ -57,33 +57,44 @@ func (l *Linear) forward(x *Tensor, act Activation) *Tensor {
 	back := func() {
 		g := out.Grad
 		scaleByActGrad(g, out.Data, act)
-		if l.B.requiresGrad {
-			l.B.ensureGrad()
-			bg := l.B.Grad
-			for i := 0; i < n; i++ {
-				for j, gv := range g[i*m : (i+1)*m] {
-					bg[j] += gv
-				}
-			}
-		}
+		l.addBiasGrad(g, n, m)
 		matmulBackward(x, l.W, g)
 	}
 	out = newResult(x.tape, n, m, data, back, x, l.W, l.B)
 	return out
 }
 
+// addBiasGrad adds the column sums of the n×m gradient g, over ascending
+// rows, into the bias gradient.
+func (l *Linear) addBiasGrad(g []float64, n, m int) {
+	if !l.B.requiresGrad {
+		return
+	}
+	l.B.ensureGrad()
+	bg := l.B.Grad
+	for i := 0; i < n; i++ {
+		for j, gv := range g[i*m : (i+1)*m] {
+			bg[j] += gv
+		}
+	}
+}
+
 // scaleByActGrad multiplies g by act'(pre-activation) element-wise, reading
 // the derivative off the layer's output. For LeakyReLU that is the output's
-// sign, −0 counting as negative: the kernel's accumulator starts at +0, so a
-// pre-activation is never −0, and an output of −0 can only be a negative
-// subnormal whose product with the slope underflowed.
+// sign bit, −0 counting as negative: the kernel's accumulator starts at +0,
+// so a pre-activation is never −0, and an output of −0 can only be a negative
+// subnormal whose product with the slope underflowed. A NaN output takes the
+// slope whatever its sign; that test never fires in practice, so it predicts
+// perfectly, and multiplying by 1 leaves a gradient's bits as they were.
 func scaleByActGrad(g, out []float64, act Activation) {
 	switch act {
 	case ActLeakyReLU:
 		for i, v := range out {
-			if !(v >= 0) || (v == 0 && math.Signbit(v)) {
-				g[i] *= leakySlope
+			s := leakyScale[math.Float64bits(v)>>63]
+			if v != v {
+				s = leakySlope
 			}
+			g[i] *= s
 		}
 	case ActTanh:
 		for i, v := range out {

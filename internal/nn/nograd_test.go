@@ -32,6 +32,7 @@ func TestInferenceOpsBitIdentical(t *testing.T) {
 	row := randTensor(rng, 1, 7)
 	seg := []int{0, 1, 0, 2, 1}
 	idx := []int{3, 0, 2}
+	mlp := NewMLP([]int{14, 4, 2}, ActLeakyReLU, rng)
 
 	cases := map[string]func() *Tensor{
 		"MatMul":     func() *Tensor { return MatMul(a, b) },
@@ -53,6 +54,12 @@ func TestInferenceOpsBitIdentical(t *testing.T) {
 		"ScatterRows": func() *Tensor {
 			return ScatterRows(a, []int{1, 3}, randTensorSeeded(9, 2, 7))
 		},
+		"AddRowsInPlace": func() *Tensor {
+			e := a.Clone() // written in place
+			e.MarkParam()
+			return AddRowsInPlace(e, []int{1, 3}, randTensorSeeded(9, 2, 7))
+		},
+		"ForwardRows": func() *Tensor { return mlp.ForwardRows(Rows{a, idx}, Rows{c, idx}) },
 	}
 	for name, op := range cases {
 		tracked := op()

@@ -2,5 +2,5 @@
 
 package nn
 
-// poisonHandBack: see race.go.
-const poisonHandBack = false
+// poisonRecycled: see race.go.
+const poisonRecycled = false

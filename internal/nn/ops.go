@@ -204,47 +204,6 @@ func SumRows(a *Tensor) *Tensor {
 	return out
 }
 
-// ConcatCols concatenates tensors with equal row counts along columns.
-func ConcatCols(ts ...*Tensor) *Tensor {
-	if len(ts) == 0 {
-		panic("nn: ConcatCols of nothing")
-	}
-	rows := ts[0].Rows
-	total := 0
-	for _, t := range ts {
-		if t.Rows != rows {
-			panic("nn: ConcatCols row mismatch")
-		}
-		total += t.Cols
-	}
-	tp := tapeOf(ts...)
-	data := tp.alloc(rows * total)
-	off := 0
-	for _, t := range ts {
-		for i := 0; i < rows; i++ {
-			copy(data[i*total+off:i*total+off+t.Cols], t.Data[i*t.Cols:(i+1)*t.Cols])
-		}
-		off += t.Cols
-	}
-	var out *Tensor
-	back := func() {
-		off := 0
-		for _, t := range ts {
-			if t.requiresGrad {
-				t.ensureGrad()
-				for i := 0; i < rows; i++ {
-					for j := 0; j < t.Cols; j++ {
-						t.Grad[i*t.Cols+j] += out.Grad[i*total+off+j]
-					}
-				}
-			}
-			off += t.Cols
-		}
-	}
-	out = newResult(tp, rows, total, data, back, ts...)
-	return out
-}
-
 // GatherRows selects rows of a by index, producing len(idx)×m. Indices may
 // repeat; gradients scatter-add back to the source rows.
 func GatherRows(a *Tensor, idx []int) *Tensor {
@@ -314,65 +273,53 @@ func Square(a *Tensor) *Tensor { return Mul(a, a) }
 // MSE returns the mean squared error between two same-shaped tensors.
 func MSE(pred, target *Tensor) *Tensor { return Mean(Square(Sub(pred, target))) }
 
-// ScatterRows returns a copy of a with row idx[i] replaced by row i of b.
-// Indices must be distinct. It is the update primitive of level-batched
-// message passing: a level's freshly embedded nodes replace their rows in
-// the running embedding matrix.
-func ScatterRows(a *Tensor, idx []int, b *Tensor) *Tensor {
-	if b.Rows != len(idx) || a.Cols != b.Cols {
-		panic("nn: ScatterRows shape mismatch")
+// AddRowsInPlace adds row i of d to row idx[i] of e, for every i, in e's own
+// storage, and returns the sum as a new node over that storage. It is the
+// level update of message passing, e_v = agg_v + x̂_v: the node-embedding
+// matrix starts as the projected features x̂ and each level overwrites its
+// parents' rows, so one matrix serves every level. e's old values are gone
+// afterwards: the caller reads the rows only through the result, and nothing
+// whose backward reads e's values may consume e (an MLP output does not: its
+// last layer is the identity).
+//
+// ∂out/∂e is the identity and ∂out/∂d the idx rows of out's gradient. The
+// backward adds those rows into d's gradient in ascending i, then hands out's
+// gradient on to e as its own when e has none yet. For distinct idx, values
+// and gradients are those of ScatterRows(e, idx, Add(d, GatherRows(e, idx)))
+// over e's old values, bit for bit (reference_test.go).
+func AddRowsInPlace(e *Tensor, idx []int, d *Tensor) *Tensor {
+	if d.Rows != len(idx) || e.Cols != d.Cols {
+		panic(fmt.Sprintf("nn: AddRowsInPlace shape mismatch %d×%d += %d rows of %d×%d", e.Rows, e.Cols, len(idx), d.Rows, d.Cols))
 	}
-	m := a.Cols
-	tp := tapeOf(a, b)
-	data := tp.alloc(len(a.Data))
-	copy(data, a.Data)
-	// replaced marks idx's rows for the duration of one pass and is handed
-	// back all false: the backward re-marks from idx instead of retaining it.
-	replaced := tp.rowMarks(a.Rows)
-	dup := false
+	m := e.Cols
 	for i, r := range idx {
-		dup = dup || replaced[r]
-		replaced[r] = true
-		copy(data[r*m:(r+1)*m], b.Data[i*m:(i+1)*m])
+		er := e.Data[r*m : (r+1)*m]
+		for j, v := range d.Data[i*m : (i+1)*m] {
+			er[j] = v + er[j]
+		}
 	}
-	for _, r := range idx {
-		replaced[r] = false
-	}
-	if dup {
-		panic("nn: ScatterRows duplicate index")
-	}
+	tp := tapeOf(e, d)
 	var out *Tensor
 	back := func() {
-		if a.requiresGrad {
-			a.ensureGrad()
-			replaced := tp.rowMarks(a.Rows)
-			for _, r := range idx {
-				replaced[r] = true
-			}
-			for r := 0; r < a.Rows; r++ {
-				if replaced[r] {
-					replaced[r] = false
-					continue
-				}
-				ag := a.Grad[r*m : (r+1)*m]
-				gr := out.Grad[r*m : (r+1)*m]
-				for j, g := range gr {
-					ag[j] += g
+		g := out.Grad
+		if d.requiresGrad {
+			d.ensureGrad()
+			for i, r := range idx {
+				dg := d.Grad[i*m : (i+1)*m]
+				for j, gv := range g[r*m : (r+1)*m] {
+					dg[j] += gv
 				}
 			}
 		}
-		if b.requiresGrad {
-			b.ensureGrad()
-			for i, r := range idx {
-				bg := b.Grad[i*m : (i+1)*m]
-				gr := out.Grad[r*m : (r+1)*m]
-				for j, g := range gr {
-					bg[j] += g
-				}
+		if e.requiresGrad {
+			if e.Grad == nil && e.tape == tp {
+				e.Grad, out.Grad = g, nil // 0 + g is g: a sum from +0 is never −0
+			} else {
+				accumulate(e, g)
 			}
 		}
 	}
-	out = newResult(tp, a.Rows, a.Cols, data, back, a, b)
+	out = newResult(tp, e.Rows, m, e.Data, back, e, d)
 	return out
 }
 

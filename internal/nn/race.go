@@ -2,6 +2,7 @@
 
 package nn
 
-// poisonHandBack NaN-fills every gradient buffer Backward hands back to its
-// tape, so the race run also catches a read after hand-back.
-const poisonHandBack = true
+// poisonRecycled NaN-fills every buffer the tracked path recycles — each
+// gradient Backward hands back to its tape, and ForwardRows' transient row
+// scratch between uses — so the race run also catches a read after recycling.
+const poisonRecycled = true

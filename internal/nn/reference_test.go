@@ -263,3 +263,141 @@ func TestFusedLayerGradcheck(t *testing.T) {
 		checkGrads(t, func() *Tensor { return MSE(m.Forward(x), y) }, leaves...)
 	}
 }
+
+// The copying chains: a layer's input used to be built by GatherRows and
+// ConcatCols, and each message-passing level by GatherRows + Add +
+// ScatterRows, every link a copy on the tape. MLP.ForwardRows and
+// AddRowsInPlace replaced them in production; ConcatCols and ScatterRows
+// live on here as their reference.
+
+// ConcatCols concatenates tensors with equal row counts along columns.
+func ConcatCols(ts ...*Tensor) *Tensor {
+	if len(ts) == 0 {
+		panic("nn: ConcatCols of nothing")
+	}
+	rows := ts[0].Rows
+	total := 0
+	for _, t := range ts {
+		if t.Rows != rows {
+			panic("nn: ConcatCols row mismatch")
+		}
+		total += t.Cols
+	}
+	tp := tapeOf(ts...)
+	data := tp.alloc(rows * total)
+	off := 0
+	for _, t := range ts {
+		for i := 0; i < rows; i++ {
+			copy(data[i*total+off:i*total+off+t.Cols], t.Data[i*t.Cols:(i+1)*t.Cols])
+		}
+		off += t.Cols
+	}
+	var out *Tensor
+	back := func() {
+		off := 0
+		for _, t := range ts {
+			if t.requiresGrad {
+				t.ensureGrad()
+				for i := 0; i < rows; i++ {
+					for j := 0; j < t.Cols; j++ {
+						t.Grad[i*t.Cols+j] += out.Grad[i*total+off+j]
+					}
+				}
+			}
+			off += t.Cols
+		}
+	}
+	out = newResult(tp, rows, total, data, back, ts...)
+	return out
+}
+
+// ScatterRows returns a copy of a with row idx[i] replaced by row i of b.
+// Indices must be distinct. Until AddRowsInPlace it was the update of
+// level-batched message passing, one fresh embedding matrix per level.
+func ScatterRows(a *Tensor, idx []int, b *Tensor) *Tensor {
+	if b.Rows != len(idx) || a.Cols != b.Cols {
+		panic("nn: ScatterRows shape mismatch")
+	}
+	m := a.Cols
+	tp := tapeOf(a, b)
+	data := tp.alloc(len(a.Data))
+	copy(data, a.Data)
+	replaced := make([]bool, a.Rows)
+	dup := false
+	for i, r := range idx {
+		dup = dup || replaced[r]
+		replaced[r] = true
+		copy(data[r*m:(r+1)*m], b.Data[i*m:(i+1)*m])
+	}
+	if dup {
+		panic("nn: ScatterRows duplicate index")
+	}
+	var out *Tensor
+	back := func() {
+		if a.requiresGrad {
+			a.ensureGrad()
+			for r := 0; r < a.Rows; r++ {
+				if replaced[r] {
+					continue
+				}
+				ag := a.Grad[r*m : (r+1)*m]
+				gr := out.Grad[r*m : (r+1)*m]
+				for j, g := range gr {
+					ag[j] += g
+				}
+			}
+		}
+		if b.requiresGrad {
+			b.ensureGrad()
+			for i, r := range idx {
+				bg := b.Grad[i*m : (i+1)*m]
+				gr := out.Grad[r*m : (r+1)*m]
+				for j, g := range gr {
+					bg[j] += g
+				}
+			}
+		}
+	}
+	out = newResult(tp, a.Rows, a.Cols, data, back, a, b)
+	return out
+}
+
+// leakyBranch is the branchy LeakyReLU that leaky replaced: the reference
+// for its bits.
+func leakyBranch(v float64) float64 {
+	if v >= 0 {
+		return v
+	}
+	return leakySlope * v
+}
+
+// TestLeakyBranchFreeSpecialValues pins the branch-free LeakyReLU and its
+// derivative to the branchy forms bit for bit on the values where a sign
+// test can go wrong: signed zeros and subnormals, infinities, and NaNs of
+// either sign, quiet and signalling.
+func TestLeakyBranchFreeSpecialValues(t *testing.T) {
+	values := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.5, -3.25,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, -4 * math.SmallestNonzeroFloat64,
+		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1),
+		math.NaN(), math.Float64frombits(0xfff8000000000000), // quiet NaN, both signs
+		math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff0000000000001), // signalling
+		math.Float64frombits(0x7ff8dead0000beef),
+	}
+	for _, v := range values {
+		if got, want := leaky(v), leakyBranch(v); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("leaky(%#x) = %#x, branch gives %#x", math.Float64bits(v), math.Float64bits(got), math.Float64bits(want))
+		}
+		for _, g := range []float64{1.5, -2, 0, math.Copysign(0, -1)} {
+			got := []float64{g}
+			scaleByActGrad(got, []float64{v}, ActLeakyReLU)
+			want := g
+			if !(v >= 0) || (v == 0 && math.Signbit(v)) {
+				want *= leakySlope
+			}
+			if math.Float64bits(got[0]) != math.Float64bits(want) {
+				t.Errorf("LeakyReLU derivative at %#x scales %v to %#x, branch gives %#x", math.Float64bits(v), g, math.Float64bits(got[0]), math.Float64bits(want))
+			}
+		}
+	}
+}

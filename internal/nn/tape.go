@@ -30,7 +30,6 @@ type Tape struct {
 	i    arena[int]
 	hdrs headerPool
 
-	marks []bool      // ScatterRows' row marks: all false between uses
 	freed [][]float64 // gradients Backward handed back since the last Reset
 }
 
@@ -113,7 +112,7 @@ func (tp *Tape) grad(n int) []float64 {
 // handBack takes back a gradient buffer nothing will read again. Race builds
 // poison it first, so a read after hand-back surfaces as a NaN.
 func (tp *Tape) handBack(g []float64) {
-	if poisonHandBack {
+	if poisonRecycled {
 		all := g[:cap(g)]
 		for i := range all {
 			all[i] = math.NaN()
@@ -122,25 +121,15 @@ func (tp *Tape) handBack(g []float64) {
 	tp.freed = append(tp.freed, g)
 }
 
-// wrap returns a rows×cols header over data, from the pool or the heap.
+// wrap returns a rows×cols header over data, from the pool or the heap. A
+// gather view holds no values: its data is nil.
 func (tp *Tape) wrap(rows, cols int, data []float64) *Tensor {
 	if tp == nil {
-		return New(rows, cols, data)
+		return &Tensor{Rows: rows, Cols: cols, Data: data}
 	}
 	t := tp.hdrs.next()
 	*t = Tensor{Rows: rows, Cols: cols, Data: data, tape: tp}
 	return t
-}
-
-// rowMarks returns n row marks, all false; the caller leaves them all false.
-func (tp *Tape) rowMarks(n int) []bool {
-	if tp == nil {
-		return make([]bool, n)
-	}
-	if len(tp.marks) < n {
-		tp.marks = make([]bool, n)
-	}
-	return tp.marks[:n]
 }
 
 // tapeOf returns the tape an op over the given operands allocates from: the

@@ -160,7 +160,7 @@ func (t *Tensor) Backward(seed float64) {
 		n := order[i]
 		if n.backFn != nil {
 			n.backFn()
-			if n != t && n.tape != nil {
+			if n != t && n.tape != nil && n.Grad != nil { // nil: handed on to a parent
 				n.tape.handBack(n.Grad)
 				n.Grad = nil
 			}

@@ -78,12 +78,8 @@ func (p *Policy) ReplayLoss(nodes *nn.Tensor, nodeOff []int, jobs, globals *nn.T
 		}
 	}
 	start[nSteps] = len(nIdx)
-	nodeIn := nn.ConcatCols(
-		nn.GatherRows(nodes, nIdx),
-		nn.GatherRows(jobs, yIdx),
-		nn.GatherRows(globals, zIdx),
-	)
-	nodeLoss, nodeVals := nn.SegmentPickLoss(p.Q.Forward(nodeIn), start, picks, wPick, wEnt)
+	scores := p.Q.ForwardRows(nn.Rows{T: nodes, Idx: nIdx}, nn.Rows{T: jobs, Idx: yIdx}, nn.Rows{T: globals, Idx: zIdx})
+	nodeLoss, nodeVals := nn.SegmentPickLoss(scores, start, picks, wPick, wEnt)
 	for k := range steps {
 		vals[k] = StepVals{LogProb: nodeVals[k].LogProb, Entropy: nodeVals[k].Entropy}
 	}
@@ -128,9 +124,10 @@ func (p *Policy) replayLimitLoss(nodes *nn.Tensor, nodeOff []int, jobs, globals 
 	}
 	start[nSteps] = nRows
 
-	// ctxRows gathers the per-step limit context [y, z] (or [e_v, y, z] with
-	// stage-level limits), one row per entry of reps (a step index).
-	ctxRows := func(reps []int) *nn.Tensor {
+	// ctxRows names the per-step limit context [y, z] (or [e_v, y, z] with
+	// stage-level limits), one row per entry of reps (a step index), with
+	// room for one more block.
+	ctxRows := func(reps []int) []nn.Rows {
 		yIdx, zIdx := tp.Ints(len(reps)), tp.Ints(len(reps))
 		var eIdx []int
 		if p.Cfg.StageLevelLimits {
@@ -146,12 +143,11 @@ func (p *Policy) replayLimitLoss(nodes *nn.Tensor, nodeOff []int, jobs, globals 
 				eIdx[i] = nodeOff[g] + chosen.NodeIdx
 			}
 		}
-		y := nn.GatherRows(jobs, yIdx)
-		z := nn.GatherRows(globals, zIdx)
+		ctx := make([]nn.Rows, 0, 4)
 		if eIdx != nil {
-			return nn.ConcatCols(nn.GatherRows(nodes, eIdx), y, z)
+			ctx = append(ctx, nn.Rows{T: nodes, Idx: eIdx})
 		}
-		return nn.ConcatCols(y, z)
+		return append(ctx, nn.Rows{T: jobs, Idx: yIdx}, nn.Rows{T: globals, Idx: zIdx})
 	}
 
 	var scores *nn.Tensor
@@ -166,7 +162,7 @@ func (p *Policy) replayLimitLoss(nodes *nn.Tensor, nodeOff []int, jobs, globals 
 				flat = append(flat, k*p.Cfg.NumLimits+l)
 			}
 		}
-		scores = nn.GatherElems(p.W.Forward(ctxRows(reps)), flat)
+		scores = nn.GatherElems(p.W.ForwardRows(ctxRows(reps)...), flat)
 	} else {
 		// Limit-as-input design: one row per admissible limit per step, the
 		// context repeated and the normalised limit value appended as a plain
@@ -179,7 +175,7 @@ func (p *Policy) replayLimitLoss(nodes *nn.Tensor, nodeOff []int, jobs, globals 
 				reps = append(reps, k)
 			}
 		}
-		scores = p.W.Forward(nn.ConcatCols(ctxRows(reps), lcol))
+		scores = p.W.ForwardRows(append(ctxRows(reps), nn.Rows{T: lcol})...)
 	}
 	loss, lv := nn.SegmentPickLoss(scores, start, picks, wPick, wEnt)
 	for k := range vals {
@@ -245,8 +241,8 @@ func (p *Policy) replayClassLoss(jobs, globals *nn.Tensor, classMem []float64, s
 		stepOf = append(stepOf, k)
 	}
 	start = append(start, len(yIdx))
-	in := nn.ConcatCols(nn.GatherRows(jobs, yIdx), nn.GatherRows(globals, zIdx), memCol)
-	loss, cv := nn.SegmentPickLoss(p.C.Forward(in), start, picks, wPick, wEnt)
+	scores := p.C.ForwardRows(nn.Rows{T: jobs, Idx: yIdx}, nn.Rows{T: globals, Idx: zIdx}, nn.Rows{T: memCol})
+	loss, cv := nn.SegmentPickLoss(scores, start, picks, wPick, wEnt)
 	for i, k := range stepOf {
 		vals[k].LogProb += cv[i].LogProb
 	}

@@ -84,11 +84,22 @@ func TestTapeCapacitySettles(t *testing.T) {
 	}
 }
 
+// What the workers' tapes hold after TestTapeHoldsGradientFrontier's 6
+// iterations, in floats: tapeFloatsParent when every layer input was built
+// by GatherRows/ConcatCols and every message-passing level copied the
+// node-embedding matrix (5.56M before that, when every gradient also stayed
+// on the tape until Reset), tapeFloatsMeasured since layers read their input
+// rows in place and the levels share one matrix.
+const (
+	tapeFloatsParent   = 3_975_758
+	tapeFloatsMeasured = 2_846_888
+)
+
 // TestTapeHoldsGradientFrontier bounds the workers' tapes at the ledger's
-// train-replay shape. Backward hands each intermediate gradient back to its
-// tape once consumed, so a tape holds the replay's values plus a short
-// gradient frontier: 3.98M floats across both workers after 6 iterations,
-// against 5.56M when every gradient stayed on the tape until Reset.
+// train-replay shape, 10 % over the measurement. A tape holds the replay's
+// layer outputs, one node-embedding matrix and a short gradient frontier:
+// Backward hands each intermediate gradient back once consumed, and no
+// layer input is copied onto it.
 func TestTapeHoldsGradientFrontier(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains 6 iterations at the train-replay shape")
@@ -98,9 +109,9 @@ func TestTapeHoldsGradientFrontier(t *testing.T) {
 		tr.Iteration(src, simCfg)
 	}
 	floats := tapeFloats(tr)
-	t.Logf("workers' tapes: %d floats (%.1f MB)", floats, float64(floats)*8/(1<<20))
-	if floats > 4_400_000 {
-		t.Errorf("workers' tapes hold %d floats after 6 iterations, want <= 4.4M", floats)
+	t.Logf("workers' tapes: %d floats (%.1f MB, %.1f %% of the copying replay's)", floats, float64(floats)*8/(1<<20), 100*float64(floats)/tapeFloatsParent)
+	if bound := tapeFloatsMeasured * 11 / 10; floats > bound {
+		t.Errorf("workers' tapes hold %d floats after 6 iterations, want <= %d", floats, bound)
 	}
 }
 
