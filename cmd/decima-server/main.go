@@ -68,7 +68,6 @@ func main() {
 		onlineFlag   = flag.Bool("online", false, "learn online from recorded session traffic and hot-swap published versions live (requires -registry)")
 		onlineName   = flag.String("online-name", "online", "registry model name -online publishes under")
 		publishEvery = flag.Int("online-publish-every", 8, "publish and hot-swap after this many trained episodes")
-		recordMax    = flag.Int("record-max-steps", rpcsvc.DefaultRecordMaxSteps, "per-session trajectory ring capacity for recorded sessions")
 		sampled      = flag.Bool("sampled", false, "sample actions instead of greedy argmax")
 		seed         = flag.Int64("seed", 1, "random seed for schedulers (per-session seeds from OpenSession take precedence)")
 		maxSessions  = flag.Int("max-sessions", rpcsvc.DefaultMaxSessions, "bound on concurrent sessions (LRU eviction beyond it; <0 unbounded)")
@@ -144,7 +143,6 @@ func main() {
 	if *onlineFlag {
 		trainer = online.New(base, online.Config{})
 		cfg.RecordSink = trainer.Submit
-		cfg.RecordMaxSteps = *recordMax
 	}
 
 	srv, err := rpcsvc.ListenAndServeSessions(*addr, cfg)

@@ -16,7 +16,8 @@
 // against the router while the replica hosting it is SIGKILLed at one third
 // of the run and the next host is drained through the admin endpoint at two
 // thirds; the healed schedule must be identical to a single-server
-// reference, and the fleet /metrics exposition must show the migrations.
+// reference, and the fleet /metrics exposition must show the migrations
+// with exactly one TYPE line per metric name.
 //
 // With -chaos it exercises the overload-control plane under deterministic
 // fault injection: the identical workload runs once uninterrupted and once
@@ -721,6 +722,15 @@ func fleetScenario(serverBin, fleetBin string, executors int) {
 	} {
 		if !strings.Contains(prom, want) {
 			log.Fatalf("smoke: fleet /metrics missing %q:\n%s", want, prom)
+		}
+	}
+	// Three replicas feed every per-replica family; each keeps one TYPE line.
+	typed := map[string]int{}
+	for _, line := range strings.Split(prom, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			if typed[f[2]]++; typed[f[2]] > 1 {
+				log.Fatalf("smoke: fleet /metrics repeats the TYPE line of %s:\n%s", f[2], prom)
+			}
 		}
 	}
 	if err := ss.Close(); err != nil {

@@ -222,7 +222,6 @@ func TestFleetMetricsAndAdmin(t *testing.T) {
 		`fleet_replica_up{replica="r1"} 1`,
 		`fleet_replica_sessions{replica="r1"} 1`,
 		`fleet_replica_events_total{replica="r1"}`,
-		`fleet_replica_events_per_second{replica="r1"}`,
 		`fleet_replica_decide_latency_seconds_bucket{replica="r1",le="+Inf"}`,
 		`fleet_sessions 1`,
 		"fleet_opens_total 1",

@@ -1,10 +1,10 @@
 package fleet
 
 import (
-	"fmt"
 	"io"
 	"sort"
-	"time"
+
+	"repro/internal/obs"
 )
 
 // ReplicaInfo is one replica's row in the /fleet topology report.
@@ -69,99 +69,46 @@ func (rt *Router) Info() Info {
 
 // WriteProm renders the router's fleet-wide view in Prometheus text
 // exposition format: per-replica placement and traffic (sessions, event
-// counters and per-second rates, forward-latency histograms, up/draining
-// gauges) plus the fleet totals and migration counters. The events-per-
-// second gauges are computed from the counter delta since the previous
-// scrape, so the first scrape reports 0.
+// counters, forward-latency histograms, up/draining gauges) plus the fleet
+// totals and migration counters. A scrape only reads; per-replica event
+// rates are rate(fleet_replica_events_total[...]) on the consumer's side.
 func (rt *Router) WriteProm(w io.Writer) {
-	rt.scrapeMu.Lock()
-	defer rt.scrapeMu.Unlock()
-	now := time.Now()
-	dt := now.Sub(rt.lastScrape).Seconds()
-	first := rt.lastScrape.IsZero()
-	rt.lastScrape = now
-
 	info := rt.Info()
-	fmt.Fprintf(w, "# TYPE fleet_replicas gauge\nfleet_replicas %d\n", len(info.Replicas))
-	fmt.Fprintf(w, "# TYPE fleet_sessions gauge\nfleet_sessions %d\n", info.Sessions)
+	obs.Write(w, "fleet_replicas", "gauge", obs.Sample{Value: float64(len(info.Replicas))})
+	obs.Write(w, "fleet_sessions", "gauge", obs.Sample{Value: float64(info.Sessions)})
 
-	gauges := func(name string, val func(ReplicaInfo) float64) {
-		fmt.Fprintf(w, "# TYPE %s gauge\n", name)
-		for _, ri := range info.Replicas {
-			fmt.Fprintf(w, "%s{replica=%q} %g\n", name, ri.ID, val(ri))
-		}
-	}
-	b2f := func(b bool) float64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	gauges("fleet_replica_up", func(ri ReplicaInfo) float64 { return b2f(ri.Up) })
-	gauges("fleet_replica_draining", func(ri ReplicaInfo) float64 { return b2f(ri.Draining) })
-	gauges("fleet_replica_sessions", func(ri ReplicaInfo) float64 { return float64(ri.Sessions) })
-
-	// Served model per replica as an info-style gauge (value constant 1, the
-	// identity rides the label) — omitted for replicas that never reported
-	// one, so unversioned fleets emit nothing here.
-	wroteModel := false
+	var up, draining, sessions, model, breaker, events, latency []obs.Sample
 	for _, ri := range info.Replicas {
-		if ri.Model == "" {
-			continue
+		l := obs.L("replica", ri.ID)
+		up = append(up, obs.Sample{Labels: l, Value: obs.Bool(ri.Up)})
+		draining = append(draining, obs.Sample{Labels: l, Value: obs.Bool(ri.Draining)})
+		sessions = append(sessions, obs.Sample{Labels: l, Value: float64(ri.Sessions)})
+		// Served model as an info-style gauge (value constant 1, the
+		// identity rides the label), for replicas that reported one.
+		if ri.Model != "" {
+			model = append(model, obs.Sample{Labels: obs.Join(l, obs.L("model", ri.Model)), Value: 1})
 		}
-		if !wroteModel {
-			fmt.Fprintf(w, "# TYPE fleet_replica_model gauge\n")
-			wroteModel = true
-		}
-		fmt.Fprintf(w, "fleet_replica_model{replica=%q,model=%q} 1\n", ri.ID, ri.Model)
-	}
-
-	// Breaker state per replica: 0 closed, 1 open, 2 half-open (omitted
-	// entirely when circuit breaking is disabled).
-	wrote := false
-	for _, ri := range info.Replicas {
-		rep := rt.replica(ri.ID)
-		if rep == nil || rep.brk == nil {
-			continue
-		}
-		if !wrote {
-			fmt.Fprintf(w, "# TYPE fleet_breaker_state gauge\n")
-			wrote = true
-		}
-		fmt.Fprintf(w, "fleet_breaker_state{replica=%q} %d\n", ri.ID, int(rep.brk.current()))
-	}
-
-	fmt.Fprintf(w, "# TYPE fleet_replica_events_total counter\n")
-	for _, ri := range info.Replicas {
-		fmt.Fprintf(w, "fleet_replica_events_total{replica=%q} %d\n", ri.ID, ri.Events)
-	}
-
-	fmt.Fprintf(w, "# TYPE fleet_replica_events_per_second gauge\n")
-	for _, ri := range info.Replicas {
+		events = append(events, obs.Sample{Labels: l, Value: float64(ri.Events)})
 		rep := rt.replica(ri.ID)
 		if rep == nil {
 			continue
 		}
-		rate := rep.lastRate
-		if !first && dt > 0 {
-			rate = float64(ri.Events-rep.lastEvents) / dt
-			rep.lastRate = rate
+		// Breaker state: 0 closed, 1 open, 2 half-open (none when circuit
+		// breaking is disabled).
+		if rep.brk != nil {
+			breaker = append(breaker, obs.Sample{Labels: l, Value: float64(rep.brk.current())})
 		}
-		rep.lastEvents = ri.Events
-		fmt.Fprintf(w, "fleet_replica_events_per_second{replica=%q} %g\n", ri.ID, rate)
+		latency = append(latency, rep.forward.Snapshot().Samples(l)...)
 	}
+	obs.Write(w, "fleet_replica_up", "gauge", up...)
+	obs.Write(w, "fleet_replica_draining", "gauge", draining...)
+	obs.Write(w, "fleet_replica_sessions", "gauge", sessions...)
+	obs.Write(w, "fleet_replica_model", "gauge", model...)
+	obs.Write(w, "fleet_breaker_state", "gauge", breaker...)
+	obs.Write(w, "fleet_replica_events_total", "counter", events...)
+	obs.Write(w, "fleet_replica_decide_latency_seconds", "histogram", latency...)
 
-	for _, ri := range info.Replicas {
-		rep := rt.replica(ri.ID)
-		if rep == nil {
-			continue
-		}
-		rep.forward.Snapshot().WriteProm(w, "fleet_replica_decide_latency_seconds", fmt.Sprintf("replica=%q", ri.ID))
-	}
-
-	counter := func(name string, v uint64) {
-		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, v)
-	}
+	counter := func(name string, v uint64) { obs.Write(w, name, "counter", obs.Sample{Value: float64(v)}) }
 	counter("fleet_opens_total", rt.stats.opens.Load())
 	counter("fleet_events_total", rt.stats.events.Load())
 	counter("fleet_closes_total", rt.stats.closes.Load())
@@ -169,7 +116,7 @@ func (rt *Router) WriteProm(w io.Writer) {
 	counter("fleet_shed_total", rt.stats.shed.Load())
 	counter("fleet_wrong_shard_total", rt.stats.wrongShard.Load())
 	counter("fleet_unknown_session_total", rt.stats.unknown.Load())
-	fmt.Fprintf(w, "# TYPE fleet_migrations_total counter\n")
-	fmt.Fprintf(w, "fleet_migrations_total{reason=\"drain\"} %d\n", rt.stats.migrationsDrain.Load())
-	fmt.Fprintf(w, "fleet_migrations_total{reason=\"failover\"} %d\n", rt.stats.migrationsFailover.Load())
+	obs.Write(w, "fleet_migrations_total", "counter",
+		obs.Sample{Labels: obs.L("reason", "drain"), Value: float64(rt.stats.migrationsDrain.Load())},
+		obs.Sample{Labels: obs.L("reason", "failover"), Value: float64(rt.stats.migrationsFailover.Load())})
 }

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/rpcsvc"
 )
 
@@ -74,11 +75,7 @@ type replica struct {
 	model string
 
 	events  atomic.Uint64
-	forward rpcsvc.LatencyHist
-	// lastEvents/lastRate back the events-per-second gauge, updated under
-	// the router's scrape lock.
-	lastEvents uint64
-	lastRate   float64
+	forward obs.LatencyHist
 }
 
 func (rep *replica) routable() bool {
@@ -146,9 +143,7 @@ type Router struct {
 
 	nextKey atomic.Uint64
 
-	stats      routerStats
-	scrapeMu   sync.Mutex
-	lastScrape time.Time
+	stats routerStats
 
 	stopOnce sync.Once
 	health   atomic.Bool // health loop running (Start ran)

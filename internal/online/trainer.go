@@ -20,7 +20,6 @@
 package online
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -29,6 +28,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/registry"
 )
 
@@ -263,10 +263,11 @@ func (t *Trainer) Stats() Stats {
 // serving ops endpoint appends this to its /metrics page.
 func (t *Trainer) WriteProm(w io.Writer) {
 	s := t.Stats()
-	fmt.Fprintf(w, "# TYPE online_episodes_submitted_total counter\nonline_episodes_submitted_total %d\n", s.EpisodesSubmitted)
-	fmt.Fprintf(w, "# TYPE online_episodes_consumed_total counter\nonline_episodes_consumed_total %d\n", s.EpisodesConsumed)
-	fmt.Fprintf(w, "# TYPE online_episodes_dropped_total counter\nonline_episodes_dropped_total %d\n", s.EpisodesDropped)
-	fmt.Fprintf(w, "# TYPE online_steps_consumed_total counter\nonline_steps_consumed_total %d\n", s.StepsConsumed)
-	fmt.Fprintf(w, "# TYPE online_updates_total counter\nonline_updates_total %d\n", s.Updates)
-	fmt.Fprintf(w, "# TYPE online_publishes_total counter\nonline_publishes_total %d\n", s.Publishes)
+	c := func(name string, v uint64) { obs.Write(w, name, "counter", obs.Sample{Value: float64(v)}) }
+	c("online_episodes_submitted_total", s.EpisodesSubmitted)
+	c("online_episodes_consumed_total", s.EpisodesConsumed)
+	c("online_episodes_dropped_total", s.EpisodesDropped)
+	c("online_steps_consumed_total", s.StepsConsumed)
+	c("online_updates_total", s.Updates)
+	c("online_publishes_total", s.Publishes)
 }

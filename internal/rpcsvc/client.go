@@ -380,9 +380,8 @@ const DefaultSessionRetries = 4
 // within one event and every sleep is a full-jitter draw below it.
 const DefaultSessionBackoff = 25 * time.Millisecond
 
-// DefaultSessionMaxBackoff caps the doubling backoff ceiling when
-// MaxBackoff is zero, so a long outage retries steadily instead of sleeping
-// into minutes.
+// DefaultSessionMaxBackoff caps the doubling backoff ceiling, so a long
+// outage retries steadily instead of sleeping into minutes.
 const DefaultSessionMaxBackoff = 2 * time.Second
 
 // SessionScheduler adapts the client to sim.Scheduler over the session
@@ -418,11 +417,11 @@ const DefaultSessionMaxBackoff = 2 * time.Second
 //     malformed request): no retry; the event falls through to Fallback.
 //
 // Every backoff sleep is a full-jitter draw: uniform in (0, ceiling), with
-// the ceiling doubling per sleep up to MaxBackoff. Jitter desynchronises
-// the retry herd a fleet-wide drain or overload would otherwise create —
-// with deterministic sleeps, every client that failed together retries
-// together, forever. The draws come from a rand seeded with Seed, so runs
-// are reproducible.
+// the ceiling doubling per sleep up to DefaultSessionMaxBackoff. Jitter
+// desynchronises the retry herd a fleet-wide drain or overload would
+// otherwise create — with deterministic sleeps, every client that failed
+// together retries together, forever. The draws come from a rand seeded
+// with Seed, so runs are reproducible.
 //
 // When the attempt budget runs out — MaxRetries attempts, or the MaxElapsed
 // wall-clock cap if one is set — the event fails with ErrRetriesExhausted
@@ -453,9 +452,6 @@ type SessionScheduler struct {
 	// DefaultSessionBackoff). The ceiling doubles per backoff within one
 	// event; each sleep is a full-jitter draw below the ceiling.
 	Backoff time.Duration
-	// MaxBackoff caps the doubling ceiling (0 selects
-	// DefaultSessionMaxBackoff).
-	MaxBackoff time.Duration
 	// MaxElapsed, when positive, caps the wall-clock one scheduling event may
 	// spend retrying; once spent the event fails with ErrRetriesExhausted
 	// even if attempts remain. Zero means attempts alone bound the event.
@@ -515,10 +511,6 @@ func (r *SessionScheduler) Schedule(s *sim.State) *sim.Action {
 	if ceiling <= 0 {
 		ceiling = DefaultSessionBackoff
 	}
-	maxCeiling := r.MaxBackoff
-	if maxCeiling <= 0 {
-		maxCeiling = DefaultSessionMaxBackoff
-	}
 	start := r.clock()
 	var lastErr error
 	for a := 0; a < attempts; a++ {
@@ -556,7 +548,7 @@ func (r *SessionScheduler) Schedule(s *sim.State) *sim.Action {
 			if r.degraded {
 				break
 			}
-			ceiling = r.backoff(ceiling, maxCeiling)
+			ceiling = r.backoff(ceiling, DefaultSessionMaxBackoff)
 		case IsOverloaded(err):
 			// The server shed before touching the session: back off and
 			// resend the identical event. No redial (transport is healthy),
@@ -566,14 +558,14 @@ func (r *SessionScheduler) Schedule(s *sim.State) *sim.Action {
 			if r.degraded {
 				break
 			}
-			ceiling = r.backoff(ceiling, maxCeiling)
+			ceiling = r.backoff(ceiling, DefaultSessionMaxBackoff)
 		case IsTransient(err):
 			r.stats.Transient.Add(1)
 			r.sess = nil
 			if r.degraded {
 				break // degraded probes never sleep
 			}
-			ceiling = r.backoff(ceiling, maxCeiling)
+			ceiling = r.backoff(ceiling, DefaultSessionMaxBackoff)
 			if rerr := r.Client.redialFrom(gen); rerr == nil {
 				if r.Client.generation() != gen {
 					r.stats.Redials.Add(1)

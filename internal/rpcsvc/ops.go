@@ -50,12 +50,7 @@ func NewOpsHandler(d *Decima, extras ...func(io.Writer)) http.Handler {
 	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		snap := d.Stats()
-		labels := ""
-		if snap.Replica != "" {
-			labels = `replica="` + snap.Replica + `"`
-		}
-		snap.WriteProm(w, labels)
+		d.Stats().WriteProm(w)
 		for _, extra := range extras {
 			extra(w)
 		}

@@ -19,8 +19,8 @@ import "repro/internal/core"
 //     written, so no session lock is taken and the swap costs the same
 //     however many sessions are live.
 
-// DefaultRecordMaxSteps bounds a session's trajectory ring when
-// SessionConfig.RecordMaxSteps is zero.
+// DefaultRecordMaxSteps bounds a recording session's trajectory ring; the
+// oldest steps drop beyond it.
 const DefaultRecordMaxSteps = 4096
 
 // RecordSink receives one completed episode: the recorded replay steps of
@@ -33,9 +33,8 @@ type RecordSink func(steps []core.ReplayStep)
 // under the session lock: decisions record while the event holds it, and
 // reset flushes while holding it.
 type recorder struct {
-	max     int
 	steps   []core.ReplayStep
-	start   int // ring head once len(steps) == max
+	start   int // ring head once len(steps) == DefaultRecordMaxSteps
 	dropped uint64
 }
 
@@ -47,12 +46,12 @@ type recorder struct {
 // long session.
 func (r *recorder) record(rs core.ReplayStep) {
 	rs = new(core.StepArena).Retain(rs)
-	if len(r.steps) < r.max {
+	if len(r.steps) < DefaultRecordMaxSteps {
 		r.steps = append(r.steps, rs)
 		return
 	}
 	r.steps[r.start] = rs
-	r.start = (r.start + 1) % r.max
+	r.start = (r.start + 1) % DefaultRecordMaxSteps
 	r.dropped++
 }
 

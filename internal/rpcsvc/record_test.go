@@ -324,7 +324,7 @@ func TestRecorderRetainsSteps(t *testing.T) {
 	cfg := core.DefaultConfig(5)
 	cfg.ClassMem = []float64{0.5, 1.0}
 	agent := core.New(cfg, rand.New(rand.NewSource(3)))
-	rec := &recorder{max: DefaultRecordMaxSteps}
+	rec := &recorder{}
 	var want []core.ReplayStep
 	agent.Record = func(rs core.ReplayStep) {
 		rec.record(rs)

@@ -45,9 +45,6 @@ type SessionConfig struct {
 	// default — makes Record a silent no-op, and recording-off sessions
 	// serve bit-identically either way.
 	RecordSink RecordSink
-	// RecordMaxSteps bounds each recording session's trajectory ring
-	// (oldest steps drop beyond it). 0 selects DefaultRecordMaxSteps.
-	RecordMaxSteps int
 }
 
 // DefaultMaxSessions bounds the session table when SessionConfig leaves
@@ -74,9 +71,8 @@ type Decima struct {
 	// serving — the SIGTERM graceful-drain mode of cmd/decima-server and
 	// the handshake a fleet router uses to migrate sessions away.
 	draining atomic.Bool
-	// recordSink + recordMax enable opt-in trajectory recording (record.go).
+	// recordSink enables opt-in trajectory recording (record.go).
 	recordSink RecordSink
-	recordMax  int
 	// modelMu guards the served model identity (SetModel/Install).
 	modelMu      sync.Mutex
 	modelName    string
@@ -109,10 +105,6 @@ func NewDecimaSessions(cfg SessionConfig) *Decima {
 	}
 	d := &Decima{factory: factory, defName: cfg.Default, replicaID: cfg.ReplicaID, maxInflight: cfg.MaxInflight}
 	d.recordSink = cfg.RecordSink
-	d.recordMax = cfg.RecordMaxSteps
-	if d.recordMax <= 0 {
-		d.recordMax = DefaultRecordMaxSteps
-	}
 	d.tbl = newSessionTable(max, idle, &d.stats)
 	return d
 }
@@ -175,7 +167,7 @@ func (d *Decima) Open(req *OpenRequest, resp *OpenResponse) error {
 		// schedulers (fifo, fair) have no trajectory to record and the flag
 		// is silently ignored — as it is on servers with no sink at all.
 		if ag, ok := sched.(*core.Agent); ok {
-			rec := &recorder{max: d.recordMax}
+			rec := &recorder{}
 			ag.Record = rec.record
 			sess.rec = rec
 			sess.sink = d.recordSink

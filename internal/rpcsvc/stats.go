@@ -1,10 +1,10 @@
 package rpcsvc
 
 import (
-	"fmt"
 	"io"
 	"sync/atomic"
-	"time"
+
+	"repro/internal/obs"
 )
 
 // Serving statistics. Before the fleet work the session table's occupancy,
@@ -12,93 +12,7 @@ import (
 // observable only by instrumenting tests. Every counter here is an atomic
 // bumped on the hot path (no locks, no allocation); snapshots are plain
 // structs safe to compare in tests and to render as Prometheus text
-// (ops.go, internal/fleet).
-
-// DecideLatencyBounds are the upper bounds, in seconds, of the
-// decide-latency histogram buckets (an implicit +Inf bucket follows the
-// last bound). They span sub-30µs cache-warm decisions to multi-second
-// stalls.
-var DecideLatencyBounds = [...]float64{
-	25e-6, 50e-6, 100e-6, 250e-6, 500e-6,
-	1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3,
-	50e-3, 100e-3, 250e-3, 1,
-}
-
-// LatencyHist is a fixed-bucket latency histogram safe for concurrent
-// Observe calls. The zero value is ready to use.
-type LatencyHist struct {
-	// buckets[i] counts observations ≤ DecideLatencyBounds[i]; the final
-	// slot is the +Inf overflow bucket. Counts are per-bucket, not
-	// cumulative — Snapshot and the Prometheus writer accumulate.
-	buckets [len(DecideLatencyBounds) + 1]atomic.Uint64
-	count   atomic.Uint64
-	sumNs   atomic.Uint64
-}
-
-// Observe records one latency sample.
-func (h *LatencyHist) Observe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	s := d.Seconds()
-	i := 0
-	for i < len(DecideLatencyBounds) && s > DecideLatencyBounds[i] {
-		i++
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sumNs.Add(uint64(d.Nanoseconds()))
-}
-
-// HistSnapshot is a point-in-time copy of a LatencyHist.
-type HistSnapshot struct {
-	// Bounds are the bucket upper bounds in seconds; Counts has one extra
-	// trailing element for the +Inf bucket. Counts are per-bucket.
-	Bounds []float64
-	Counts []uint64
-	// Count and Sum (seconds) summarise all observations.
-	Count uint64
-	Sum   float64
-}
-
-// Snapshot copies the histogram's current state.
-func (h *LatencyHist) Snapshot() HistSnapshot {
-	s := HistSnapshot{
-		Bounds: DecideLatencyBounds[:],
-		Counts: make([]uint64, len(h.buckets)),
-		Count:  h.count.Load(),
-		Sum:    float64(h.sumNs.Load()) / 1e9,
-	}
-	for i := range h.buckets {
-		s.Counts[i] = h.buckets[i].Load()
-	}
-	return s
-}
-
-// WriteProm renders the snapshot in Prometheus text exposition format as a
-// cumulative histogram named name. labels ('key="v",...', possibly empty)
-// are merged into every series.
-func (s HistSnapshot) WriteProm(w io.Writer, name, labels string) {
-	sep := ""
-	if labels != "" {
-		sep = ","
-	}
-	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
-	cum := uint64(0)
-	for i, b := range s.Bounds {
-		cum += s.Counts[i]
-		fmt.Fprintf(w, "%s_bucket{%s%sle=\"%g\"} %d\n", name, labels, sep, b, cum)
-	}
-	cum += s.Counts[len(s.Bounds)]
-	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, cum)
-	if labels == "" {
-		fmt.Fprintf(w, "%s_sum %g\n", name, s.Sum)
-		fmt.Fprintf(w, "%s_count %d\n", name, s.Count)
-	} else {
-		fmt.Fprintf(w, "%s_sum{%s} %g\n", name, labels, s.Sum)
-		fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, s.Count)
-	}
-}
+// (ops.go, through internal/obs).
 
 // ServerStats is the serving-side counter set, owned by a Decima service
 // object and bumped on every protocol operation.
@@ -127,7 +41,7 @@ type ServerStats struct {
 	// session and the server kept serving.
 	Panics atomic.Uint64
 	// Decide observes the latency of every scheduling decision.
-	Decide LatencyHist
+	Decide obs.LatencyHist
 }
 
 // StatsSnapshot is a point-in-time copy of a server's counters plus the
@@ -148,7 +62,7 @@ type StatsSnapshot struct {
 	// empty name means unversioned parameters).
 	ModelName    string
 	ModelVersion int
-	Decide       HistSnapshot
+	Decide       obs.HistSnapshot
 }
 
 // snapshot copies the counters; the caller fills table occupancy and
@@ -172,57 +86,34 @@ func (st *ServerStats) snapshot() StatsSnapshot {
 	}
 }
 
-// WriteProm renders the snapshot in Prometheus text format. labels
-// ('key="v",...', possibly empty) are merged into every series.
-func (s StatsSnapshot) WriteProm(w io.Writer, labels string) {
-	braced := "{" + labels + "}"
-	if labels == "" {
-		braced = ""
-	}
-	c := func(name string, v uint64) {
-		fmt.Fprintf(w, "# TYPE %s counter\n%s%s %d\n", name, name, braced, v)
-	}
-	fmt.Fprintf(w, "# TYPE decima_sessions gauge\ndecima_sessions%s %d\n", braced, s.Sessions)
-	drain := 0
-	if s.Draining {
-		drain = 1
-	}
-	fmt.Fprintf(w, "# TYPE decima_draining gauge\ndecima_draining%s %d\n", braced, drain)
-	c("decima_opens_total", s.Opens)
-	c("decima_opens_rejected_total", s.OpensRejected)
-	c("decima_closes_total", s.Closes)
-	c("decima_events_total", s.Events)
-	c("decima_seq_gaps_total", s.SeqGaps)
-	c("decima_panics_total", s.Panics)
-	c("decima_shed_total", s.Shed)
-	c("decima_deadline_miss_total", s.DeadlineMiss)
-	fmt.Fprintf(w, "# TYPE decima_inflight gauge\ndecima_inflight%s %d\n", braced, s.Inflight)
-	evl := labels
-	if evl != "" {
-		evl += ","
-	}
-	fmt.Fprintf(w, "# TYPE decima_sessions_evicted_total counter\n")
-	fmt.Fprintf(w, "decima_sessions_evicted_total{%sreason=\"lru\"} %d\n", evl, s.EvictedLRU)
-	fmt.Fprintf(w, "decima_sessions_evicted_total{%sreason=\"idle\"} %d\n", evl, s.EvictedIdle)
+// WriteProm renders the snapshot in Prometheus text format, every series
+// labelled with the replica identity (none when it is empty).
+func (s StatsSnapshot) WriteProm(w io.Writer) {
+	l := obs.L("replica", s.Replica)
+	one := func(name, typ string, v float64) { obs.Write(w, name, typ, obs.Sample{Labels: l, Value: v}) }
+	one("decima_sessions", "gauge", float64(s.Sessions))
+	one("decima_draining", "gauge", obs.Bool(s.Draining))
+	one("decima_opens_total", "counter", float64(s.Opens))
+	one("decima_opens_rejected_total", "counter", float64(s.OpensRejected))
+	one("decima_closes_total", "counter", float64(s.Closes))
+	one("decima_events_total", "counter", float64(s.Events))
+	one("decima_seq_gaps_total", "counter", float64(s.SeqGaps))
+	one("decima_panics_total", "counter", float64(s.Panics))
+	one("decima_shed_total", "counter", float64(s.Shed))
+	one("decima_deadline_miss_total", "counter", float64(s.DeadlineMiss))
+	one("decima_inflight", "gauge", float64(s.Inflight))
+	obs.Write(w, "decima_sessions_evicted_total", "counter",
+		obs.Sample{Labels: obs.Join(l, obs.L("reason", "lru")), Value: float64(s.EvictedLRU)},
+		obs.Sample{Labels: obs.Join(l, obs.L("reason", "idle")), Value: float64(s.EvictedIdle)})
 	// Online-loop serving metrics: the served model version (0 until a
 	// registry checkpoint is installed) and the hot-swap count. The model
 	// name rides as a label so a version rollback is visible as a change in
 	// the labelled series, not an ambiguous gauge step.
-	ml := labels
-	if s.ModelName != "" {
-		if ml != "" {
-			ml += ","
-		}
-		ml += `model="` + s.ModelName + `"`
-	}
-	mb := "{" + ml + "}"
-	if ml == "" {
-		mb = ""
-	}
-	fmt.Fprintf(w, "# TYPE decima_model_version gauge\ndecima_model_version%s %d\n", mb, s.ModelVersion)
-	c("online_swaps_total", s.Swaps)
-	c("decima_recording_opens_total", s.RecordingOpens)
-	s.Decide.WriteProm(w, "decima_decide_latency_seconds", labels)
+	obs.Write(w, "decima_model_version", "gauge",
+		obs.Sample{Labels: obs.Join(l, obs.L("model", s.ModelName)), Value: float64(s.ModelVersion)})
+	one("online_swaps_total", "counter", float64(s.Swaps))
+	one("decima_recording_opens_total", "counter", float64(s.RecordingOpens))
+	obs.Write(w, "decima_decide_latency_seconds", "histogram", s.Decide.Samples(l)...)
 }
 
 // ClientStats is the recovery-activity counter set of a SessionScheduler:
