@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-compare bench-robustness examples smoke-server smoke-restart smoke-fleet smoke-chaos smoke-online fuzz fmt vet docs-check
+.PHONY: all build test race bench bench-compare bench-robustness examples smoke fuzz fmt vet docs-check
 
 all: build vet fmt docs-check test
 
@@ -99,45 +99,16 @@ bench-robustness:
 	$(GO) run ./cmd/decima-bench -failures lossy -scheduler decima,fifo -short
 	$(GO) run ./cmd/decima-bench -failures all -short -json BENCH_robustness.json
 
-# End-to-end smoke of the serving binary: build decima-server, start it as
-# a real process, open a session over TCP, drive ≥100 scheduling events,
-# and assert a clean SIGINT shutdown.
-smoke-server:
-	$(GO) build -o bin/decima-server ./cmd/decima-server
-	$(GO) run ./cmd/decima-smoke -bin bin/decima-server -events 100
-
-# Crash-recovery smoke: SIGKILL the serving process mid-session, start a
-# replacement on the same address, and require the self-healing session
-# client to finish with a schedule identical to an uninterrupted run.
-smoke-restart:
-	$(GO) build -o bin/decima-server ./cmd/decima-server
-	$(GO) run ./cmd/decima-smoke -bin bin/decima-server -restart
-
-# Fleet smoke: router + 3 real replica processes; SIGKILL one replica
-# mid-session, drain another via the admin endpoint, and require the
-# healed schedule to be identical to an unsharded uninterrupted run
-# (docs/FLEET.md).
-smoke-fleet:
+# End-to-end smoke of the serving binaries: one decima-smoke run starts real
+# decima-server and decima-fleet processes and runs five scenarios in order
+# (serve, restart, chaos, fleet, online), stopping at the first failure. The
+# serve scenario's schedule is the reference that restart (server SIGKILLed
+# mid-session), chaos (overload plus injected transport faults) and fleet
+# (replica SIGKILLed and drained) must reproduce; see cmd/decima-smoke.
+smoke:
 	$(GO) build -o bin/decima-server ./cmd/decima-server
 	$(GO) build -o bin/decima-fleet ./cmd/decima-fleet
-	$(GO) run ./cmd/decima-smoke -bin bin/decima-server -fleet-bin bin/decima-fleet -fleet
-
-# Chaos smoke: the serving process runs with a tight admission bound while
-# noise sessions saturate it, and the observed session rides a fault-injected
-# transport (deterministic chaos: latency + resets). The run must see real
-# overload sheds and transient faults, heal every one, and finish with a
-# schedule identical to an undisturbed reference run (docs/ROBUSTNESS.md).
-smoke-chaos:
-	$(GO) build -o bin/decima-server ./cmd/decima-server
-	$(GO) run ./cmd/decima-smoke -bin bin/decima-server -chaos
-
-# Online-loop smoke: the serving binary runs with a live registry and the
-# in-process trainer on; recorded sessions feed it until a hot-swap lands,
-# then /metrics, /healthz and the registry on disk must all agree on the
-# new model version (docs/ONLINE.md).
-smoke-online:
-	$(GO) build -o bin/decima-server ./cmd/decima-server
-	$(GO) run ./cmd/decima-smoke -bin bin/decima-server -online
+	$(GO) run ./cmd/decima-smoke -bin bin/decima-server -fleet-bin bin/decima-fleet
 
 fmt:
 	@out="$$(gofmt -l .)"; \

@@ -3,8 +3,8 @@
 // listener) and perturbs traffic with added latency, stalls, connection
 // resets and timed partition windows — the failure modes the rpcsvc
 // self-healing ladder and the fleet router claim to absorb — so tests and
-// decima-smoke -chaos can drive a noisy run and check it heals to the
-// uninterrupted reference schedule.
+// decima-smoke's chaos scenario can drive a noisy run and check it heals to
+// the uninterrupted reference schedule.
 //
 // Determinism: every random draw comes from a named seeded stream —
 // fnv1a(stream name) folded into the injector seed — so a stream's fault

@@ -170,24 +170,12 @@ func Fig15a(sc Scale, evalEvery int) *Table {
 	seqs := evalSeqs(2, sc.BatchJobs, sc.Seed+4000)
 
 	type variant struct {
-		mod   func(*core.Config)
 		agent *core.Agent
 		tr    *rl.Trainer
 	}
 	mk := func(mod func(*core.Config)) *variant {
-		acfg := core.DefaultConfig(sc.Executors)
-		if mod != nil {
-			mod(&acfg)
-		}
-		a := core.New(acfg, rand.New(rand.NewSource(sc.Seed)))
-		tcfg := rl.DefaultConfig()
-		tcfg.EpisodesPerIter = sc.EpisodesPerIter
-		tcfg.Workers = sc.Workers
-		tcfg.LR = 3e-3
-		tcfg.InitialHorizon = 200
-		tcfg.HorizonGrowth = 30
-		tcfg.MaxHorizon = 10000
-		return &variant{mod: mod, agent: a, tr: rl.NewTrainer(a, tcfg, rand.New(rand.NewSource(sc.Seed+1)))}
+		a, tr := newTrainer(sc, simCfg, mod, nil)
+		return &variant{agent: a, tr: tr}
 	}
 	vs := []*variant{
 		mk(nil),

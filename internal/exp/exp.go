@@ -166,11 +166,17 @@ func smallJobSource(n int, maxSizeIdx int) rl.JobSource {
 
 // trainAgent builds and trains a Decima agent at the given scale.
 func trainAgent(sc Scale, simCfg sim.Config, src rl.JobSource, mod func(*core.Config), rlMod func(*rl.Config)) *core.Agent {
+	agent, tr := newTrainer(sc, simCfg, mod, rlMod)
+	tr.Train(sc.TrainIters, src, simCfg, nil)
+	return agent
+}
+
+// newTrainer builds an untrained Decima agent and the trainer every figure
+// trains it with; mod and rlMod, when non-nil, adjust the two configs.
+func newTrainer(sc Scale, simCfg sim.Config, mod func(*core.Config), rlMod func(*rl.Config)) (*core.Agent, *rl.Trainer) {
 	acfg := core.DefaultConfig(sc.Executors)
-	if len(simCfg.Classes) > 0 {
-		for _, c := range simCfg.Classes {
-			acfg.ClassMem = append(acfg.ClassMem, c.Mem)
-		}
+	for _, c := range simCfg.Classes {
+		acfg.ClassMem = append(acfg.ClassMem, c.Mem)
 	}
 	if mod != nil {
 		mod(&acfg)
@@ -188,9 +194,7 @@ func trainAgent(sc Scale, simCfg sim.Config, src rl.JobSource, mod func(*core.Co
 	if rlMod != nil {
 		rlMod(&tcfg)
 	}
-	tr := rl.NewTrainer(agent, tcfg, rand.New(rand.NewSource(sc.Seed+1)))
-	tr.Train(sc.TrainIters, src, simCfg, nil)
-	return agent
+	return agent, rl.NewTrainer(agent, tcfg, rand.New(rand.NewSource(sc.Seed+1)))
 }
 
 // mkNamed returns a fresh-instance factory for one registry scheduler.

@@ -1,8 +1,12 @@
 package exp
 
 import (
+	"fmt"
 	"strconv"
 	"testing"
+
+	"repro/internal/rl"
+	"repro/internal/sim"
 )
 
 // microScale keeps every experiment's runtime in the low seconds.
@@ -113,6 +117,20 @@ func TestFig19TwoLevelLearnsCriticalPath(t *testing.T) {
 	}
 	if two < 50 {
 		t.Fatalf("two-level accuracy after training = %v%%, want ≥ 50%%", two)
+	}
+}
+
+// Fig. 15a's "decima" curve must end on the agent every other figure
+// trains: same configs, same seeds, same total iterations.
+func TestFig15aDecimaIsTrainAgent(t *testing.T) {
+	sc := microScale
+	tbl := Fig15a(sc, 1)
+	got := tbl.Rows[len(tbl.Rows)-1][1]
+	simCfg := sim.SparkDefaults(sc.Executors)
+	agent := trainAgent(sc, simCfg, smallJobSource(sc.BatchJobs, 2), nil, nil)
+	jct, _ := rl.Evaluate(agent, evalSeqs(2, sc.BatchJobs, sc.Seed+4000), simCfg, sc.Seed)
+	if want := fmt.Sprintf("%.4g", jct); got != want {
+		t.Fatalf("Fig15a final decima cell %s, trainAgent evaluates to %s", got, want)
 	}
 }
 

@@ -220,22 +220,6 @@ func (rt *Router) AddReplica(id, addr, opsAddr string, pid int) error {
 	return nil
 }
 
-// RemoveReplica unregisters a replica, failing over any sessions still
-// placed on it. A no-op for unknown ids.
-func (rt *Router) RemoveReplica(id string) {
-	rt.ring.Remove(id)
-	rt.mu.Lock()
-	rep := rt.replicas[id]
-	delete(rt.replicas, id)
-	rt.mu.Unlock()
-	if rep == nil {
-		return
-	}
-	rt.migrate(id, "failover")
-	rep.cli.Close()
-	rt.log.Info("fleet: replica removed", "replica", id)
-}
-
 // DrainReplica migrates every session off the replica and stops routing new
 // sessions to it: live backend sessions are closed, and each fleet session's
 // next event answers ErrWrongShard so the client reopens — landing on the

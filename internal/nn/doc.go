@@ -25,7 +25,7 @@
 //   - layers.go — Linear and MLP: one tracked node per layer, with initialisers
 //   - rows.go — MLP.ForwardRows: a layer over row-gathered column blocks
 //   - tape.go — Tape, the arena that owns a tracked computation's tensors
-//   - optim.go, params.go, serialize.go — SGD/Adam, parameter sets, model I/O
+//   - optim.go, params.go, serialize.go — Adam, parameter sets, model I/O
 //   - nograd.go — no-grad inference mode and the Scratch bump arena
 //   - fused.go — fused no-grad MLP forward (matmul + bias + activation)
 //   - kernel.go — the raw-speed kernel layer: blocked, register-tiled

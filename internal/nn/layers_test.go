@@ -91,20 +91,6 @@ func TestMLPLearnsMaxOfTwo(t *testing.T) {
 	}
 }
 
-func TestSGDReducesQuadratic(t *testing.T) {
-	p := New(1, 1, []float64{5})
-	p.MarkParam()
-	opt := NewSGD(0.1, 0.5)
-	for i := 0; i < 100; i++ {
-		ZeroGrads([]*Tensor{p})
-		Square(p).Backward(1)
-		opt.Step([]*Tensor{p})
-	}
-	if math.Abs(p.Data[0]) > 1e-3 {
-		t.Fatalf("SGD failed to minimise x²: x = %v", p.Data[0])
-	}
-}
-
 func TestAdamReducesQuadratic(t *testing.T) {
 	p := New(1, 1, []float64{5})
 	p.MarkParam()

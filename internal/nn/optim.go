@@ -42,51 +42,6 @@ func GradNorm(params []*Tensor) float64 {
 	return math.Sqrt(sq)
 }
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update using the gradients currently stored in the
-	// parameters and then leaves the gradients untouched (callers clear them
-	// with ZeroGrads when starting the next accumulation window).
-	Step(params []*Tensor)
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	vel map[*Tensor][]float64
-}
-
-// NewSGD returns an SGD optimizer with the given learning rate and momentum.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, vel: make(map[*Tensor][]float64)}
-}
-
-// Step applies one SGD update.
-func (s *SGD) Step(params []*Tensor) {
-	for _, p := range params {
-		if p.Grad == nil {
-			continue
-		}
-		if s.Momentum == 0 {
-			for i, g := range p.Grad {
-				p.Data[i] -= s.LR * g
-			}
-			continue
-		}
-		v := s.vel[p]
-		if v == nil {
-			v = make([]float64, len(p.Data))
-			s.vel[p] = v
-		}
-		for i, g := range p.Grad {
-			v[i] = s.Momentum*v[i] + g
-			p.Data[i] -= s.LR * v[i]
-		}
-	}
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba, 2015), the optimizer the
 // paper trains Decima with (Appendix C, α = 1e-3).
 type Adam struct {

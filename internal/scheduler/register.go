@@ -54,11 +54,6 @@ func newDecima(o Options) (Scheduler, error) {
 		cfg.ClassMem = append(cfg.ClassMem, c.Mem)
 	}
 	a := core.New(cfg, rand.New(rand.NewSource(o.Seed)))
-	if o.Model != "" {
-		if err := a.Load(o.Model); err != nil {
-			return nil, fmt.Errorf("scheduler: load decima model %q: %w", o.Model, err)
-		}
-	}
 	a.Greedy = !o.Sampled
 	return a, nil
 }

@@ -6,9 +6,9 @@
 // instead of hard-coding constructors.
 //
 // The contract is deliberately narrow: one observation in, one action out,
-// plus an explicit Reset separating runs. The error slot exists for policies
-// whose decisions can fail at runtime — above all the RPC-backed schedulers
-// in internal/rpcsvc, where a decision is a network round trip.
+// plus an explicit Reset separating runs. The error slot is for a decision
+// that can fail at runtime; every policy registered here decides in process
+// and returns a nil error, and Sim treats an error as a decline.
 package scheduler
 
 import (
@@ -60,8 +60,6 @@ type Options struct {
 	Classes []sim.ExecutorClass
 	// Seed seeds stochastic policies (Decima's action sampling, "random").
 	Seed int64
-	// Model optionally names a parameter file for "decima" (core.Agent.Load).
-	Model string
 	// Sampled makes "decima" sample actions instead of greedy argmax.
 	Sampled bool
 	// WFairAlpha sets the weighted-fair exponent for "opt-wfair"; 0 selects
