@@ -214,9 +214,10 @@ func (a *Agent) Install(m *Model) {
 }
 
 // Decide implements the unified scheduler contract of internal/scheduler:
-// one invocation produces one ⟨stage, limit(, class)⟩ action. A local
-// decision cannot fail, so the error is always nil; the slot exists so the
-// agent is interchangeable with remote (RPC-backed) schedulers.
+// one invocation produces one ⟨stage, limit(, class)⟩ action. The error is
+// always nil: no scheduler's decision can fail any more, and the slot stays
+// only until the registry's contract becomes sim.Scheduler plus Reset
+// (ROADMAP item 16).
 func (a *Agent) Decide(s *sim.State) (*sim.Action, error) { return a.Schedule(s), nil }
 
 // Reset implements the unified scheduler contract: it drops the embedding

@@ -10,7 +10,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/rl"
 	"repro/internal/sched"
-	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -57,11 +56,10 @@ func Fig16(sc Scale) *Table {
 	const slots = 5
 	cfg := sim.Idealized(slots)
 
-	run := func(s sim.Scheduler) float64 {
-		job := Fig16Job(eps)
-		return sim.New(cfg, []*dag.Job{job}, s, rand.New(rand.NewSource(sc.Seed))).Run().Makespan
+	run := func(mk func() sim.Scheduler) float64 {
+		return runOne(mk, []*dag.Job{Fig16Job(eps)}, cfg, sc.Seed).Makespan
 	}
-	cp := run(mkNamed("sjf-cp", scheduler.Options{})())
+	cp := run(policy(sc, cfg, "sjf-cp", nil))
 	t.Add("critical-path first", cp)
 
 	// Planned schedule: clear the tiny left stages first, then overlap the
@@ -77,7 +75,7 @@ func Fig16(sc Scale) *Table {
 		}
 		return nil
 	})
-	opt := run(planned)
+	opt := run(func() sim.Scheduler { return planned })
 	t.Add("planned (overlapping branches)", opt)
 	t.Add("ratio cp/planned", cp/opt)
 	return t
@@ -95,22 +93,23 @@ func Fig18(sc Scale) *Table {
 		Title:  "Figure 18 (Appendix D): detailed vs idealised simulator error",
 		Header: []string{"setting", "mean_error_%", "p95_error_%"},
 	}
+	detailedCfg, idealCfg := sim.SparkDefaults(sc.Executors), sim.Idealized(sc.Executors)
+	fair := policy(sc, detailedCfg, "fair", nil)
 	measure := func(shared bool) (float64, float64) {
+		n := 1
+		if shared {
+			n = 5
+		}
+		seqs := evalSeqs(sc.Runs, n, sc.Seed)
+		detailed := rl.Runs(fair, seqs, detailedCfg, sc.Seed)
+		ideal := rl.Runs(fair, seqs, idealCfg, sc.Seed)
 		var errs []float64
-		for i := 0; i < sc.Runs; i++ {
-			rng := rand.New(rand.NewSource(sc.Seed + int64(i)))
-			n := 1
-			if shared {
-				n = 5
-			}
-			jobs := workload.Batch(rng, n)
-			detailed := sim.New(sim.SparkDefaults(sc.Executors), workload.CloneAll(jobs), mkNamed("fair", scheduler.Options{})(), rand.New(rand.NewSource(sc.Seed+int64(i)))).Run()
-			ideal := sim.New(sim.Idealized(sc.Executors), workload.CloneAll(jobs), mkNamed("fair", scheduler.Options{})(), rand.New(rand.NewSource(sc.Seed+int64(i)))).Run()
+		for i := range seqs {
 			det := map[int]float64{}
-			for _, r := range detailed.Completed {
+			for _, r := range detailed[i].Completed {
 				det[r.ID] = r.JCT()
 			}
-			for _, r := range ideal.Completed {
+			for _, r := range ideal[i].Completed {
 				if d, ok := det[r.ID]; ok && d > 0 {
 					errs = append(errs, math.Abs(d-r.JCT())/d*100)
 				}
@@ -236,13 +235,11 @@ func Fig22(sc Scale) *Table {
 	// The heuristic reference rows honour a Scale.Schedulers selection; the
 	// exhaustive search and Decima rows are the figure's point and always
 	// run.
-	var jct float64
 	for _, name := range sc.schedulerNames("sjf-cp", "opt-wfair") {
-		if name == "decima" {
-			continue
+		if name != "decima" {
+			jct, _ := rl.EvaluateScheduler(policy(sc, cfg, name, nil), seqs, cfg, sc.Seed)
+			t.Add(name, jct)
 		}
-		jct, _ = rl.EvaluateScheduler(mkNamed(name, scheduler.Options{Seed: sc.Seed}), seqs, cfg, sc.Seed)
-		t.Add(name, jct)
 	}
 
 	best := math.Inf(1)
@@ -251,15 +248,12 @@ func Fig22(sc Scale) *Table {
 		perm[i] = i
 	}
 	permute(perm, 0, func(order []int) {
-		res := sim.New(cfg, workload.CloneAll(jobs), sched.NewFixedOrder(order), rand.New(rand.NewSource(sc.Seed))).Run()
-		if j := res.AvgJCT(); j < best {
-			best = j
-		}
+		res := runOne(func() sim.Scheduler { return sched.NewFixedOrder(order) }, jobs, cfg, sc.Seed)
+		best = min(best, res.AvgJCT())
 	})
 	t.Add("exhaustive order search", best)
 
-	agent := trainAgent(sc, cfg, smallJobSource(n, 3), nil, nil)
-	jct, _ = rl.Evaluate(agent, seqs, cfg, sc.Seed)
+	jct, _ := rl.EvaluateScheduler(policy(sc, cfg, "decima", smallJobSource(n, 3)), seqs, cfg, sc.Seed)
 	t.Add("decima", jct)
 	return t
 }

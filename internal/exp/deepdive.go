@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/rl"
-	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -90,7 +89,7 @@ func Fig14(sc Scale, loads []float64) *Table {
 
 		for i, v := range variants {
 			if v.name == "opt-wfair (heuristic)" {
-				jct, _ := rl.EvaluateScheduler(mkNamed("opt-wfair", scheduler.Options{}), seqs, simCfg, sc.Seed)
+				jct, _ := rl.EvaluateScheduler(policy(sc, simCfg, "opt-wfair", nil), seqs, simCfg, sc.Seed)
 				rows[i] = append(rows[i], jct)
 				continue
 			}
@@ -132,7 +131,7 @@ func Table2(sc Scale) *Table {
 		return workload.Poisson(rng, sc.BatchJobs, iat)
 	}
 
-	jct, _ := rl.EvaluateScheduler(mkNamed("opt-wfair", scheduler.Options{}), seqs, simCfg, sc.Seed)
+	jct, _ := rl.EvaluateScheduler(policy(sc, simCfg, "opt-wfair", nil), seqs, simCfg, sc.Seed)
 	t.Add("opt. weighted fair (best heuristic)", jct)
 
 	agent := trainAgent(sc, simCfg, srcIAT(testIAT), nil, nil)
@@ -256,7 +255,7 @@ func Fig23(sc Scale) *Table {
 	seqs := evalSeqs(sc.Runs, sc.BatchJobs, sc.Seed+6000)
 	src := smallJobSource(sc.BatchJobs, 3)
 
-	jct, _ := rl.EvaluateScheduler(mkNamed("opt-wfair", scheduler.Options{}), seqs, simCfg, sc.Seed)
+	jct, _ := rl.EvaluateScheduler(policy(sc, simCfg, "opt-wfair", nil), seqs, simCfg, sc.Seed)
 	t.Add("opt. weighted fair", jct)
 
 	agent := trainAgent(sc, simCfg, src, nil, nil)

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dag"
+	"repro/internal/metrics"
 	"repro/internal/rl"
 	"repro/internal/sched"
 	"repro/internal/scheduler"
@@ -123,16 +124,6 @@ func (sc Scale) schedulerNames(defaults ...string) []string {
 	return defaults
 }
 
-// wantsScheduler reports whether name is in the figure's resolved set.
-func (sc Scale) wantsScheduler(defaults []string, name string) bool {
-	for _, n := range sc.schedulerNames(defaults...) {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
 // ScaleTiny finishes in seconds; used by the repository benchmarks.
 var ScaleTiny = Scale{
 	Executors: 6, BatchJobs: 6, ContinuousJobs: 12, Runs: 3,
@@ -164,10 +155,12 @@ func smallJobSource(n int, maxSizeIdx int) rl.JobSource {
 	}
 }
 
-// trainAgent builds and trains a Decima agent at the given scale.
+// trainAgent builds and trains a Decima agent at the given scale and returns
+// it greedy: every figure scores Decima by argmax.
 func trainAgent(sc Scale, simCfg sim.Config, src rl.JobSource, mod func(*core.Config), rlMod func(*rl.Config)) *core.Agent {
 	agent, tr := newTrainer(sc, simCfg, mod, rlMod)
 	tr.Train(sc.TrainIters, src, simCfg, nil)
+	agent.Greedy = true
 	return agent
 }
 
@@ -197,10 +190,16 @@ func newTrainer(sc Scale, simCfg sim.Config, mod func(*core.Config), rlMod func(
 	return agent, rl.NewTrainer(agent, tcfg, rand.New(rand.NewSource(sc.Seed+1)))
 }
 
-// mkNamed returns a fresh-instance factory for one registry scheduler.
-// Registry names are validated at first use; an unknown name is a caller
-// bug, so it panics rather than silently degrading a figure.
-func mkNamed(name string, opts scheduler.Options) func() sim.Scheduler {
+// policy returns the fresh-instance factory of one comparison row: the
+// internal/scheduler registry policy of that name, where "decima" serves
+// runners of an agent trainAgent trains here on src (other names ignore
+// src). An unknown name is a caller bug, so it panics rather than silently
+// degrading a figure.
+func policy(sc Scale, simCfg sim.Config, name string, src rl.JobSource) func() sim.Scheduler {
+	opts := scheduler.Options{Seed: sc.Seed, Classes: simCfg.Classes}
+	if name == "decima" {
+		opts.Agent = trainAgent(sc, simCfg, src, nil, nil)
+	}
 	return func() sim.Scheduler {
 		s, err := scheduler.New(name, opts)
 		if err != nil {
@@ -210,19 +209,10 @@ func mkNamed(name string, opts scheduler.Options) func() sim.Scheduler {
 	}
 }
 
-// baselines returns the single-resource baseline schedulers of §7.1 keyed
-// by their paper names — which are their internal/scheduler registry names
-// — each as a fresh-instance factory.
-func baselines() map[string]func() sim.Scheduler {
-	m := make(map[string]func() sim.Scheduler, len(baselineOrder))
-	for _, name := range baselineOrder {
-		m[name] = mkNamed(name, scheduler.Options{})
-	}
-	return m
+// runOne is rl.Runs on a single job sequence.
+func runOne(mk func() sim.Scheduler, jobs []*dag.Job, simCfg sim.Config, seed int64) *sim.Result {
+	return rl.Runs(mk, [][]*dag.Job{jobs}, simCfg, seed)[0]
 }
-
-// baselineOrder fixes a stable presentation order.
-var baselineOrder = []string{"fifo", "sjf-cp", "fair", "naive-wfair", "opt-wfair", "tetris", "graphene-star"}
 
 // tuneWeightedFair sweeps α over the paper's grid on held-out sequences and
 // returns the best exponent (§7.1 baseline 5). The sweep constructs
@@ -250,16 +240,44 @@ func evalSeqs(r, n int, seed int64) [][]*dag.Job {
 	return out
 }
 
-// multiResClasses is the §7.3 executor-class layout: four classes with
-// (0.25, 0.5, 0.75, 1.0) normalized memory, equal counts.
-func multiResClasses(perClass int) []sim.ExecutorClass {
-	return []sim.ExecutorClass{
-		{Mem: 0.25, Count: perClass},
-		{Mem: 0.5, Count: perClass},
-		{Mem: 0.75, Count: perClass},
-		{Mem: 1.0, Count: perClass},
+// peakJobs is the most jobs a run ever held in the system at once.
+func peakJobs(r *sim.Result) float64 {
+	var p float64
+	for _, pt := range metrics.ConcurrentJobs(r.Completed) {
+		p = max(p, pt.Value)
 	}
+	return p
 }
 
-// simDefaultsForTest exposes a standard config for package tests.
-func simDefaultsForTest() sim.Config { return sim.SparkDefaults(6) }
+// executorsHeld is the mean number of executors a job held over its
+// lifetime.
+func executorsHeld(rec sim.JobRecord) float64 {
+	var s float64
+	for _, v := range rec.ExecutorSeconds {
+		s += v
+	}
+	return s / rec.JCT()
+}
+
+// perJob evaluates f on every record.
+func perJob(recs []sim.JobRecord, f func(sim.JobRecord) float64) []float64 {
+	out := make([]float64, len(recs))
+	for i, r := range recs {
+		out[i] = f(r)
+	}
+	return out
+}
+
+// workQuintiles groups vals, one per record of recs, into five
+// equal-population bins by the jobs' total work.
+func workQuintiles(recs []sim.JobRecord, vals []float64) []metrics.Bin {
+	return metrics.GroupByQuantiles(perJob(recs, func(r sim.JobRecord) float64 { return r.TotalWork }), vals, 5)
+}
+
+// lightest is the mean of the lightest-work bin, 0 when there is none.
+func lightest(bins []metrics.Bin) float64 {
+	if len(bins) == 0 {
+		return 0
+	}
+	return bins[0].Mean
+}

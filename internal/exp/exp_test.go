@@ -1,7 +1,9 @@
 package exp
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -21,6 +23,35 @@ var microScale = Scale{
 // runs in the plain test job.
 var slowExperiments = map[string]bool{
 	"fig3": true, "fig14": true, "fig15a": true, "fig22": true,
+}
+
+// goldenTables holds the SHA-256 of every table rendered at microScale, so a
+// change that moves any number of any figure fails here; one that means to
+// re-captures the digest. Fig. 15b is absent because its delay row is wall
+// clock. Floating-point contraction differs across architectures, so the
+// digests hold on amd64 only.
+var goldenTables = map[string]string{
+	"fig10":  "7c32992cac3b90886622617c493a3c2bb06a39d5bf2224e3969621dc90897a16",
+	"fig11a": "cd3914f587669b2d206e2cec1e873e7633abedf57c20f2e97902e4feda570ae5",
+	"fig11b": "be9dc4216373892d7eb6ab17331511e18679ed0f7a7a3e6bee5920ae161e63c2",
+	"fig12":  "bd69a0cab57decb78b02de1a4ef25df63586ea90748d763a926f2e64e7dfcbb3",
+	"fig13":  "db5a477be57a36a77845be7adb00565bdfe1303e958b172417b42b99e47ac628",
+	"fig14":  "4547364f536783ad157bf437cb6b7a98dd5f23155d0e6e0f192b0bc05cf7c4ec",
+	"fig15a": "a17bb9ea9dbda3f1b974b8e4a32157ade55adaf26d889163b4dd13d7363eccde",
+	"fig16":  "a665424425f3f62906aebe83b110fc624b761b3b1714d8ab1032cd6023e6042f",
+	"fig18":  "faf3a24378daea08818aa65e668ad5e2072dbbccbee48a2d40931087df60b0be",
+	"fig19":  "c508a0706c39c42b3ee0ec3cc4e9cd97f7d31c08e4355171cb2d5ede3eb5551a",
+	"fig2":   "f121bcd262744c478f7cbae24362282cebf6f898b404388705584437ce412d27",
+	"fig20":  "eb363aa5e344ab554f12a76d5bf07fa15c074ea04515fd0d2b2cad7ab4fdea99",
+	"fig21":  "99d59515bda718a9d2ee2932d20aef5d7e5020af8a841df9865381f730d0b322",
+	"fig22":  "543b502b92188c3daaa4812bd3f51317e966214d543c138860a89b027000d650",
+	"fig23":  "b81cb4cc774f8ba0e27c4befb3dd14975b6a6036d57c8ad22e595f2e88d088a3",
+	"fig3":   "8f3d61ffe69260a49fc914c4da08d8a44653f98bf57a167da2855e26f9c4b916",
+	"fig9a":  "8a0a4c889f6ab665fef71c70f24196a0db59ba993922c7c890af6a06340d6b19",
+	"fig9b":  "17de779f7a8898a313ac65c89540019dcc2f7f2ab794279de8feb80e751be259",
+	"robust": "ad440667b72d082a5383ab9dde5b48bef99f57d0c13040f4427099e388a354a9",
+	"table2": "98f360d7a8d6e6e580a50420c132980f559fe446c8ddadf6d2c40122454557a7",
+	"table3": "2e79b6aa32a45747dbc962844b2c4776217baa0572872ed54b626320897e1502",
 }
 
 func TestRegistryRunsEveryExperiment(t *testing.T) {
@@ -45,10 +76,35 @@ func TestRegistryRunsEveryExperiment(t *testing.T) {
 					t.Fatalf("row width %d != header width %d: %v", len(r), len(tbl.Header), r)
 				}
 			}
-			if s := tbl.String(); len(s) == 0 {
+			s := tbl.String()
+			if len(s) == 0 {
 				t.Fatal("empty rendering")
 			}
+			if id == "fig15b" || runtime.GOARCH != "amd64" {
+				return
+			}
+			want, ok := goldenTables[id]
+			if !ok {
+				t.Fatalf("no golden digest for %s", id)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(s))); got != want {
+				t.Fatalf("table digest %s, want %s:\n%s", got, want, s)
+			}
 		})
+	}
+}
+
+// Fig. 12a pairs Decima's and Graphene*'s jobs and bins them by total work.
+// TPC-H jobs often share a total work, so the pairing order decides which
+// quintile a tied job lands in; it must not vary from run to run.
+func TestFig12Deterministic(t *testing.T) {
+	sc := ScaleSmall
+	sc.TrainIters, sc.EpisodesPerIter = 1, 1
+	first := Fig12(sc).String()
+	for i := 1; i < 5; i++ {
+		if again := Fig12(sc).String(); again != first {
+			t.Fatalf("run %d differs from run 0:\n%s\nvs\n%s", i, again, first)
+		}
 	}
 }
 
@@ -175,7 +231,7 @@ func TestTableFormatting(t *testing.T) {
 
 func TestTuneWeightedFairPicksReasonableAlpha(t *testing.T) {
 	seqs := evalSeqs(2, 6, 99)
-	cfg := simDefaultsForTest()
+	cfg := sim.SparkDefaults(6)
 	alpha := tuneWeightedFair(seqs, cfg, 1)
 	if alpha < -2 || alpha > 2 {
 		t.Fatalf("alpha %v outside sweep range", alpha)

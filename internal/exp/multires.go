@@ -7,19 +7,17 @@ import (
 	"repro/internal/dag"
 	"repro/internal/metrics"
 	"repro/internal/rl"
-	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
-// multiResSimCfg builds the §7.3 environment at the given scale.
+// multiResSimCfg builds the §7.3 environment at the given scale: four
+// executor classes with (0.25, 0.5, 0.75, 1.0) normalized memory, equal
+// counts.
 func multiResSimCfg(sc Scale) sim.Config {
-	perClass := sc.Executors / 4
-	if perClass < 1 {
-		perClass = 1
-	}
+	n := max(sc.Executors/4, 1)
 	cfg := sim.SparkDefaults(0)
-	cfg.Classes = multiResClasses(perClass)
+	cfg.Classes = []sim.ExecutorClass{{Mem: 0.25, Count: n}, {Mem: 0.5, Count: n}, {Mem: 0.75, Count: n}, {Mem: 1.0, Count: n}}
 	return cfg
 }
 
@@ -42,18 +40,8 @@ func runMultiRes(sc Scale, title string, jobs []*dag.Job, src rl.JobSource) *Tab
 		Header: []string{"scheduler", "avg_jct_s", "unfinished"},
 	}
 	simCfg := multiResSimCfg(sc)
-	run := func(s sim.Scheduler) *sim.Result {
-		return sim.New(simCfg, workload.CloneAll(jobs), s, rand.New(rand.NewSource(sc.Seed))).Run()
-	}
 	for _, name := range sc.schedulerNames("opt-wfair", "tetris", "graphene-star", "decima") {
-		var res *sim.Result
-		if name == "decima" {
-			agent := trainAgent(sc, simCfg, src, nil, nil)
-			agent.Greedy = true
-			res = run(agent)
-		} else {
-			res = run(mkNamed(name, scheduler.Options{Seed: sc.Seed, Classes: simCfg.Classes})())
-		}
+		res := runOne(policy(sc, simCfg, name, src), jobs, simCfg, sc.Seed)
 		t.Add(name, res.AvgJCT(), res.Unfinished)
 	}
 	return t
@@ -80,6 +68,22 @@ func Fig11b(sc Scale) *Table {
 	return runMultiRes(sc, "Figure 11b: multi-resource, TPC-H workload", jobs, smallJobSource(sc.BatchJobs, 3))
 }
 
+// versusGraphene runs Graphene* and Decima on one multi-resource Poisson
+// workload (drawn from seed jobSeed at the given load): the setup Figs. 12,
+// 20 and 21 share.
+func versusGraphene(sc Scale, jobSeed int64, load float64) (g, d *sim.Result) {
+	simCfg := multiResSimCfg(sc)
+	jobs := workload.Poisson(rand.New(rand.NewSource(jobSeed)), sc.ContinuousJobs, workload.IATForLoad(load, sc.Executors))
+	src := smallJobSource(sc.BatchJobs, 3)
+	return runOne(policy(sc, simCfg, "graphene-star", src), jobs, simCfg, sc.Seed),
+		runOne(policy(sc, simCfg, "decima", src), jobs, simCfg, sc.Seed)
+}
+
+// classSeconds returns a job's executor-seconds on executor class c.
+func classSeconds(c int) func(sim.JobRecord) float64 {
+	return func(r sim.JobRecord) float64 { return r.ExecutorSeconds[c] }
+}
+
 // Fig12 reproduces Figure 12: Decima's multi-resource gains broken down by
 // job size (12a: JCT normalized to Graphene*) and its use of oversized
 // executors on small jobs (12b: largest-class executor seconds on the
@@ -89,51 +93,22 @@ func Fig12(sc Scale) *Table {
 		Title:  "Figure 12: Decima vs Graphene* by job size (multi-resource)",
 		Header: []string{"metric", "value"},
 	}
-	simCfg := multiResSimCfg(sc)
-	jobs := workload.Poisson(
-		rand.New(rand.NewSource(sc.Seed+700)),
-		sc.ContinuousJobs,
-		workload.IATForLoad(0.7, sc.Executors),
-	)
-	graphene := sim.New(simCfg, workload.CloneAll(jobs), mkNamed("graphene-star", scheduler.Options{Seed: sc.Seed})(), rand.New(rand.NewSource(sc.Seed))).Run()
-	agent := trainAgent(sc, simCfg, smallJobSource(sc.BatchJobs, 3), nil, nil)
-	agent.Greedy = true
-	decima := sim.New(simCfg, workload.CloneAll(jobs), agent, rand.New(rand.NewSource(sc.Seed))).Run()
+	g, d := versusGraphene(sc, sc.Seed+700, 0.7)
 
 	// 12a: normalized JCT by total-work quintile.
-	ratios := metrics.PairedRatio(decima.Completed, graphene.Completed, func(r sim.JobRecord) float64 { return r.JCT() })
-	var works, ratioVals []float64
-	workByID := map[int]float64{}
-	for _, r := range decima.Completed {
-		workByID[r.ID] = r.TotalWork
-	}
-	for id, ratio := range ratios {
-		works = append(works, workByID[id])
-		ratioVals = append(ratioVals, ratio)
-	}
-	for i, b := range metrics.GroupByQuantiles(works, ratioVals, 5) {
-		t.Add(addOrdinal("12a: JCT ratio decima/graphene, work quintile", i+1), b.Mean)
+	paired, ratios := metrics.PairedRatio(d.Completed, g.Completed, sim.JobRecord.JCT)
+	for i, b := range workQuintiles(paired, ratios) {
+		t.Add(fmt.Sprintf("12a: JCT ratio decima/graphene, work quintile %d", i+1), b.Mean)
 	}
 
 	// 12b: largest-class executor use on the smallest-20% jobs.
 	largestUse := func(r *sim.Result) float64 {
-		var works, use []float64
-		for _, rec := range r.Completed {
-			works = append(works, rec.TotalWork)
-			use = append(use, rec.ExecutorSeconds[3])
-		}
-		bins := metrics.GroupByQuantiles(works, use, 5)
-		if len(bins) == 0 {
-			return 0
-		}
-		return bins[0].Mean
+		return lightest(workQuintiles(r.Completed, perJob(r.Completed, classSeconds(3))))
 	}
-	g := largestUse(graphene)
-	d := largestUse(decima)
-	if g > 0 {
-		t.Add("12b: largest-class exec-seconds on small jobs, decima/graphene", d/g)
+	if gu, du := largestUse(g), largestUse(d); gu > 0 {
+		t.Add("12b: largest-class exec-seconds on small jobs, decima/graphene", du/gu)
 	} else {
-		t.Add("12b: largest-class exec-seconds on small jobs (graphene=0), decima", d)
+		t.Add("12b: largest-class exec-seconds on small jobs (graphene=0), decima", du)
 	}
 	return t
 }
@@ -145,38 +120,9 @@ func Fig20(sc Scale) *Table {
 		Title:  "Figure 20: multi-resource time-series (Appendix G)",
 		Header: []string{"metric", "graphene-star", "decima"},
 	}
-	simCfg := multiResSimCfg(sc)
-	jobs := workload.Poisson(
-		rand.New(rand.NewSource(sc.Seed+800)),
-		sc.ContinuousJobs,
-		workload.IATForLoad(0.8, sc.Executors),
-	)
-	g := sim.New(simCfg, workload.CloneAll(jobs), mkNamed("graphene-star", scheduler.Options{Seed: sc.Seed})(), rand.New(rand.NewSource(sc.Seed))).Run()
-	agent := trainAgent(sc, simCfg, smallJobSource(sc.BatchJobs, 3), nil, nil)
-	agent.Greedy = true
-	d := sim.New(simCfg, workload.CloneAll(jobs), agent, rand.New(rand.NewSource(sc.Seed))).Run()
-
-	peak := func(r *sim.Result) float64 {
-		var p float64
-		for _, pt := range metrics.ConcurrentJobs(r.Completed) {
-			if pt.Value > p {
-				p = pt.Value
-			}
-		}
-		return p
-	}
-	meanExec := func(r *sim.Result) float64 {
-		var xs []float64
-		for _, rec := range r.Completed {
-			var s float64
-			for _, v := range rec.ExecutorSeconds {
-				s += v
-			}
-			xs = append(xs, s/rec.JCT())
-		}
-		return metrics.Mean(xs)
-	}
-	t.Add("peak concurrent jobs (20-1)", peak(g), peak(d))
+	g, d := versusGraphene(sc, sc.Seed+800, 0.8)
+	meanExec := func(r *sim.Result) float64 { return metrics.Mean(perJob(r.Completed, executorsHeld)) }
+	t.Add("peak concurrent jobs (20-1)", peakJobs(g), peakJobs(d))
 	t.Add("mean executors per job (20-2)", meanExec(g), meanExec(d))
 	t.Add("avg JCT (20-3)", g.AvgJCT(), d.AvgJCT())
 	return t
@@ -190,34 +136,15 @@ func Fig21(sc Scale) *Table {
 		Title:  "Figure 21: executor assignment profile, decima/graphene-star",
 		Header: []string{"work_quintile", "class_0.25", "class_0.5", "class_0.75", "class_1.0"},
 	}
-	simCfg := multiResSimCfg(sc)
-	jobs := workload.Poisson(
-		rand.New(rand.NewSource(sc.Seed+900)),
-		sc.ContinuousJobs,
-		workload.IATForLoad(0.7, sc.Executors),
-	)
-	g := sim.New(simCfg, workload.CloneAll(jobs), mkNamed("graphene-star", scheduler.Options{Seed: sc.Seed})(), rand.New(rand.NewSource(sc.Seed))).Run()
-	agent := trainAgent(sc, simCfg, smallJobSource(sc.BatchJobs, 3), nil, nil)
-	agent.Greedy = true
-	d := sim.New(simCfg, workload.CloneAll(jobs), agent, rand.New(rand.NewSource(sc.Seed))).Run()
-
-	profile := func(r *sim.Result, class int) []metrics.Bin {
-		var works, use []float64
-		for _, rec := range r.Completed {
-			works = append(works, rec.TotalWork)
-			use = append(use, rec.ExecutorSeconds[class])
-		}
-		return metrics.GroupByQuantiles(works, use, 5)
-	}
+	g, d := versusGraphene(sc, sc.Seed+900, 0.7)
 	var gp, dp [4][]metrics.Bin
-	for c := 0; c < 4; c++ {
-		gp[c] = profile(g, c)
-		dp[c] = profile(d, c)
+	for c := range gp {
+		gp[c] = workQuintiles(g.Completed, perJob(g.Completed, classSeconds(c)))
+		dp[c] = workQuintiles(d.Completed, perJob(d.Completed, classSeconds(c)))
 	}
 	for q := 0; q < 5; q++ {
-		row := make([]any, 0, 5)
-		row = append(row, q+1)
-		for c := 0; c < 4; c++ {
+		row := []any{q + 1}
+		for c := range gp {
 			if q < len(gp[c]) && q < len(dp[c]) && gp[c][q].Mean > 0 {
 				row = append(row, dp[c][q].Mean/gp[c][q].Mean)
 			} else {
@@ -227,9 +154,4 @@ func Fig21(sc Scale) *Table {
 		t.Add(row...)
 	}
 	return t
-}
-
-// addOrdinal labels grouped rows.
-func addOrdinal(prefix string, i int) string {
-	return fmt.Sprintf("%s %d", prefix, i)
 }

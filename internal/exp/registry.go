@@ -19,24 +19,17 @@ var experiments = map[string]func(Scale) *Table{
 	"fig13":  Fig13,
 	"fig14":  func(sc Scale) *Table { return Fig14(sc, []float64{0.45, 0.65, 0.85}) },
 	"table2": Table2,
-	"fig15a": func(sc Scale) *Table { return Fig15a(sc, maxI(sc.TrainIters/4, 1)) },
+	"fig15a": func(sc Scale) *Table { return Fig15a(sc, max(sc.TrainIters/4, 1)) },
 	"fig15b": Fig15b,
 	"fig16":  Fig16,
 	"fig18":  Fig18,
-	"fig19":  func(sc Scale) *Table { return Fig19(sc, maxI(sc.TrainIters/4, 1)) },
+	"fig19":  func(sc Scale) *Table { return Fig19(sc, max(sc.TrainIters/4, 1)) },
 	"fig20":  Fig20,
 	"fig21":  Fig21,
 	"fig22":  Fig22,
 	"table3": Table3,
 	"fig23":  Fig23,
 	"robust": Robust,
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // IDs returns all experiment ids in sorted order.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/core"
 	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -75,13 +74,13 @@ func RobustMatrix(sc Scale) (*Table, *RobustDoc) {
 	jobs := workload.Poisson(rand.New(rand.NewSource(sc.Seed+500)), sc.ContinuousJobs,
 		workload.IATForLoad(0.6, sc.Executors))
 
-	// Train Decima once, on the clean configuration, if it is in the set.
-	var agent *core.Agent
-	for _, n := range names {
-		if n == "decima" {
-			agent = trainAgent(sc, simCfg, smallJobSource(maxI(sc.BatchJobs, 1), 3), nil, nil)
-			break
-		}
+	// Build each policy once: Decima trains here, on the clean
+	// configuration, and every cell gets a fresh runner of that agent, so
+	// runs share no RNG or cache state and the trained parameters stay
+	// clean-regime-only.
+	mks := make([]func() sim.Scheduler, len(names))
+	for i, name := range names {
+		mks[i] = policy(sc, simCfg, name, smallJobSource(max(sc.BatchJobs, 1), 3))
 	}
 
 	t := &Table{
@@ -102,16 +101,8 @@ func RobustMatrix(sc Scale) (*Table, *RobustDoc) {
 			panic(fmt.Sprintf("exp: %v", err))
 		}
 		cfg := prof.Apply(simCfg)
-		for _, name := range names {
-			var s sim.Scheduler
-			if name == "decima" {
-				// A fresh clone per cell: runs must not share RNG or cache
-				// state, and the trained parameters stay clean-regime-only.
-				s = mkNamed(name, scheduler.Options{Agent: agent, Seed: sc.Seed})()
-			} else {
-				s = mkNamed(name, scheduler.Options{Executors: sc.Executors, Seed: sc.Seed})()
-			}
-			res := sim.New(cfg, workload.CloneAll(jobs), s, rand.New(rand.NewSource(sc.Seed))).Run()
+		for i, name := range names {
+			res := runOne(mks[i], jobs, cfg, sc.Seed)
 			cell := RobustCell{
 				Scheduler:   name,
 				Regime:      regime,

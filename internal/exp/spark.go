@@ -3,12 +3,12 @@ package exp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/dag"
 	"repro/internal/metrics"
 	"repro/internal/rl"
 	"repro/internal/sched"
-	"repro/internal/scheduler"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -28,11 +28,7 @@ func Fig2(sc Scale) *Table {
 	}{{9, 2}, {9, 100}, {2, 100}}
 	for _, c := range cases {
 		for _, p := range []int{1, 2, 5, 10, 20, 30, 40, 60, 80, 100} {
-			job := workload.TPCHJob(c.q, c.size)
-			cfg := sim.SparkDefaults(p)
-			cfg.DurationNoise = 0
-			res := sim.New(cfg, []*dag.Job{job}, mkNamed("fifo", scheduler.Options{})(), rand.New(rand.NewSource(sc.Seed))).Run()
-			t.Add(fmt.Sprintf("Q%d", c.q), c.size, p, res.Completed[0].JCT())
+			t.Add(fmt.Sprintf("Q%d", c.q), c.size, p, Fig2Runtime(c.q, c.size, p, sc.Seed))
 		}
 	}
 	return t
@@ -41,11 +37,10 @@ func Fig2(sc Scale) *Table {
 // Fig2Runtime exposes the runtime for one (query, size, parallelism) point
 // so tests can assert the sweet-spot shape directly.
 func Fig2Runtime(q int, sizeGB float64, parallelism int, seed int64) float64 {
-	job := workload.TPCHJob(q, sizeGB)
 	cfg := sim.SparkDefaults(parallelism)
 	cfg.DurationNoise = 0
-	res := sim.New(cfg, []*dag.Job{job}, sched.NewFIFO(), rand.New(rand.NewSource(seed))).Run()
-	return res.Completed[0].JCT()
+	fifo := policy(Scale{Seed: seed}, cfg, "fifo", nil)
+	return runOne(fifo, []*dag.Job{workload.TPCHJob(q, sizeGB)}, cfg, seed).Completed[0].JCT()
 }
 
 // Fig3 reproduces Figure 3: the illustrative 10-job, 50-slot comparison of
@@ -63,13 +58,7 @@ func Fig3(sc Scale) *Table {
 	simCfg := sim.SparkDefaults(execs)
 
 	for _, name := range sc.schedulerNames("fifo", "sjf-cp", "fair", "decima") {
-		var jct, ms float64
-		if name == "decima" {
-			agent := trainAgent(sc, simCfg, smallJobSource(10, 3), nil, nil)
-			jct, ms = rl.Evaluate(agent, seqs, simCfg, sc.Seed)
-		} else {
-			jct, ms = rl.EvaluateScheduler(mkNamed(name, scheduler.Options{Seed: sc.Seed}), seqs, simCfg, sc.Seed)
-		}
+		jct, ms := rl.EvaluateScheduler(policy(sc, simCfg, name, smallJobSource(10, 3)), seqs, simCfg, sc.Seed)
 		t.Add(name, jct, ms)
 	}
 	return t
@@ -85,29 +74,15 @@ func Fig9a(sc Scale) *Table {
 	simCfg := sim.SparkDefaults(sc.Executors)
 	seqs := evalSeqs(sc.Runs, sc.BatchJobs, sc.Seed+100)
 
-	collect := func(mk func() sim.Scheduler) []float64 {
-		var jcts []float64
-		for i, jobs := range seqs {
-			res := sim.New(simCfg, workload.CloneAll(jobs), mk(), rand.New(rand.NewSource(sc.Seed+int64(i)))).Run()
-			jcts = append(jcts, res.AvgJCT())
-		}
-		return jcts
-	}
-	names := sc.schedulerNames(append(append([]string(nil), baselineOrder...), "decima")...)
-	for _, name := range names {
-		var js []float64
-		switch name {
-		case "decima":
-			agent := trainAgent(sc, simCfg, smallJobSource(sc.BatchJobs, 3), nil, nil)
-			for i, jobs := range seqs {
-				jct, _ := rl.Evaluate(agent, [][]*dag.Job{jobs}, simCfg, sc.Seed+int64(i))
-				js = append(js, jct)
-			}
-		case "opt-wfair":
+	for _, name := range sc.schedulerNames("fifo", "sjf-cp", "fair", "naive-wfair", "opt-wfair", "tetris", "graphene-star", "decima") {
+		mk := policy(sc, simCfg, name, smallJobSource(sc.BatchJobs, 3))
+		if name == "opt-wfair" { // §7.1 baseline 5: α tuned on held-out sequences
 			alpha := tuneWeightedFair(seqs[:min(3, len(seqs))], simCfg, sc.Seed)
-			js = collect(func() sim.Scheduler { return sched.NewWeightedFair(alpha) })
-		default:
-			js = collect(mkNamed(name, scheduler.Options{Seed: sc.Seed}))
+			mk = func() sim.Scheduler { return sched.NewWeightedFair(alpha) }
+		}
+		var js []float64
+		for _, res := range rl.Runs(mk, seqs, simCfg, sc.Seed) {
+			js = append(js, res.AvgJCT())
 		}
 		t.Add(name, metrics.Mean(js), metrics.Percentile(js, 25), metrics.Percentile(js, 50), metrics.Percentile(js, 75))
 	}
@@ -126,18 +101,8 @@ func Fig9b(sc Scale) *Table {
 	iat := workload.IATForLoad(0.85, sc.Executors)
 	jobs := workload.Poisson(rand.New(rand.NewSource(sc.Seed+200)), sc.ContinuousJobs, iat)
 
-	run := func(s sim.Scheduler) *sim.Result {
-		return sim.New(simCfg, workload.CloneAll(jobs), s, rand.New(rand.NewSource(sc.Seed))).Run()
-	}
 	for _, name := range sc.schedulerNames("fair", "opt-wfair", "decima") {
-		var res *sim.Result
-		if name == "decima" {
-			agent := trainAgent(sc, simCfg, smallJobSource(sc.BatchJobs, 3), nil, nil)
-			agent.Greedy = true
-			res = run(agent)
-		} else {
-			res = run(mkNamed(name, scheduler.Options{Seed: sc.Seed})())
-		}
+		res := runOne(policy(sc, simCfg, name, smallJobSource(sc.BatchJobs, 3)), jobs, simCfg, sc.Seed)
 		t.Add(name, res.AvgJCT(), len(res.Completed), res.Unfinished)
 	}
 	return t
@@ -151,87 +116,44 @@ func Fig10(sc Scale) *Table {
 	// Scale.Schedulers selection swaps the heuristic column for any
 	// registered policy, and leaving "decima" out of the selection drops
 	// that column (and its training cost) entirely.
-	defaults := []string{"opt-wfair", "decima"}
-	heurName := "opt-wfair"
+	cols := []string{"opt-wfair"}
 	for _, n := range sc.Schedulers {
 		if n != "decima" {
-			heurName = n
+			cols[0] = n
 			break
 		}
 	}
-	wantDecima := sc.wantsScheduler(defaults, "decima")
-	header := []string{"metric", heurName}
-	if wantDecima {
-		header = append(header, "decima")
+	if slices.Contains(sc.schedulerNames("opt-wfair", "decima"), "decima") {
+		cols = append(cols, "decima")
 	}
 	t := &Table{
 		Title:  "Figure 10: time-series analysis of continuous arrivals",
-		Header: header,
-	}
-	add := func(metric string, f func(*sim.Result) float64, heur, dec *sim.Result) {
-		if wantDecima {
-			t.Add(metric, f(heur), f(dec))
-		} else {
-			t.Add(metric, f(heur))
-		}
+		Header: append([]string{"metric"}, cols...),
 	}
 	simCfg := sim.SparkDefaults(sc.Executors)
 	iat := workload.IATForLoad(0.8, sc.Executors)
 	jobs := workload.Poisson(rand.New(rand.NewSource(sc.Seed+300)), sc.ContinuousJobs, iat)
-
-	heur := sim.New(simCfg, workload.CloneAll(jobs), mkNamed(heurName, scheduler.Options{Seed: sc.Seed})(), rand.New(rand.NewSource(sc.Seed))).Run()
-	var dec *sim.Result
-	if wantDecima {
-		agent := trainAgent(sc, simCfg, smallJobSource(sc.BatchJobs, 3), nil, nil)
-		agent.Greedy = true
-		dec = sim.New(simCfg, workload.CloneAll(jobs), agent, rand.New(rand.NewSource(sc.Seed))).Run()
+	var runs []*sim.Result
+	for _, name := range cols {
+		runs = append(runs, runOne(policy(sc, simCfg, name, smallJobSource(sc.BatchJobs, 3)), jobs, simCfg, sc.Seed))
+	}
+	add := func(metric string, f func(*sim.Result) float64) {
+		row := []any{metric}
+		for _, r := range runs {
+			row = append(row, f(r))
+		}
+		t.Add(row...)
 	}
 
-	peak := func(r *sim.Result) float64 {
-		var p float64
-		for _, pt := range metrics.ConcurrentJobs(r.Completed) {
-			if pt.Value > p {
-				p = pt.Value
-			}
-		}
-		return p
-	}
-	add("peak concurrent jobs (10a)", peak, heur, dec)
-	add("avg JCT (10b)", (*sim.Result).AvgJCT, heur, dec)
-
-	smallJCT := func(r *sim.Result) float64 {
-		var works, jcts []float64
-		for _, rec := range r.Completed {
-			works = append(works, rec.TotalWork)
-			jcts = append(jcts, rec.JCT())
-		}
-		bins := metrics.GroupByQuantiles(works, jcts, 5)
-		if len(bins) == 0 {
-			return 0
-		}
-		return bins[0].Mean
-	}
-	add("small-job (lowest quintile) JCT (10c)", smallJCT, heur, dec)
-
-	execSecs := func(r *sim.Result) float64 {
-		var works, secs []float64
-		for _, rec := range r.Completed {
-			var s float64
-			for _, v := range rec.ExecutorSeconds {
-				s += v
-			}
-			works = append(works, rec.TotalWork)
-			secs = append(secs, s/rec.JCT()) // mean executors held
-		}
-		bins := metrics.GroupByQuantiles(works, secs, 5)
-		if len(bins) == 0 {
-			return 0
-		}
-		return bins[0].Mean
-	}
-	add("small-job mean executors (10d)", execSecs, heur, dec)
-
-	inflation := func(r *sim.Result) float64 {
+	add("peak concurrent jobs (10a)", peakJobs)
+	add("avg JCT (10b)", (*sim.Result).AvgJCT)
+	add("small-job (lowest quintile) JCT (10c)", func(r *sim.Result) float64 {
+		return lightest(workQuintiles(r.Completed, metrics.JCTs(r.Completed)))
+	})
+	add("small-job mean executors (10d)", func(r *sim.Result) float64 {
+		return lightest(workQuintiles(r.Completed, perJob(r.Completed, executorsHeld)))
+	})
+	add("work inflation executed/ideal (10e)", func(r *sim.Result) float64 {
 		var ratios []float64
 		for _, rec := range r.Completed {
 			if rec.TotalWork > 0 {
@@ -239,8 +161,7 @@ func Fig10(sc Scale) *Table {
 			}
 		}
 		return metrics.Mean(ratios)
-	}
-	add("work inflation executed/ideal (10e)", inflation, heur, dec)
+	})
 	return t
 }
 
@@ -254,21 +175,13 @@ func Fig15b(sc Scale) *Table {
 	}
 	simCfg := sim.SparkDefaults(sc.Executors)
 	agent := trainAgent(Scale{Executors: sc.Executors, TrainIters: 0, EpisodesPerIter: 1, Seed: sc.Seed}, simCfg, smallJobSource(sc.BatchJobs, 3), nil, nil)
-	agent.Greedy = true
 
 	var delays, intervals []float64
 	timed := &timedScheduler{inner: agent, delays: &delays, intervals: &intervals}
 	jobs := workload.Poisson(rand.New(rand.NewSource(sc.Seed+400)), sc.ContinuousJobs, workload.IATForLoad(0.7, sc.Executors))
-	sim.New(simCfg, jobs, timed, rand.New(rand.NewSource(sc.Seed))).Run()
+	runOne(func() sim.Scheduler { return timed }, jobs, simCfg, sc.Seed)
 
 	t.Add("scheduling delay", metrics.Percentile(delays, 50), metrics.Percentile(delays, 95), metrics.Mean(delays))
 	t.Add("sim event interval (ms of sim-time)", metrics.Percentile(intervals, 50), metrics.Percentile(intervals, 95), metrics.Mean(intervals))
 	return t
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

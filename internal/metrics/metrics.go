@@ -1,6 +1,6 @@
 // Package metrics provides the statistics the evaluation figures are built
-// from: means, percentiles, CDFs, online accumulators, concurrent-job time
-// series, and per-job comparisons between schedulers.
+// from: means, percentiles, concurrent-job time series, per-job comparisons
+// between schedulers, and grouping by quantiles.
 package metrics
 
 import (
@@ -20,20 +20,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Std returns the population standard deviation of xs.
-func Std(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var sq float64
-	for _, x := range xs {
-		d := x - m
-		sq += d * d
-	}
-	return math.Sqrt(sq / float64(len(xs)))
 }
 
 // Percentile returns the p-th percentile (p in [0,100]) by linear
@@ -57,52 +43,6 @@ func Percentile(xs []float64, p float64) float64 {
 		return s[lo]
 	}
 	return s[lo]*(1-frac) + s[lo+1]*frac
-}
-
-// CDFPoint is one (value, cumulative fraction) sample of an empirical CDF.
-type CDFPoint struct {
-	Value float64
-	Frac  float64
-}
-
-// CDF returns the empirical distribution of xs as sorted points.
-func CDF(xs []float64) []CDFPoint {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	pts := make([]CDFPoint, len(s))
-	for i, v := range s {
-		pts[i] = CDFPoint{Value: v, Frac: float64(i+1) / float64(len(s))}
-	}
-	return pts
-}
-
-// Welford is an online mean/variance accumulator.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds one observation into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Std returns the running population standard deviation.
-func (w *Welford) Std() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return math.Sqrt(w.m2 / float64(w.n))
 }
 
 // JCTs extracts completion-time-minus-arrival for all completed jobs.
@@ -146,21 +86,22 @@ func ConcurrentJobs(records []sim.JobRecord) []SeriesPoint {
 	return out
 }
 
-// PairedRatio matches records of two runs by job ID and returns, per job,
-// the ratio metric(a)/metric(b). Jobs missing from either run are skipped.
-// It powers the normalized comparisons of Figs. 10e, 12a and 21.
-func PairedRatio(a, b []sim.JobRecord, metric func(sim.JobRecord) float64) map[int]float64 {
+// PairedRatio matches records of two runs by job ID and returns, in a's
+// record order, the records of a whose job b also completed and each one's
+// ratio metric(a)/metric(b). Jobs missing from b, or whose metric there is
+// 0, are skipped. It powers the normalized comparison of Fig. 12a.
+func PairedRatio(a, b []sim.JobRecord, metric func(sim.JobRecord) float64) (paired []sim.JobRecord, ratios []float64) {
 	bv := make(map[int]float64, len(b))
 	for _, r := range b {
 		bv[r.ID] = metric(r)
 	}
-	out := make(map[int]float64)
 	for _, r := range a {
 		if denom, ok := bv[r.ID]; ok && denom != 0 {
-			out[r.ID] = metric(r) / denom
+			paired = append(paired, r)
+			ratios = append(ratios, metric(r)/denom)
 		}
 	}
-	return out
+	return paired, ratios
 }
 
 // Bin is one bucket of a grouped statistic.

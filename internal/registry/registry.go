@@ -43,35 +43,19 @@ import (
 // format change fails loudly instead of misdecoding.
 const ckptMagic = "decima-ckpt/1\n"
 
-// Typed errors. Like the rpcsvc wire errors, each carries a stable marker
-// substring so classification survives fmt-wrapping.
-const (
-	corruptMarker  = "[registry:corrupt]"
-	notFoundMarker = "[registry:not-found]"
-	badRefMarker   = "[registry:bad-ref]"
-)
-
 // ErrCorrupt reports a checkpoint file that exists but cannot be trusted:
 // bad magic, undecodable gob, or a checksum mismatch (truncation, bit
-// flips, torn writes). A corrupt checkpoint never loads silently.
-var ErrCorrupt = errors.New("checkpoint corrupt " + corruptMarker)
+// flips, torn writes). A corrupt checkpoint never loads silently. Every
+// error the package returns wraps its sentinel with %w, so callers match
+// them with errors.Is.
+var ErrCorrupt = errors.New("checkpoint corrupt")
 
 // ErrNotFound reports a model name or version that is not in the registry.
-var ErrNotFound = errors.New("model not found " + notFoundMarker)
+var ErrNotFound = errors.New("model not found")
 
 // ErrBadRef reports an unparseable model reference (want "name" or
 // "name@version", name from [a-z0-9._-], version a positive integer).
-var ErrBadRef = errors.New("bad model reference " + badRefMarker)
-
-// IsCorrupt reports whether err means a checkpoint failed verification.
-func IsCorrupt(err error) bool {
-	return err != nil && (errors.Is(err, ErrCorrupt) || strings.Contains(err.Error(), corruptMarker))
-}
-
-// IsNotFound reports whether err means the name/version is absent.
-func IsNotFound(err error) bool {
-	return err != nil && (errors.Is(err, ErrNotFound) || strings.Contains(err.Error(), notFoundMarker))
-}
+var ErrBadRef = errors.New("bad model reference")
 
 // Ref names a model in the registry. Version 0 means "whatever LATEST
 // points at" — the rollback flag flip resolves through it.

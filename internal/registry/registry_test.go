@@ -2,6 +2,7 @@ package registry
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"os"
@@ -84,7 +85,7 @@ func TestLatestAndRollback(t *testing.T) {
 		t.Fatalf("Load(latest) after rollback = v%d, %v; want v1", ckVer(ck), err)
 	}
 	// Rolling back to a version that does not exist is refused.
-	if err := reg.SetLatest("m", 9); !IsNotFound(err) {
+	if err := reg.SetLatest("m", 9); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("SetLatest(9) err = %v; want not-found", err)
 	}
 	// The next publish continues the version sequence past the rollback.
@@ -102,13 +103,13 @@ func ckVer(ck *Checkpoint) int {
 
 func TestNotFound(t *testing.T) {
 	reg := openTemp(t)
-	if _, err := reg.Load(Ref{Name: "ghost"}); !IsNotFound(err) {
+	if _, err := reg.Load(Ref{Name: "ghost"}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("load absent model: %v; want not-found", err)
 	}
 	if _, err := reg.Publish("m", testParams(1), ""); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Load(Ref{Name: "m", Version: 7}); !IsNotFound(err) {
+	if _, err := reg.Load(Ref{Name: "m", Version: 7}); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("load absent version: %v; want not-found", err)
 	}
 }
@@ -158,7 +159,7 @@ func TestCorruptionDetected(t *testing.T) {
 		if err := os.WriteFile(path, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := reg.Load(Ref{Name: "m", Version: 1}); !IsCorrupt(err) {
+		if _, err := reg.Load(Ref{Name: "m", Version: 1}); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("bit flip at %d: err = %v; want corrupt", off, err)
 		}
 	}
@@ -167,7 +168,7 @@ func TestCorruptionDetected(t *testing.T) {
 		if err := os.WriteFile(path, orig[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := reg.Load(Ref{Name: "m", Version: 1}); !IsCorrupt(err) {
+		if _, err := reg.Load(Ref{Name: "m", Version: 1}); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("truncate to %d: err = %v; want corrupt", n, err)
 		}
 	}
@@ -178,7 +179,7 @@ func TestCorruptionDetected(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(reg.Root(), "m", "v2.ckpt"), orig, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Load(Ref{Name: "m", Version: 2}); !IsCorrupt(err) {
+	if _, err := reg.Load(Ref{Name: "m", Version: 2}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("wrong-slot load: err = %v; want corrupt", err)
 	}
 }
@@ -224,7 +225,7 @@ func FuzzCheckpoint(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := ReadCheckpoint(data)
 		if err != nil {
-			if !IsCorrupt(err) {
+			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("untyped checkpoint error: %v", err)
 			}
 			return

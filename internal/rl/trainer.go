@@ -463,15 +463,22 @@ func Evaluate(agent *core.Agent, seqs [][]*dag.Job, simCfg sim.Config, seed int6
 	return EvaluateScheduler(func() sim.Scheduler { return agent }, seqs, simCfg, seed)
 }
 
-// EvaluateScheduler runs any scheduler over the given sequences to
-// completion (sequence i's simulator seeded seed+i) and returns the mean
-// average-JCT and the mean makespan; mk must return a scheduler ready for a
-// fresh run.
+// Runs runs mk's scheduler over each sequence to completion, sequence i on
+// its own copy of the jobs with its simulator seeded seed+i; mk must return a
+// scheduler ready for a fresh run.
+func Runs(mk func() sim.Scheduler, seqs [][]*dag.Job, simCfg sim.Config, seed int64) []*sim.Result {
+	out := make([]*sim.Result, len(seqs))
+	for i, jobs := range seqs {
+		out[i] = sim.New(simCfg, workload.CloneAll(jobs), mk(), rand.New(rand.NewSource(seed+int64(i)))).Run()
+	}
+	return out
+}
+
+// EvaluateScheduler returns the mean average-JCT and the mean makespan of
+// Runs(mk, seqs, simCfg, seed).
 func EvaluateScheduler(mk func() sim.Scheduler, seqs [][]*dag.Job, simCfg sim.Config, seed int64) (avgJCT, makespan float64) {
 	var jctSum, msSum float64
-	for i, jobs := range seqs {
-		rng := rand.New(rand.NewSource(seed + int64(i)))
-		res := sim.New(simCfg, workload.CloneAll(jobs), mk(), rng).Run()
+	for _, res := range Runs(mk, seqs, simCfg, seed) {
 		jctSum += res.AvgJCT()
 		msSum += res.Makespan
 	}
