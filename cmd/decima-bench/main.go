@@ -33,7 +33,6 @@ import (
 	"strings"
 
 	"repro/internal/exp"
-	"repro/internal/nn"
 	"repro/internal/scheduler"
 	"repro/internal/workload"
 )
@@ -51,10 +50,8 @@ func main() {
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		listScheds = flag.Bool("list-schedulers", false, "list registered scheduler names and exit")
 		listFails  = flag.Bool("list-failures", false, "list failure regime names and exit")
-		matmulWk   = flag.Int("matmul-workers", 0, "matmul kernel workers for tall stacked forwards (0 = one per CPU; results identical for any value)")
 	)
 	flag.Parse()
-	nn.SetMatMulWorkers(*matmulWk)
 
 	if *list {
 		fmt.Println(strings.Join(exp.IDs(), "\n"))

@@ -51,7 +51,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/nn"
 	"repro/internal/online"
 	"repro/internal/registry"
 	"repro/internal/rpcsvc"
@@ -72,14 +71,12 @@ func main() {
 		seed         = flag.Int64("seed", 1, "random seed for schedulers (per-session seeds from OpenSession take precedence)")
 		maxSessions  = flag.Int("max-sessions", rpcsvc.DefaultMaxSessions, "bound on concurrent sessions (LRU eviction beyond it; <0 unbounded)")
 		idleTimeout  = flag.Duration("idle-timeout", rpcsvc.DefaultIdleTimeout, "evict sessions idle for this long (<0 never)")
-		matmulWk     = flag.Int("matmul-workers", 0, "matmul kernel workers for tall forwards such as the -online trainer's replay (0 = one per CPU; results identical for any value)")
 		replicaID    = flag.String("replica-id", "", "fleet replica identity announced in Open replies and metrics (empty for standalone)")
 		httpAddr     = flag.String("http", "", "ops HTTP address serving /healthz and /metrics (empty disables)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max wait for sessions to leave after SIGTERM before exiting anyway")
 		maxInflight  = flag.Int("max-inflight", 0, "admission bound on in-flight events; beyond it requests are shed with the typed overloaded error (0 = unbounded)")
 	)
 	flag.Parse()
-	nn.SetMatMulWorkers(*matmulWk)
 
 	// The decima agent is built (and its model loaded) once; sessions get
 	// runners of it, which share its model and own their mutable state. Each

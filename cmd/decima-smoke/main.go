@@ -24,6 +24,9 @@
 //     agree on it.
 //
 // Schedules are compared whole: every completed job's ID and completion time.
+// A failure, the 2-minute deadline and an interrupt all end in fail, which
+// kills every process the run started, a router's spawned replicas
+// included, before it exits.
 //
 //	go build -o bin/decima-server ./cmd/decima-server
 //	go build -o bin/decima-fleet ./cmd/decima-fleet
@@ -42,6 +45,7 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"os/signal"
 	"strings"
 	"sync"
 	"syscall"
@@ -72,9 +76,31 @@ var (
 // must reproduce.
 var ref *sim.Result
 
+// started holds every process start launched, each the leader of its own
+// process group; procMu guards it.
+var (
+	procMu  sync.Mutex
+	started []*exec.Cmd
+)
+
+// fail logs a failure, SIGKILLs the process group of every process start
+// launched — a router's spawned replicas are in its group — and exits
+// non-zero. A group that already exited answers ESRCH, which is ignored.
+// procMu stays held, so no process starts after the kill.
+func fail(format string, args ...any) {
+	procMu.Lock()
+	for _, cmd := range started {
+		syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL)
+	}
+	log.Fatalf(format, args...)
+}
+
 func main() {
 	flag.Parse()
-	time.AfterFunc(timeout, func() { log.Fatalf("deadline %s exceeded", timeout) })
+	time.AfterFunc(timeout, func() { fail("deadline %s exceeded", timeout) })
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	go func() { fail("signal %v", <-sigs) }()
 	for _, sc := range []struct {
 		name string
 		run  func() string
@@ -84,19 +110,26 @@ func main() {
 	}
 }
 
-// start launches bin with args, echoes its output prefixed with [tag], and
-// returns once every banner has been printed, with the address that follows
-// each banner in the same order. A supervisor echoes its children's output
-// too, so its banners must not match theirs.
+// start launches bin with args in a new process group, echoes its output
+// prefixed with [tag], and returns once every banner has been printed, with
+// the address that follows each banner in the same order. A supervisor
+// echoes its children's output too, so its banners must not match theirs.
 func start(tag, bin string, banners []string, args ...string) (*exec.Cmd, []string) {
 	cmd := exec.Command(bin, args...)
+	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
-		log.Fatalf("stdout pipe: %v", err)
+		fail("stdout pipe: %v", err)
 	}
 	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		log.Fatalf("start %s: %v", bin, err)
+	procMu.Lock()
+	err = cmd.Start()
+	if err == nil {
+		started = append(started, cmd)
+	}
+	procMu.Unlock()
+	if err != nil {
+		fail("start %s: %v", bin, err)
 	}
 	addrs := make([]string, len(banners))
 	missing := len(banners)
@@ -112,7 +145,7 @@ func start(tag, bin string, banners []string, args ...string) (*exec.Cmd, []stri
 		}
 	}
 	if missing > 0 {
-		log.Fatalf("%s never announced all of %q", tag, banners)
+		fail("%s never announced all of %q", tag, banners)
 	}
 	// Keep draining so the process never blocks on a full pipe and its
 	// shutdown messages reach the log.
@@ -134,10 +167,10 @@ func startServer(addr string, banners []string, extra ...string) (*exec.Cmd, []s
 // stop signals a process and requires a clean exit.
 func stop(cmd *exec.Cmd, sig os.Signal) {
 	if err := cmd.Process.Signal(sig); err != nil {
-		log.Fatalf("signal %s: %v", cmd.Path, err)
+		fail("signal %s: %v", cmd.Path, err)
 	}
 	if err := cmd.Wait(); err != nil {
-		log.Fatalf("%s did not shut down cleanly: %v", cmd.Path, err)
+		fail("%s did not shut down cleanly: %v", cmd.Path, err)
 	}
 }
 
@@ -145,7 +178,7 @@ func stop(cmd *exec.Cmd, sig os.Signal) {
 func dial(addr string, d func(string) (net.Conn, error)) *rpcsvc.Client {
 	cli, err := rpcsvc.DialWith(addr, d)
 	if err != nil {
-		log.Fatalf("dial %s: %v", addr, err)
+		fail("dial %s: %v", addr, err)
 	}
 	return cli
 }
@@ -160,7 +193,7 @@ func simulate(s sim.Scheduler, seed int64, n int) *sim.Result {
 func run(s sim.Scheduler, seed int64, n int) *sim.Result {
 	res := simulate(s, seed, n)
 	if res.Deadlock || res.Unfinished != 0 {
-		log.Fatalf("run failed: unfinished=%d deadlock=%v", res.Unfinished, res.Deadlock)
+		fail("run failed: unfinished=%d deadlock=%v", res.Unfinished, res.Deadlock)
 	}
 	return res
 }
@@ -172,10 +205,10 @@ func session(cli *rpcsvc.Client, seed int64, n int, record bool) *sim.Result {
 	ss := &rpcsvc.SessionScheduler{Client: cli, Seed: seed, Record: record, OnError: func(e error) { rpcErr = e }}
 	res := run(ss, seed, n)
 	if rpcErr != nil {
-		log.Fatalf("session RPC error: %v", rpcErr)
+		fail("session RPC error: %v", rpcErr)
 	}
 	if err := ss.Close(); err != nil {
-		log.Fatalf("close session: %v", err)
+		fail("close session: %v", err)
 	}
 	return res
 }
@@ -195,16 +228,16 @@ func schedule(r *sim.Result) string {
 // schedule, and that the session closes.
 func healed(ss *rpcsvc.SessionScheduler, errs int, res *sim.Result) {
 	if errs == 0 {
-		log.Fatal("no fault reached the session client")
+		fail("no fault reached the session client")
 	}
 	if ss.Degraded() {
-		log.Fatal("client fell back to degraded mode instead of healing")
+		fail("client fell back to degraded mode instead of healing")
 	}
 	if got, want := schedule(res), schedule(ref); got != want {
-		log.Fatalf("healed run diverged from the reference:\n  healed    %s\n  reference %s", got, want)
+		fail("healed run diverged from the reference:\n  healed    %s\n  reference %s", got, want)
 	}
 	if err := ss.Close(); err != nil {
-		log.Fatalf("close session: %v", err)
+		fail("close session: %v", err)
 	}
 }
 
@@ -216,7 +249,7 @@ func serve() string {
 	defer cli.Close()
 	ref = session(cli, refSeed, refJobs, false)
 	if ref.Invocations < minEvents {
-		log.Fatalf("reference drove %d scheduling events, want at least %d", ref.Invocations, minEvents)
+		fail("reference drove %d scheduling events, want at least %d", ref.Invocations, minEvents)
 	}
 	stop(cmd, os.Interrupt)
 	return fmt.Sprintf("%d scheduling events over one session, clean shutdown", ref.Invocations)
@@ -240,7 +273,7 @@ func restart() string {
 		if n++; n == killAt {
 			fmt.Printf("smoke: SIGKILL server at event %d\n", n)
 			if err := cmd.Process.Kill(); err != nil {
-				log.Fatalf("kill server: %v", err)
+				fail("kill server: %v", err)
 			}
 			cmd.Wait() // release the port before rebinding
 			cmd, _ = startServer(addr, nil)
@@ -307,7 +340,7 @@ func chaosRun() string {
 	pumps.Wait()
 	cs := ss.Stats()
 	if cs.Overloaded < 1 {
-		log.Fatalf("no overload shed reached the client (errors=%d, stats %+v)", errs, cs)
+		fail("no overload shed reached the client (errors=%d, stats %+v)", errs, cs)
 	}
 	healed(ss, errs, res)
 	stop(cmd, os.Interrupt)
@@ -341,12 +374,12 @@ func fleet() string {
 			pid := replicaPID(admin, killed)
 			fmt.Printf("smoke: SIGKILL replica %s (pid %d) at event %d\n", killed, pid, n)
 			if err := syscall.Kill(pid, syscall.SIGKILL); err != nil {
-				log.Fatalf("kill replica %s: %v", killed, err)
+				fail("kill replica %s: %v", killed, err)
 			}
 		case drainAt:
 			drained = ss.Replica()
 			if drained == "" || drained == killed {
-				log.Fatalf("session on %q at drain point (killed %q): failover never happened", drained, killed)
+				fail("session on %q at drain point (killed %q): failover never happened", drained, killed)
 			}
 			fmt.Printf("smoke: draining replica %s at event %d: %s\n", drained, n, strings.TrimSpace(string(get(admin, "/drain?replica="+drained))))
 		}
@@ -354,10 +387,10 @@ func fleet() string {
 	})
 	res := run(faults, refSeed, refJobs)
 	if final := ss.Replica(); final == killed || final == drained {
-		log.Fatalf("session ended on %q (killed %q, drained %q)", final, killed, drained)
+		fail("session ended on %q (killed %q, drained %q)", final, killed, drained)
 	}
 	if cs := ss.Stats(); cs.Evicted < 1 || cs.WrongShard < 1 {
-		log.Fatalf("recovery counters %+v: want Evicted>=1 (kill) and WrongShard>=1 (drain)", cs)
+		fail("recovery counters %+v: want Evicted>=1 (kill) and WrongShard>=1 (drain)", cs)
 	}
 	prom := string(get(admin, "/metrics"))
 	for _, want := range []string{
@@ -368,7 +401,7 @@ func fleet() string {
 		"fleet_replica_decide_latency_seconds_bucket",
 	} {
 		if !strings.Contains(prom, want) {
-			log.Fatalf("/metrics missing %q:\n%s", want, prom)
+			fail("/metrics missing %q:\n%s", want, prom)
 		}
 	}
 	// Three replicas feed every per-replica family; each keeps one TYPE line.
@@ -376,7 +409,7 @@ func fleet() string {
 	for _, line := range strings.Split(prom, "\n") {
 		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
 			if typed[f[2]]++; typed[f[2]] > 1 {
-				log.Fatalf("/metrics repeats the TYPE line of %s:\n%s", f[2], prom)
+				fail("/metrics repeats the TYPE line of %s:\n%s", f[2], prom)
 			}
 		}
 	}
@@ -393,7 +426,7 @@ func fleet() string {
 func online() string {
 	regDir, err := os.MkdirTemp("", "decima-smoke-registry-")
 	if err != nil {
-		log.Fatalf("registry tempdir: %v", err)
+		fail("registry tempdir: %v", err)
 	}
 	defer os.RemoveAll(regDir)
 	cmd, addrs := startServer(loopback, []string{"ops http on "},
@@ -415,10 +448,10 @@ func online() string {
 			if v, ok := promValue(page, "online_swaps_total"); ok && v >= 1 {
 				swapped = true
 				if rec, ok := promValue(page, "decima_recording_opens_total"); !ok || rec < 1 {
-					log.Fatalf("swap happened but decima_recording_opens_total=%g: recording was never on", rec)
+					fail("swap happened but decima_recording_opens_total=%g: recording was never on", rec)
 				}
 				if mv, ok := promValue(page, "decima_model_version"); !ok || mv < 1 {
-					log.Fatalf("swap happened but decima_model_version=%g", mv)
+					fail("swap happened but decima_model_version=%g", mv)
 				}
 				break
 			}
@@ -427,20 +460,20 @@ func online() string {
 		fmt.Printf("smoke: round %d ok, %d events, swapped=%v\n", round, res.Invocations, swapped)
 	}
 	if !swapped {
-		log.Fatalf("no hot-swap after %d recorded sessions:\n%s", maxRounds, get(ops, "/metrics"))
+		fail("no hot-swap after %d recorded sessions:\n%s", maxRounds, get(ops, "/metrics"))
 	}
 
 	var hs struct {
 		Model string `json:"model"`
 	}
 	if err := json.Unmarshal(get(ops, "/healthz"), &hs); err != nil {
-		log.Fatalf("parse /healthz: %v", err)
+		fail("parse /healthz: %v", err)
 	}
 	if !strings.HasPrefix(hs.Model, "online@") {
-		log.Fatalf("/healthz model %q: want online@<version>", hs.Model)
+		fail("/healthz model %q: want online@<version>", hs.Model)
 	}
 	if _, err := os.Stat(regDir + "/online/v1.ckpt"); err != nil {
-		log.Fatalf("published checkpoint missing: %v", err)
+		fail("published checkpoint missing: %v", err)
 	}
 	stop(cmd, os.Interrupt)
 	return fmt.Sprintf("recorded traffic trained, published and hot-swapped %s live", hs.Model)
@@ -474,12 +507,12 @@ func promValue(page, name string) (float64, bool) {
 func get(addr, path string) []byte {
 	resp, err := http.Get("http://" + addr + path)
 	if err != nil {
-		log.Fatalf("GET %s: %v", path, err)
+		fail("GET %s: %v", path, err)
 	}
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		log.Fatalf("GET %s: %s: %s", path, resp.Status, body)
+		fail("GET %s: %s: %s", path, resp.Status, body)
 	}
 	return body
 }
@@ -493,13 +526,13 @@ func replicaPID(admin, id string) int {
 		} `json:"replicas"`
 	}
 	if err := json.Unmarshal(get(admin, "/fleet"), &info); err != nil {
-		log.Fatalf("parse /fleet: %v", err)
+		fail("parse /fleet: %v", err)
 	}
 	for _, r := range info.Replicas {
 		if r.ID == id {
 			return r.PID
 		}
 	}
-	log.Fatalf("replica %q not in /fleet", id)
+	fail("replica %q not in /fleet", id)
 	return 0
 }

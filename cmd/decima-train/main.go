@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dag"
-	"repro/internal/nn"
 	"repro/internal/registry"
 	"repro/internal/rl"
 	"repro/internal/scheduler"
@@ -46,12 +45,10 @@ func main() {
 		curve     = flag.String("curve", "", "optional learning-curve CSV output path")
 		logEvery  = flag.Int("log-every", 10, "print stats every N iterations")
 		evalVs    = flag.String("eval-against", "", "after training, evaluate the model head-to-head against these comma-separated registry schedulers on held-out sequences")
-		matmulWk  = flag.Int("matmul-workers", 0, "matmul kernel workers for tall stacked forwards (0 = one per CPU; results identical for any value)")
 		regDir    = flag.String("registry", "", "model registry directory; with -publish the trained model is published there as a new version")
 		publish   = flag.String("publish", "", "registry model name to publish the trained model under (requires -registry)")
 	)
 	flag.Parse()
-	nn.SetMatMulWorkers(*matmulWk)
 
 	acfg := core.DefaultConfig(*executors)
 	agent := core.New(acfg, rand.New(rand.NewSource(*seed)))

@@ -15,9 +15,10 @@ const DefaultVnodes = 64
 
 // Ring is a consistent-hash ring over replica ids. Each member owns Vnodes
 // pseudo-random points on a 64-bit circle; a key belongs to the member
-// owning the first point at or after the key's hash. Adding or removing one
-// member moves only the keys adjacent to its points (bounded churn) and
-// placement depends only on the member set, never on insertion order.
+// owning the first point at or after the key's hash. Adding a member moves
+// only keys onto it, excluding one (OwnerWhere) moves only the keys it owned
+// (bounded churn), and placement depends only on the member set, never on
+// insertion order.
 //
 // Safe for concurrent use: lookups take a read lock, membership changes a
 // write lock.
@@ -70,35 +71,6 @@ func (r *Ring) Add(id string) {
 		r.points = append(r.points, ringPoint{hash: ringHash(id + "#" + strconv.Itoa(i)), id: id})
 	}
 	sort.Slice(r.points, func(a, b int) bool { return r.points[a].hash < r.points[b].hash })
-}
-
-// Remove deletes a member. Removing an absent member is a no-op.
-func (r *Ring) Remove(id string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.member[id] {
-		return
-	}
-	delete(r.member, id)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.id != id {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
-// Members returns the member ids in sorted order.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	ids := make([]string, 0, len(r.member))
-	for id := range r.member {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // Len reports the member count.

@@ -29,13 +29,12 @@
 //   - nograd.go — no-grad inference mode and the Scratch bump arena
 //   - fused.go — fused no-grad MLP forward (matmul + bias + activation)
 //   - kernel.go — the raw-speed kernel layer: blocked, register-tiled
-//     matmul kernels shared by the tracked and fused paths, plus the
-//     pooled row-block parallelism (SetMatMulWorkers). Bit-identical to
-//     the scalar kernels for any worker count.
+//     matmul kernels shared by the tracked and fused paths, each running on
+//     its caller's goroutine. Bit-identical to the scalar kernels.
 //   - batch.go — segmented episode-replay ops (SegmentPickLoss, …)
 //
 // The float64 path is the repository's bitwise reference; every fast path
-// (no-grad mode, fused kernels, parallel row blocks, batched replay) is
+// (no-grad mode, fused kernels, row chunks, batched replay) is
 // bit-identical to it by test. docs/KERNELS.md documents the kernel layer,
 // its equivalence contracts and its benchmark artifacts.
 package nn

@@ -11,40 +11,22 @@ import (
 // heap. It computes bit-identical values to Forward followed by act.apply —
 // the accumulation order over the inner dimension and the activation
 // arithmetic match the tracked ops exactly — but builds no autograd graph.
-// Tall inputs spread row blocks over the kernel pool (kernel.go); the arena
-// allocation happens before the parallel section and workers write disjoint
-// rows, so the single-owner Scratch contract holds.
 func (l *Linear) ForwardInference(x *Tensor, act Activation, s *Scratch) *Tensor {
 	n, k, m := x.Rows, x.Cols, l.W.Cols
-	w, bias := l.W.Data, l.B.Data
 	data := s.alloc(n * m) // every element is written by the kernel
-	linearF64(data, x.Data, w, bias, n, k, m, act)
+	linearRowsF64(data, x.Data, l.W.Data, l.B.Data, n, k, m, act)
 	return s.wrap(n, m, data)
 }
 
-// linearF64 computes out = act(a·w + bias) for row-major a (n×k), w (k×m),
-// spreading row blocks over the kernel pool when the shape warrants it. The
-// single-worker case calls the row kernel directly — no closure, no
-// allocation.
-func linearF64(out, a, w, bias []float64, n, k, m int, act Activation) {
-	if workers := kernelWorkers(n, kernelBlockRows, n*k*m); workers <= 1 {
-		linearRowsF64(out, a, w, bias, k, m, act, 0, n)
-	} else {
-		forEachRowBlock(n, kernelBlockRows, workers, func(lo, hi int) {
-			linearRowsF64(out, a, w, bias, k, m, act, lo, hi)
-		})
-	}
-}
-
-// linearRowsF64 computes rows [lo, hi) of act(a·w + bias). Per output
-// element the inner dimension accumulates in ascending p order from a zero
-// accumulator — matmulRowsF64's order — then the bias is added, then the
-// activation applied: the arithmetic of MatMul, AddRow and the tracked
-// activation op, element for element. Eight output columns are register-tiled
-// per pass and finished (bias, activation) at the tile store, so the output
-// row is written once and never re-read.
-func linearRowsF64(out, a, w, bias []float64, k, m int, act Activation, lo, hi int) {
-	for i := lo; i < hi; i++ {
+// linearRowsF64 computes out = act(a·w + bias) for row-major a (n×k),
+// w (k×m). Per output element the inner dimension accumulates in ascending p
+// order from a zero accumulator — matmulRowsF64's order — then the bias is
+// added, then the activation applied: the arithmetic of MatMul, AddRow and
+// the tracked activation op, element for element. Eight output columns are
+// register-tiled per pass and finished (bias, activation) at the tile store,
+// so the output row is written once and never re-read.
+func linearRowsF64(out, a, w, bias []float64, n, k, m int, act Activation) {
+	for i := 0; i < n; i++ {
 		ar := a[i*k : (i+1)*k]
 		or := out[i*m : (i+1)*m]
 		j := 0
@@ -152,7 +134,7 @@ func (m *MLP) ForwardInferenceSharedPrefix(prefix, last []float64, s *Scratch) *
 		panic(fmt.Sprintf("nn: shared prefix of %d columns for a %d-input layer", len(prefix), k))
 	}
 	acc := s.alloc(w)
-	matmulRowsF64(acc, prefix, l.W.Data[:(k-1)*w], k-1, w, 0, 1)
+	matmulRowsF64(acc, prefix, l.W.Data[:(k-1)*w], 1, k-1, w)
 	wLast, bias, act := l.W.Data[(k-1)*w:], l.B.Data, m.layerAct(0)
 	data := s.alloc(len(last) * w)
 	for i, lv := range last {

@@ -32,8 +32,7 @@ func reportGFLOPs(b *testing.B, n, k, m int) {
 }
 
 // BenchmarkKernelMatMulF64 measures the blocked register-tiled float64
-// matmul kernel alone (no autograd, no bias/activation) at the default
-// worker setting.
+// matmul kernel alone (no autograd, no bias/activation), one thread.
 func BenchmarkKernelMatMulF64(b *testing.B) {
 	for _, sh := range kernelShapes {
 		b.Run(sh.name, func(b *testing.B) {
@@ -44,16 +43,16 @@ func BenchmarkKernelMatMulF64(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				matmulF64(out, a.Data, w.Data, sh.n, sh.k, sh.m)
+				matmulRowsF64(out, a.Data, w.Data, sh.n, sh.k, sh.m)
 			}
 			reportGFLOPs(b, sh.n, sh.k, sh.m)
 		})
 	}
 }
 
-// BenchmarkKernelMatMulDB measures the dB = Aᵀ·G backward kernel alone over
-// the whole band [0, k), at the replay row count and the layer shapes of the
-// stack's 24→32→16→1 and 8→32→16→8 networks (k×m is the weight's shape).
+// BenchmarkKernelMatMulDB measures the dB = Aᵀ·G backward kernel alone, one
+// thread, at the replay row count and the layer shapes of the stack's
+// 24→32→16→1 and 8→32→16→8 networks (k×m is the weight's shape).
 func BenchmarkKernelMatMulDB(b *testing.B) {
 	for _, sh := range []struct{ n, k, m int }{{8192, 32, 16}, {8192, 24, 32}, {8192, 16, 8}, {8192, 16, 1}} {
 		b.Run(fmt.Sprintf("%dx%dx%d", sh.n, sh.k, sh.m), func(b *testing.B) {
@@ -64,7 +63,7 @@ func BenchmarkKernelMatMulDB(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				matmulDBRows(db, a.Data, g.Data, sh.n, sh.k, sh.m, 0, sh.k)
+				matmulDBRows(db, a.Data, g.Data, sh.n, sh.k, sh.m)
 			}
 			reportGFLOPs(b, sh.n, sh.k, sh.m)
 		})
@@ -96,30 +95,6 @@ func BenchmarkKernelMLPInference(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelMatMulWorkers sweeps the worker count at the replay shape —
-// the scaling knob -matmul-workers exposes. On a single-CPU host all counts
-// collapse to the serial path's throughput; on multicore the spread is the
-// parallel speedup.
-func BenchmarkKernelMatMulWorkers(b *testing.B) {
-	defer SetMatMulWorkers(0)
-	sh := kernelShapes[1] // replay
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			SetMatMulWorkers(workers)
-			rng := rand.New(rand.NewSource(3))
-			a := randTensor(rng, sh.n, sh.k)
-			w := randTensor(rng, sh.k, sh.m)
-			out := make([]float64, sh.n*sh.m)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				matmulF64(out, a.Data, w.Data, sh.n, sh.k, sh.m)
-			}
-			reportGFLOPs(b, sh.n, sh.k, sh.m)
-		})
-	}
-}
-
 // replayLayerShapes are the (k, m) weight shapes of the replay's layers with
 // the default 16/8 hidden widths and D = 8: FNode/GNode/FGlob/GGlob/GJob
 // (8→16, 16→8, 8→8), FJob's first layer (14 = F + D → 16) and Q's first
@@ -143,7 +118,7 @@ func BenchmarkKernelLinear(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				linearRowsF64(out, a.Data, w.Data, bias.Data, sh.k, sh.m, ActLeakyReLU, 0, replayLayerRows)
+				linearRowsF64(out, a.Data, w.Data, bias.Data, replayLayerRows, sh.k, sh.m, ActLeakyReLU)
 			}
 			reportGFLOPs(b, replayLayerRows, sh.k, sh.m)
 		})
@@ -162,7 +137,7 @@ func BenchmarkKernelMatMulDA(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				matmulDARows(da, g.Data, w.Data, sh.k, sh.m, 0, replayLayerRows)
+				matmulDARows(da, g.Data, w.Data, replayLayerRows, sh.k, sh.m)
 			}
 			reportGFLOPs(b, replayLayerRows, sh.k, sh.m)
 		})

@@ -7,7 +7,7 @@ import (
 )
 
 // Scalar reference kernels: the exact loops the pre-blocked engine ran.
-// The blocked/tiled/parallel kernels must reproduce them bit for bit.
+// The blocked, register-tiled kernels must reproduce them bit for bit.
 
 func refMatMul(a, b *Tensor) []float64 {
 	n, k, m := a.Rows, a.Cols, b.Cols
@@ -62,55 +62,51 @@ func withSparsity(t *Tensor, rng *rand.Rand, frac float64) *Tensor {
 
 // TestMatMulBlockedBitIdentical is the kernel equivalence contract: forward,
 // dA and dB of the blocked register-tiled MatMul are bit-identical to the
-// scalar reference kernels for every worker count, on shapes that exercise
-// the single-thread path, the parallel path, tile remainders (m and k not
-// multiples of 4) and sparse activations. The register-tiled dB kernel is
-// then driven directly: every band split [plo, phi) of odd-shaped operands,
+// scalar reference kernels, on shapes that exercise tile remainders (m and k
+// not multiples of 4), one or several row chunks (exact multiples of
+// kernelBlockRows and a partial last chunk) and sparse activations. The
+// register-tiled dB kernel is then driven directly on odd-shaped operands,
 // dense and sparse a, accumulating onto a pre-loaded non-zero bgrad.
 func TestMatMulBlockedBitIdentical(t *testing.T) {
-	defer SetMatMulWorkers(0)
 	shapes := []struct{ n, k, m int }{
 		{1, 1, 1},
-		{3, 5, 7},     // remainders everywhere
-		{8, 16, 8},    // exact tiles, small
-		{257, 33, 9},  // tall with remainders, below flop gate
-		{400, 32, 8},  // tall: triggers the parallel forward and dB paths
-		{1024, 21, 6}, // tall with remainders, parallel
+		{3, 5, 7},                   // remainders everywhere
+		{8, 16, 8},                  // exact tiles, small
+		{kernelBlockRows, 32, 8},    // exactly one row chunk
+		{2 * kernelBlockRows, 9, 5}, // exactly two row chunks
+		{257, 33, 9},                // tall with remainders
+		{400, 32, 8},                // tall, partial last chunk
+		{1024, 21, 6},               // tall with remainders
 	}
 	rng := rand.New(rand.NewSource(42))
 	for _, sh := range shapes {
-		a0 := withSparsity(randTensor(rng, sh.n, sh.k), rng, 0.3)
-		b0 := randTensor(rng, sh.k, sh.m)
+		a := withSparsity(randTensor(rng, sh.n, sh.k), rng, 0.3)
+		b := randTensor(rng, sh.k, sh.m)
 		g := make([]float64, sh.n*sh.m)
 		for i := range g {
 			g[i] = rng.NormFloat64()
 		}
-		wantOut := refMatMul(a0, b0)
-		wantDA, wantDB := refMatMulBackward(a0, b0, g)
-		for _, workers := range []int{1, 2, 3, 8} {
-			SetMatMulWorkers(workers)
-			a := a0.Clone()
-			b := b0.Clone()
-			a.MarkParam()
-			b.MarkParam()
-			out := MatMul(a, b)
-			for i, v := range out.Data {
-				if v != wantOut[i] {
-					t.Fatalf("%dx%dx%d workers=%d: forward[%d] = %v, want %v (not bitwise)", sh.n, sh.k, sh.m, workers, i, v, wantOut[i])
-				}
+		wantOut := refMatMul(a, b)
+		wantDA, wantDB := refMatMulBackward(a, b, g)
+		a.MarkParam()
+		b.MarkParam()
+		out := MatMul(a, b)
+		for i, v := range out.Data {
+			if v != wantOut[i] {
+				t.Fatalf("%dx%dx%d: forward[%d] = %v, want %v (not bitwise)", sh.n, sh.k, sh.m, i, v, wantOut[i])
 			}
-			out.ensureGrad()
-			copy(out.Grad, g)
-			out.backFn()
-			for i, v := range a.Grad {
-				if v != wantDA[i] {
-					t.Fatalf("%dx%dx%d workers=%d: dA[%d] = %v, want %v (not bitwise)", sh.n, sh.k, sh.m, workers, i, v, wantDA[i])
-				}
+		}
+		out.ensureGrad()
+		copy(out.Grad, g)
+		out.backFn()
+		for i, v := range a.Grad {
+			if v != wantDA[i] {
+				t.Fatalf("%dx%dx%d: dA[%d] = %v, want %v (not bitwise)", sh.n, sh.k, sh.m, i, v, wantDA[i])
 			}
-			for i, v := range b.Grad {
-				if v != wantDB[i] {
-					t.Fatalf("%dx%dx%d workers=%d: dB[%d] = %v, want %v (not bitwise)", sh.n, sh.k, sh.m, workers, i, v, wantDB[i])
-				}
+		}
+		for i, v := range b.Grad {
+			if v != wantDB[i] {
+				t.Fatalf("%dx%dx%d: dB[%d] = %v, want %v (not bitwise)", sh.n, sh.k, sh.m, i, v, wantDB[i])
 			}
 		}
 	}
@@ -138,19 +134,11 @@ func TestMatMulBlockedBitIdentical(t *testing.T) {
 					}
 				}
 			}
-			for plo := 0; plo <= sh.k; plo++ {
-				for phi := plo; phi <= sh.k; phi++ {
-					got := append([]float64(nil), loaded...)
-					matmulDBRows(got, a.Data, g.Data, sh.n, sh.k, sh.m, plo, phi)
-					for i, v := range got {
-						w := loaded[i] // rows outside the band are not the caller's
-						if p := i / sh.m; p >= plo && p < phi {
-							w = want[i]
-						}
-						if math.Float64bits(v) != math.Float64bits(w) {
-							t.Fatalf("dB %dx%dx%d sparsity=%v band [%d,%d): [%d] = %v, want %v (not bitwise)", sh.n, sh.k, sh.m, sparsity, plo, phi, i, v, w)
-						}
-					}
+			got := append([]float64(nil), loaded...)
+			matmulDBRows(got, a.Data, g.Data, sh.n, sh.k, sh.m)
+			for i, v := range got {
+				if math.Float64bits(v) != math.Float64bits(want[i]) {
+					t.Fatalf("dB %dx%dx%d sparsity=%v: [%d] = %v, want %v (not bitwise)", sh.n, sh.k, sh.m, sparsity, i, v, want[i])
 				}
 			}
 		}
@@ -158,42 +146,23 @@ func TestMatMulBlockedBitIdentical(t *testing.T) {
 }
 
 // TestFusedInferenceBlockedBitIdentical pins the fused no-grad forward to
-// the tracked forward on tall inputs that cross the parallel threshold, for
-// several worker counts: the blocked fused kernel must stay bit-identical to
-// Forward for every activation.
+// the tracked forward on tall inputs of several row chunks: the blocked
+// fused kernel must stay bit-identical to Forward for every activation.
 func TestFusedInferenceBlockedBitIdentical(t *testing.T) {
-	defer SetMatMulWorkers(0)
 	rng := rand.New(rand.NewSource(7))
 	for _, act := range []Activation{ActLeakyReLU, ActTanh, ActSigmoid, ActIdentity} {
 		m := NewMLP([]int{13, 32, 8}, act, rng)
-		x := randTensor(rng, 700, 13) // 700·13·32 flops: parallel path on
+		x := randTensor(rng, 700, 13)
 		want := m.Forward(x)
-		for _, workers := range []int{1, 2, 5} {
-			SetMatMulWorkers(workers)
-			var s Scratch
-			got := m.ForwardInference(x, &s)
-			if got.Rows != want.Rows || got.Cols != want.Cols {
-				t.Fatalf("act=%d: shape %dx%d, want %dx%d", act, got.Rows, got.Cols, want.Rows, want.Cols)
-			}
-			for i, v := range got.Data {
-				if v != want.Data[i] {
-					t.Fatalf("act=%d workers=%d: fused[%d] = %v, want %v (not bitwise)", act, workers, i, v, want.Data[i])
-				}
+		var s Scratch
+		got := m.ForwardInference(x, &s)
+		if got.Rows != want.Rows || got.Cols != want.Cols {
+			t.Fatalf("act=%d: shape %dx%d, want %dx%d", act, got.Rows, got.Cols, want.Rows, want.Cols)
+		}
+		for i, v := range got.Data {
+			if v != want.Data[i] {
+				t.Fatalf("act=%d: fused[%d] = %v, want %v (not bitwise)", act, i, v, want.Data[i])
 			}
 		}
-	}
-}
-
-// TestMatMulWorkersConfig pins the flag semantics: negative clamps to the
-// GOMAXPROCS default, explicit values are reported back.
-func TestMatMulWorkersConfig(t *testing.T) {
-	defer SetMatMulWorkers(0)
-	SetMatMulWorkers(3)
-	if got := MatMulWorkers(); got != 3 {
-		t.Fatalf("MatMulWorkers() = %d, want 3", got)
-	}
-	SetMatMulWorkers(-5)
-	if got := MatMulWorkers(); got < 1 {
-		t.Fatalf("MatMulWorkers() = %d after negative set, want >= 1", got)
 	}
 }

@@ -52,7 +52,7 @@ func (l *Linear) forward(x *Tensor, act Activation) *Tensor {
 	}
 	n, k, m := x.Rows, x.Cols, l.W.Cols
 	data := x.tape.alloc(n * m) // every element is written by the kernel
-	linearF64(data, x.Data, l.W.Data, l.B.Data, n, k, m, act)
+	linearRowsF64(data, x.Data, l.W.Data, l.B.Data, n, k, m, act)
 	var out *Tensor
 	back := func() {
 		g := out.Grad

@@ -3,11 +3,9 @@ package nn
 import "fmt"
 
 // MatMul returns a×b for a (n×k) and b (k×m). Forward and both backwards run
-// on the blocked kernels in kernel.go: register-tiled inner loops, spread
-// over the kernel worker pool for the tall stacked matrices the training
-// replay produces (small shapes stay single-threaded). Results and
-// gradients are bit-identical to the scalar kernels for any worker count —
-// see kernel.go's equivalence contract.
+// on the blocked, register-tiled kernels in kernel.go. Results and gradients
+// are bit-identical to the scalar kernels — see kernel.go's equivalence
+// contract.
 func MatMul(a, b *Tensor) *Tensor {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("nn: MatMul shape mismatch %d×%d · %d×%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -15,7 +13,7 @@ func MatMul(a, b *Tensor) *Tensor {
 	n, k, m := a.Rows, a.Cols, b.Cols
 	tp := tapeOf(a, b)
 	data := tp.alloc(n * m)
-	matmulF64(data, a.Data, b.Data, n, k, m)
+	matmulRowsF64(data, a.Data, b.Data, n, k, m)
 	var out *Tensor
 	back := func() { matmulBackward(a, b, out.Grad) }
 	out = newResult(tp, n, m, data, back, a, b)
@@ -23,32 +21,16 @@ func MatMul(a, b *Tensor) *Tensor {
 }
 
 // matmulBackward accumulates the gradients of a·b given g = d(loss)/d(a·b):
-// dA then dB, each only if its operand takes gradients.
+// dA = G·Bᵀ then dB = Aᵀ·G, each only if its operand takes gradients.
 func matmulBackward(a, b *Tensor, g []float64) {
 	n, k, m := a.Rows, a.Cols, b.Cols
 	if a.requiresGrad {
 		a.ensureGrad()
-		// dA = G · Bᵀ: dA rows are disjoint across blocks.
-		if workers := kernelWorkers(n, kernelBlockRows, n*k*m); workers <= 1 {
-			matmulDARows(a.Grad, g, b.Data, k, m, 0, n)
-		} else {
-			forEachRowBlock(n, kernelBlockRows, workers, func(lo, hi int) {
-				matmulDARows(a.Grad, g, b.Data, k, m, lo, hi)
-			})
-		}
+		matmulDARows(a.Grad, g, b.Data, n, k, m)
 	}
 	if b.requiresGrad {
 		b.ensureGrad()
-		// dB = Aᵀ · G, owner-computes over dB rows: each worker streams
-		// all of A and G but accumulates only its own band of dB rows, in
-		// the same ascending-i order as the scalar kernel.
-		if workers := kernelWorkers(k, dbBlockRows, n*k*m); workers <= 1 {
-			matmulDBRows(b.Grad, a.Data, g, n, k, m, 0, k)
-		} else {
-			forEachRowBlock(k, dbBlockRows, workers, func(plo, phi int) {
-				matmulDBRows(b.Grad, a.Data, g, n, k, m, plo, phi)
-			})
-		}
+		matmulDBRows(b.Grad, a.Data, g, n, k, m)
 	}
 }
 

@@ -193,14 +193,12 @@ func compareFusedToChain(t *testing.T, what string, m *MLP, x0 *Tensor, g []floa
 
 // TestFusedLayerMatchesThreeOpChain is the fused node's equivalence bar: all
 // four activations, column counts that are not multiples of the 8-wide tile,
-// row counts on both sides of the parallel gate, every worker count, heap
-// and tape.
+// row counts of one and several row chunks, heap and tape.
 func TestFusedLayerMatchesThreeOpChain(t *testing.T) {
-	defer SetMatMulWorkers(0)
 	rng := rand.New(rand.NewSource(21))
 	var tp Tape
 	rowCounts := []int{1, 7, 2*kernelBlockRows - 1, 2 * kernelBlockRows, 2*kernelBlockRows + 45, 700}
-	if testing.Short() { // the race run: both sides of the parallel gate, once
+	if testing.Short() { // the race run: one and several row chunks
 		rowCounts = []int{7, 2*kernelBlockRows + 45}
 	}
 	for _, act := range []Activation{ActLeakyReLU, ActTanh, ActSigmoid, ActIdentity} {
@@ -217,13 +215,10 @@ func TestFusedLayerMatchesThreeOpChain(t *testing.T) {
 				for i := range g {
 					g[i] = rng.NormFloat64()
 				}
-				for _, workers := range []int{1, 2, 3, 8} {
-					SetMatMulWorkers(workers)
-					what := fmt.Sprintf("act=%d sizes=%v n=%d workers=%d", act, sizes, n, workers)
-					compareFusedToChain(t, what+" heap", m, x, g, nil)
-					tp.Reset()
-					compareFusedToChain(t, what+" tape", m, x, g, &tp)
-				}
+				what := fmt.Sprintf("act=%d sizes=%v n=%d", act, sizes, n)
+				compareFusedToChain(t, what+" heap", m, x, g, nil)
+				tp.Reset()
+				compareFusedToChain(t, what+" tape", m, x, g, &tp)
 			}
 		}
 	}

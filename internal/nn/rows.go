@@ -25,7 +25,7 @@ func (b Rows) rows() int {
 // concatenated in order: the values and gradients of
 // Forward(ConcatCols(GatherRows(T₁, Idx₁), …)) bit for bit, with a nil Idx
 // standing for T itself, but the input is never built. The first layer copies
-// its rows one kernel block at a time into transient scratch, for the forward
+// its rows one kernel chunk at a time into transient scratch, for the forward
 // and again for dW; dx goes to the sources (reference_test.go keeps the
 // chain).
 func (m *MLP) ForwardRows(in ...Rows) *Tensor {
@@ -37,7 +37,7 @@ func (m *MLP) ForwardRows(in ...Rows) *Tensor {
 }
 
 // forwardRows is forward over a row-gathered input: one node whose values are
-// linearRowsF64's over each kernel block of gathered rows. The node's parents
+// linearRowsF64's over each kernel chunk of gathered rows. The node's parents
 // keep the chain's topological order, so every sum into a shared gradient
 // keeps its order: an identity block is a parent itself, and its slice of dx
 // is added at this node's backward, where ConcatCols added it; a gathered
@@ -62,9 +62,9 @@ func (l *Linear) forwardRows(in []Rows, act Activation) *Tensor {
 	tp := tapeOf(parents...)
 	data := tp.alloc(n * m) // every element is written by the kernel
 	w, bias := l.W.Data, l.B.Data
-	forRowChunks(n, k, n*k*m, func(lo, hi int, buf []float64) {
-		gatherCols(buf, in, lo, hi, 0, k)
-		linearRowsF64(data[lo*m:hi*m], buf, w, bias, k, m, act, 0, hi-lo)
+	forRowChunks(n, k, func(lo, hi int, buf []float64) {
+		gatherCols(buf, in, lo, hi)
+		linearRowsF64(data[lo*m:hi*m], buf, w, bias, hi-lo, k, m, act)
 	})
 	for i, b := range in {
 		if b.Idx != nil && b.T.requiresGrad {
@@ -90,10 +90,10 @@ func (l *Linear) forwardRows(in []Rows, act Activation) *Tensor {
 			}
 		}
 		if wantDX {
-			forRowChunks(n, k, n*k*m, func(lo, hi int, buf []float64) {
+			forRowChunks(n, k, func(lo, hi int, buf []float64) {
 				buf = buf[:(hi-lo)*k]
 				clear(buf)
-				matmulDARows(buf, g[lo*m:hi*m], w, k, m, 0, hi-lo)
+				matmulDARows(buf, g[lo*m:hi*m], w, hi-lo, k, m)
 				off := 0
 				for _, p := range dx {
 					kb := p.Cols
@@ -110,20 +110,13 @@ func (l *Linear) forwardRows(in []Rows, act Activation) *Tensor {
 			})
 		}
 		if l.W.requiresGrad {
-			// dW = Xᵀ·G, owner-computes over dW rows as in matmulBackward: a
-			// worker gathers its band's columns of each kernel block of rows
-			// and runs the dB kernel over that block, so each element still
-			// accumulates over ascending rows.
+			// dW = Xᵀ·G: the dB kernel over each chunk of gathered rows in
+			// ascending order, so each element accumulates over ascending
+			// rows, as in matmulBackward.
 			l.W.ensureGrad()
-			forEachRowBlock(k, dbBlockRows, kernelWorkers(k, dbBlockRows, n*k*m), func(plo, phi int) {
-				bw := phi - plo
-				buf := getRowScratch(kernelBlockRows * bw)
-				for lo := 0; lo < n; lo += kernelBlockRows {
-					hi := min(lo+kernelBlockRows, n)
-					gatherCols(*buf, in, lo, hi, plo, phi)
-					matmulDBRows(l.W.Grad[plo*m:phi*m], *buf, g[lo*m:hi*m], hi-lo, bw, m, 0, bw)
-				}
-				putRowScratch(buf)
+			forRowChunks(n, k, func(lo, hi int, buf []float64) {
+				gatherCols(buf, in, lo, hi)
+				matmulDBRows(l.W.Grad, buf, g[lo*m:hi*m], hi-lo, k, m)
 			})
 		}
 	}
@@ -150,42 +143,40 @@ func gatherView(tp *Tape, b Rows) *Tensor {
 	return v
 }
 
-// gatherCols copies columns [c0, c1) of the input rows [lo, hi) into dst,
-// row-major with c1−c0 columns.
-func gatherCols(dst []float64, in []Rows, lo, hi, c0, c1 int) {
-	w, off := c1-c0, 0
+// gatherCols copies the input rows [lo, hi), all blocks' columns, into dst.
+func gatherCols(dst []float64, in []Rows, lo, hi int) {
+	w, off := 0, 0
+	for _, b := range in {
+		w += b.T.Cols
+	}
 	for _, b := range in {
 		kb := b.T.Cols
-		if s, e := max(off, c0), min(off+kb, c1); s < e {
-			src := b.T.Data
-			for i := lo; i < hi; i++ {
-				r := i
-				if b.Idx != nil {
-					r = b.Idx[i]
-				}
-				d := (i-lo)*w - c0
-				copy(dst[d+s:d+e], src[r*kb+s-off:r*kb+e-off])
+		src := b.T.Data
+		for i := lo; i < hi; i++ {
+			r := i
+			if b.Idx != nil {
+				r = b.Idx[i]
 			}
+			d := (i-lo)*w + off
+			copy(dst[d:d+kb], src[r*kb:(r+1)*kb])
 		}
 		off += kb
 	}
 }
 
-// forRowChunks calls fn over [0, n) in chunks of at most kernelBlockRows rows,
-// spread over the kernel pool when a kernel of flops multiply-adds would be,
-// handing each call transient scratch for a chunk of width-wide rows.
-func forRowChunks(n, width, flops int, fn func(lo, hi int, buf []float64)) {
-	forEachRowBlock(n, kernelBlockRows, kernelWorkers(n, kernelBlockRows, flops), func(lo, hi int) {
-		buf := getRowScratch(kernelBlockRows * width)
-		for c := lo; c < hi; c += kernelBlockRows {
-			fn(c, min(c+kernelBlockRows, hi), *buf)
-		}
-		putRowScratch(buf)
-	})
+// forRowChunks calls fn over [0, n) in ascending chunks of at most
+// kernelBlockRows rows, handing each call the same transient scratch for a
+// chunk of width-wide rows.
+func forRowChunks(n, width int, fn func(lo, hi int, buf []float64)) {
+	buf := getRowScratch(kernelBlockRows * width)
+	for lo := 0; lo < n; lo += kernelBlockRows {
+		fn(lo, min(lo+kernelBlockRows, n), *buf)
+	}
+	putRowScratch(buf)
 }
 
-// rowScratch recycles the transient row buffers of forwardRows, one per
-// kernel block in flight; they never touch a tape.
+// rowScratch recycles the transient row buffer of forwardRows' chunk loops;
+// it never touches a tape.
 var rowScratch = sync.Pool{New: func() any { return new([]float64) }}
 
 // getRowScratch returns a length-n row buffer with unspecified contents.

@@ -7,9 +7,10 @@ import (
 	"testing"
 )
 
-// rowsTestRows are the row counts the row-gathered layer is checked at: both
-// sides of the kernel pool's gate (kernelWorkers) and a partial last block.
-var rowsTestRows = []int{1, 7, 2*kernelBlockRows + 45, 700}
+// rowsTestRows are the row counts the row-gathered layer is checked at: one
+// partial chunk, exactly one and two chunks of kernelBlockRows, and several
+// chunks with a partial last one.
+var rowsTestRows = []int{1, 7, kernelBlockRows, 2 * kernelBlockRows, 2*kernelBlockRows + 45, 700}
 
 // leafOn returns a copy of data as a gradient-taking rows×cols leaf on tp
 // (nil: the heap).
@@ -103,10 +104,8 @@ func headsGraph(tp *Tape, rows bool, f, q, w *MLP, in *headsInputs) (loss, nodes
 // the loss, every parameter gradient and every source gradient equal the
 // GatherRows/ConcatCols → Forward chain's bit for bit, with repeated
 // indices, ±0 entries, an identity block and a constant block, at row counts
-// on both sides of the parallel gate, for 1–3 kernel workers, on the heap
-// and on a tape.
+// of one and several row chunks, on the heap and on a tape.
 func TestForwardRowsMatchesChain(t *testing.T) {
-	defer SetMatMulWorkers(0)
 	rng := rand.New(rand.NewSource(34))
 	f := NewMLP([]int{6, 7, 5}, ActLeakyReLU, rng)
 	q := NewMLP([]int{19, 16, 8, 1}, ActLeakyReLU, rng)
@@ -114,30 +113,27 @@ func TestForwardRowsMatchesChain(t *testing.T) {
 	var tp Tape
 	for _, n := range rowsTestRows {
 		in := newHeadsInputs(rng, n)
-		for _, workers := range []int{1, 2, 3} {
-			SetMatMulWorkers(workers)
-			for _, onTape := range []bool{false, true} {
-				what := fmt.Sprintf("n=%d workers=%d tape=%v", n, workers, onTape)
-				var tape *Tape
-				if onTape {
-					tp.Reset()
-					tape = &tp
-				}
-				run := func(rows bool) (loss, nodes, jobs *Tensor, nets []*MLP) {
-					nets = []*MLP{cloneMLP(f), cloneMLP(q), cloneMLP(w)}
-					loss, nodes, jobs = headsGraph(tape, rows, nets[0], nets[1], nets[2], in)
-					loss.Backward(1)
-					return loss, nodes, jobs, nets
-				}
-				wantLoss, wantNodes, wantJobs, wantNets := run(false)
-				gotLoss, gotNodes, gotJobs, gotNets := run(true)
-				bitsEqual(t, what+": loss", gotLoss.Data, wantLoss.Data)
-				bitsEqual(t, what+": dnodes", gotNodes.Grad, wantNodes.Grad)
-				bitsEqual(t, what+": djobs", gotJobs.Grad, wantJobs.Grad)
-				for i := range wantNets {
-					for j, p := range wantNets[i].Params() {
-						bitsEqual(t, fmt.Sprintf("%s: net %d param %d", what, i, j), gotNets[i].Params()[j].Grad, p.Grad)
-					}
+		for _, onTape := range []bool{false, true} {
+			what := fmt.Sprintf("n=%d tape=%v", n, onTape)
+			var tape *Tape
+			if onTape {
+				tp.Reset()
+				tape = &tp
+			}
+			run := func(rows bool) (loss, nodes, jobs *Tensor, nets []*MLP) {
+				nets = []*MLP{cloneMLP(f), cloneMLP(q), cloneMLP(w)}
+				loss, nodes, jobs = headsGraph(tape, rows, nets[0], nets[1], nets[2], in)
+				loss.Backward(1)
+				return loss, nodes, jobs, nets
+			}
+			wantLoss, wantNodes, wantJobs, wantNets := run(false)
+			gotLoss, gotNodes, gotJobs, gotNets := run(true)
+			bitsEqual(t, what+": loss", gotLoss.Data, wantLoss.Data)
+			bitsEqual(t, what+": dnodes", gotNodes.Grad, wantNodes.Grad)
+			bitsEqual(t, what+": djobs", gotJobs.Grad, wantJobs.Grad)
+			for i := range wantNets {
+				for j, p := range wantNets[i].Params() {
+					bitsEqual(t, fmt.Sprintf("%s: net %d param %d", what, i, j), gotNets[i].Params()[j].Grad, p.Grad)
 				}
 			}
 		}
@@ -230,10 +226,8 @@ func levelsGraph(tp *Tape, inPlace, rows bool, nets []*MLP, in *levelsInputs) (l
 // passing that overwrites one node-embedding matrix level by level gives the
 // loss, every parameter gradient and the input features' gradient of the
 // per-level GatherRows + Add + ScatterRows chain bit for bit — alone, and
-// together with row-gathered layer inputs — for 1–3 kernel workers, on the
-// heap and on a tape.
+// together with row-gathered layer inputs — on the heap and on a tape.
 func TestAddRowsInPlaceMatchesChain(t *testing.T) {
-	defer SetMatMulWorkers(0)
 	rng := rand.New(rand.NewSource(35))
 	nets := []*MLP{
 		NewMLP([]int{6, 16, 8}, ActLeakyReLU, rng),  // prep
@@ -245,33 +239,30 @@ func TestAddRowsInPlaceMatchesChain(t *testing.T) {
 	var tp Tape
 	for _, nodes := range []int{1, 12, 900} {
 		in := newLevelsInputs(rng, nodes, 4)
-		for _, workers := range []int{1, 2, 3} {
-			SetMatMulWorkers(workers)
-			for _, onTape := range []bool{false, true} {
-				var tape *Tape
-				if onTape {
-					tp.Reset()
-					tape = &tp
+		for _, onTape := range []bool{false, true} {
+			var tape *Tape
+			if onTape {
+				tp.Reset()
+				tape = &tp
+			}
+			run := func(inPlace, rows bool) (*Tensor, *Tensor, []*MLP) {
+				cl := make([]*MLP, len(nets))
+				for i, m := range nets {
+					cl[i] = cloneMLP(m)
 				}
-				run := func(inPlace, rows bool) (*Tensor, *Tensor, []*MLP) {
-					cl := make([]*MLP, len(nets))
-					for i, m := range nets {
-						cl[i] = cloneMLP(m)
-					}
-					loss, feats := levelsGraph(tape, inPlace, rows, cl, in)
-					loss.Backward(1)
-					return loss, feats, cl
-				}
-				wantLoss, wantFeats, wantNets := run(false, false)
-				for _, rows := range []bool{false, true} {
-					what := fmt.Sprintf("nodes=%d workers=%d tape=%v rows=%v", nodes, workers, onTape, rows)
-					gotLoss, gotFeats, gotNets := run(true, rows)
-					bitsEqual(t, what+": loss", gotLoss.Data, wantLoss.Data)
-					bitsEqual(t, what+": dfeats", gotFeats.Grad, wantFeats.Grad)
-					for i := range wantNets {
-						for j, p := range wantNets[i].Params() {
-							bitsEqual(t, fmt.Sprintf("%s: net %d param %d", what, i, j), gotNets[i].Params()[j].Grad, p.Grad)
-						}
+				loss, feats := levelsGraph(tape, inPlace, rows, cl, in)
+				loss.Backward(1)
+				return loss, feats, cl
+			}
+			wantLoss, wantFeats, wantNets := run(false, false)
+			for _, rows := range []bool{false, true} {
+				what := fmt.Sprintf("nodes=%d tape=%v rows=%v", nodes, onTape, rows)
+				gotLoss, gotFeats, gotNets := run(true, rows)
+				bitsEqual(t, what+": loss", gotLoss.Data, wantLoss.Data)
+				bitsEqual(t, what+": dfeats", gotFeats.Grad, wantFeats.Grad)
+				for i := range wantNets {
+					for j, p := range wantNets[i].Params() {
+						bitsEqual(t, fmt.Sprintf("%s: net %d param %d", what, i, j), gotNets[i].Params()[j].Grad, p.Grad)
 					}
 				}
 			}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/nn"
 	"repro/internal/registry"
 	"repro/internal/rpcsvc"
 	"repro/internal/scheduler"
@@ -18,12 +17,10 @@ import (
 // onlineLoopCheckpoint runs the whole closed loop once — serve recorded
 // sessions through a real RPC server, train on what arrived, publish,
 // reload, hot-swap, serve again, publish again — and returns the v2
-// checkpoint's file bytes. Everything is seeded, so two runs (under any
-// matmul worker count) must produce identical bytes.
-func onlineLoopCheckpoint(t *testing.T, workers int) []byte {
+// checkpoint's file bytes. Everything is seeded, so two runs must produce
+// identical bytes.
+func onlineLoopCheckpoint(t *testing.T) []byte {
 	t.Helper()
-	nn.SetMatMulWorkers(workers)
-	defer nn.SetMatMulWorkers(0)
 
 	const executors = 5
 	base := smallAgent(77)
@@ -120,19 +117,16 @@ func onlineLoopCheckpoint(t *testing.T, workers int) []byte {
 }
 
 // TestOnlineLoopDeterministic is the online loop's determinism bar: the
-// full serve→record→train→publish→swap→serve→publish cycle, run twice and
-// under different matmul worker counts, lands on bitwise-identical v2
-// registry checkpoints. Any nondeterminism anywhere in the loop — wire
-// encoding, recording order, queue handling, training arithmetic,
-// checkpoint serialisation — breaks the byte compare.
+// full serve→record→train→publish→swap→serve→publish cycle, run twice,
+// lands on bitwise-identical v2 registry checkpoints. Any nondeterminism
+// anywhere in the loop — wire encoding, recording order, queue handling,
+// training arithmetic, checkpoint serialisation — breaks the byte compare.
 func TestOnlineLoopDeterministic(t *testing.T) {
-	ref := onlineLoopCheckpoint(t, 1)
+	ref := onlineLoopCheckpoint(t)
 	if len(ref) == 0 {
 		t.Fatal("empty checkpoint")
 	}
-	for _, w := range []int{1, 4} {
-		if got := onlineLoopCheckpoint(t, w); !bytesEqual(ref, got) {
-			t.Fatalf("online loop checkpoint differs on rerun with %d matmul workers", w)
-		}
+	if got := onlineLoopCheckpoint(t); !bytesEqual(ref, got) {
+		t.Fatal("online loop checkpoint differs on rerun")
 	}
 }

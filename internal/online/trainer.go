@@ -15,14 +15,14 @@
 // Determinism: the trainer has no randomness of its own. Given the same
 // episodes in the same order, TrainOnce produces bit-identical parameters
 // — the online-loop determinism test publishes a checkpoint after a seeded
-// serve→record→train run and requires identical bytes across runs and
-// matmul worker counts.
+// serve→record→train run and requires identical bytes across runs.
 package online
 
 import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -94,7 +94,7 @@ type Trainer struct {
 	cfg Config
 
 	mu    sync.Mutex
-	queue [][]core.ReplayStep
+	queue [][]core.ReplayStep // slices.Delete nils the slot a shift vacates
 	agent *core.Agent
 	opt   *nn.Adam
 	// replay is the tape of the update in progress, reused across updates.
@@ -133,7 +133,7 @@ func (t *Trainer) Submit(steps []core.ReplayStep) {
 	}
 	t.mu.Lock()
 	if len(t.queue) >= t.cfg.QueueCap {
-		t.queue = append(t.queue[:0], t.queue[1:]...)
+		t.queue = slices.Delete(t.queue, 0, 1)
 		t.dropped.Add(1)
 	}
 	t.queue = append(t.queue, steps)
@@ -157,8 +157,7 @@ func (t *Trainer) TrainOnce() (int, bool) {
 		return 0, false
 	}
 	steps := t.queue[0]
-	t.queue[0] = nil
-	t.queue = append(t.queue[:0], t.queue[1:]...)
+	t.queue = slices.Delete(t.queue, 0, 1)
 	if t.update(steps) {
 		t.updates.Add(1)
 	}
