@@ -32,7 +32,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"repro/internal/fleet"
 )
@@ -47,12 +46,8 @@ func main() {
 		executors   = flag.Int("executors", 25, "passed to spawned replicas")
 		schedName   = flag.String("scheduler", "decima", "passed to spawned replicas")
 		seed        = flag.Int64("seed", 1, "passed to spawned replicas")
-		vnodes      = flag.Int("vnodes", 0, "consistent-hash points per replica (0 = default)")
 		healthIvl   = flag.Duration("health-interval", fleet.DefaultHealthInterval, "active health probe period (<0 disables)")
 		downAfter   = flag.Int("down-after", fleet.DefaultDownAfter, "consecutive failures before a replica is down")
-		upAfter     = flag.Int("up-after", fleet.DefaultUpAfter, "consecutive probe successes before a down replica returns")
-		brkThresh   = flag.Int("breaker-threshold", fleet.DefaultBreakerThreshold, "consecutive forward failures/overloads that open a replica's circuit breaker (<0 disables)")
-		brkCooldown = flag.Duration("breaker-cooldown", fleet.DefaultBreakerCooldown, "open breaker cooldown before the half-open trial")
 		drainID     = flag.String("drain", "", "admin mode: drain this replica id via the running router's -metrics-addr, then exit")
 	)
 	flag.Parse()
@@ -64,13 +59,9 @@ func main() {
 	}
 
 	rt := fleet.New(fleet.Config{
-		Vnodes:           *vnodes,
-		HealthInterval:   *healthIvl,
-		DownAfter:        *downAfter,
-		UpAfter:          *upAfter,
-		BreakerThreshold: *brkThresh,
-		BreakerCooldown:  *brkCooldown,
-		Logger:           logger,
+		HealthInterval: *healthIvl,
+		DownAfter:      *downAfter,
+		Logger:         logger,
 	})
 
 	// Spawned children are decima-server replicas on ephemeral ports with
@@ -208,7 +199,4 @@ func drainRemote(adminAddr, id string) {
 		log.Fatalf("fleet: drain %s: %s: %s", id, resp.Status, strings.TrimSpace(string(body)))
 	}
 	fmt.Printf("fleet: drained %s: %s\n", id, strings.TrimSpace(string(body)))
-	// Give in-flight migrations a beat before reporting success; the router
-	// answered only after tombstoning, so this is purely cosmetic.
-	time.Sleep(10 * time.Millisecond)
 }

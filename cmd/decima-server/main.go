@@ -116,6 +116,9 @@ func main() {
 	if *onlineFlag && reg == nil {
 		log.Fatal("-online requires -registry")
 	}
+	if *publishEvery < 1 {
+		log.Fatalf("-online-publish-every must be at least 1, got %d", *publishEvery)
+	}
 
 	cfg := rpcsvc.SessionConfig{
 		Default:     *schedName,
@@ -138,7 +141,7 @@ func main() {
 
 	var trainer *online.Trainer
 	if *onlineFlag {
-		trainer = online.New(base, online.Config{})
+		trainer = online.New(base)
 		cfg.RecordSink = trainer.Submit
 	}
 

@@ -88,7 +88,7 @@ func main() {
 	tr := rl.NewTrainer(agent, tcfg, rand.New(rand.NewSource(*seed+1)))
 
 	var curveRows [][]string
-	stats := tr.Train(*iters, src, simCfg, func(st rl.IterStats) {
+	tr.Train(*iters, src, simCfg, func(st rl.IterStats) {
 		curveRows = append(curveRows, []string{
 			strconv.Itoa(st.Iter),
 			fmt.Sprintf("%.3f", st.MeanReturn),
@@ -105,7 +105,6 @@ func main() {
 				st.Iter, st.LogProbMismatches)
 		}
 	})
-	_ = stats
 
 	if err := agent.Save(*out); err != nil {
 		log.Fatalf("save model: %v", err)
@@ -159,10 +158,11 @@ func main() {
 		if err != nil {
 			log.Fatalf("create curve file: %v", err)
 		}
-		w := csv.NewWriter(f)
-		_ = w.Write([]string{"iter", "mean_return", "mean_jct", "mean_steps", "entropy"})
-		_ = w.WriteAll(curveRows)
-		w.Flush()
+		header := []string{"iter", "mean_return", "mean_jct", "mean_steps", "entropy"}
+		// WriteAll flushes and reports the writer's first error (csv.Writer.Error).
+		if err := csv.NewWriter(f).WriteAll(append([][]string{header}, curveRows...)); err != nil {
+			log.Fatalf("write curve file: %v", err)
+		}
 		if err := f.Close(); err != nil {
 			log.Fatalf("close curve file: %v", err)
 		}

@@ -2,8 +2,11 @@ package chaos
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,15 +19,15 @@ import (
 func TestStreamsDeterministic(t *testing.T) {
 	a := New(Config{Seed: 42})
 	b := New(Config{Seed: 42})
-	s1, s2 := a.Stream("conn-1-read"), b.Stream("conn-1-read")
+	s1, s2 := a.stream("conn-1-read"), b.stream("conn-1-read")
 	for i := 0; i < 100; i++ {
 		if v1, v2 := s1.Float64(), s2.Float64(); v1 != v2 {
 			t.Fatalf("draw %d: same seed+name diverged: %v != %v", i, v1, v2)
 		}
 	}
-	other := a.Stream("conn-2-read")
-	diff := New(Config{Seed: 43}).Stream("conn-1-read")
-	base := a.Stream("conn-1-read")
+	other := a.stream("conn-2-read")
+	diff := New(Config{Seed: 43}).stream("conn-1-read")
+	base := a.stream("conn-1-read")
 	sameName, sameSeed := 0, 0
 	for i := 0; i < 100; i++ {
 		v := base.Float64()
@@ -40,16 +43,78 @@ func TestStreamsDeterministic(t *testing.T) {
 	}
 }
 
-// echoServer accepts connections (optionally through the injector's
-// listener wrapper) and echoes bytes back until closed.
-func echoServer(t *testing.T, in *Injector) net.Listener {
+// memConn is an in-memory connection whose every Read and Write succeeds
+// at once, so a fault trace depends on the injector alone.
+type memConn struct{ net.Conn }
+
+func (memConn) Read(b []byte) (int, error)  { return len(b), nil }
+func (memConn) Write(b []byte) (int, error) { return len(b), nil }
+func (memConn) Close() error                { return nil }
+
+// faultTrace drives ops alternating writes and reads through an injector
+// seeded with seed, redialing (wrapping a fresh memConn) after each
+// injected reset, and returns one line per op: the latency it slept, or
+// the reset it hit.
+func faultTrace(t *testing.T, seed int64, ops int) []string {
+	t.Helper()
+	in := New(Config{Seed: seed, Latency: 10 * time.Millisecond, ResetProb: 0.05})
+	var slept []time.Duration
+	in.sleep = func(d time.Duration) { slept = append(slept, d) }
+	c := in.wrap(memConn{})
+	trace := make([]string, 0, ops)
+	buf := make([]byte, 1)
+	for i := 0; i < ops; i++ {
+		op, f := "write", c.Write
+		if i%2 == 1 {
+			op, f = "read", c.Read
+		}
+		slept = slept[:0]
+		if _, err := f(buf); err != nil {
+			if !rpcsvc.IsTransient(err) {
+				t.Fatalf("op %d: injected %s error not transient: %v", i, op, err)
+			}
+			trace = append(trace, fmt.Sprintf("%d %s reset", i, op))
+			c = in.wrap(memConn{})
+			continue
+		}
+		if len(slept) != 1 {
+			t.Fatalf("op %d: %d sleeps, want 1", i, len(slept))
+		}
+		trace = append(trace, fmt.Sprintf("%d %s sleep %v", i, op, slept[0]))
+	}
+	return trace
+}
+
+// TestFaultsDeterministic pins the fault contract itself, not just the
+// streams: two injectors with one seed, driven through the same reads and
+// writes, reset at the same operation indices and sleep the same
+// latencies; a different seed changes the pattern.
+func TestFaultsDeterministic(t *testing.T) {
+	const ops = 400
+	a, b := faultTrace(t, 42, ops), faultTrace(t, 42, ops)
+	resets := 0
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("same seed diverged at op %d: %q vs %q", i, a[i], b[i])
+		}
+		if strings.HasSuffix(a[i], "reset") {
+			resets++
+		}
+	}
+	if resets == 0 || resets == ops {
+		t.Fatalf("%d resets in %d ops: the trace exercises only one fault path", resets, ops)
+	}
+	if slices.Equal(a, faultTrace(t, 43, ops)) {
+		t.Fatal("seeds 42 and 43 produced the same fault trace")
+	}
+}
+
+// echoServer accepts connections and echoes bytes back until closed.
+func echoServer(t *testing.T) net.Listener {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if in != nil {
-		l = in.Listen(l)
 	}
 	go func() {
 		for {
@@ -68,7 +133,7 @@ func echoServer(t *testing.T, in *Injector) net.Listener {
 // pipe: no faults, no errors, bytes intact.
 func TestCleanPassThrough(t *testing.T) {
 	in := New(Config{Seed: 1})
-	l := echoServer(t, nil)
+	l := echoServer(t)
 	c, err := in.Dialer()(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +157,7 @@ func TestCleanPassThrough(t *testing.T) {
 // indistinguishable from real transport weather.
 func TestInjectedResetIsTransient(t *testing.T) {
 	in := New(Config{Seed: 7, ResetProb: 1})
-	l := echoServer(t, nil)
+	l := echoServer(t)
 	c, err := in.Dialer()(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -111,37 +176,10 @@ func TestInjectedResetIsTransient(t *testing.T) {
 	}
 }
 
-// TestPartitionWindowCycles checks dials fail inside the partition window
-// and succeed outside it.
-func TestPartitionWindowCycles(t *testing.T) {
-	l := echoServer(t, nil)
-	in := New(Config{Seed: 3, PartitionPeriod: 200 * time.Millisecond, PartitionWindow: 60 * time.Millisecond})
-	dial := in.Dialer()
-	if _, err := dial(l.Addr().String()); err == nil {
-		t.Fatal("dial inside the partition window succeeded")
-	} else if !rpcsvc.IsTransient(err) {
-		t.Fatalf("partition dial error not transient: %v", err)
-	}
-	// Outside the window (deadline-based to tolerate slow CI): retry until
-	// the cycle's healthy phase.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		c, err := dial(l.Addr().String())
-		if err == nil {
-			c.Close()
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no successful dial within 2s of partition cycling: %v", err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // TestLatencyInjection checks Latency actually delays traffic: a noisy
 // round trip is measurably slower than a clean one.
 func TestLatencyInjection(t *testing.T) {
-	l := echoServer(t, nil)
+	l := echoServer(t)
 	in := New(Config{Seed: 5, Latency: 20 * time.Millisecond})
 	c, err := in.Dialer()(l.Addr().String())
 	if err != nil {

@@ -5,14 +5,14 @@ import (
 	"time"
 )
 
-// Per-replica circuit breaking. The DownAfter/UpAfter hysteresis answers
+// Per-replica circuit breaking. The DownAfter/upAfter hysteresis answers
 // "is the process alive?" — it is driven by probes and transport failures
 // and its trip fails sessions over. The breaker answers the softer
 // question "is this replica currently worth sending work to?": it also
 // counts overload answers (a replica that sheds everything is up but
 // useless), its trip costs nothing to undo (no migration — routing simply
 // flows around the replica until a probe request succeeds), and it recovers
-// in one request instead of UpAfter probe periods.
+// in one request instead of upAfter probe periods.
 //
 // States are the classic three:
 //

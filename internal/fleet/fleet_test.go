@@ -269,7 +269,6 @@ func TestReplicaDrainPropagates(t *testing.T) {
 
 	rt, cli := startFleet(t, fleet.Config{
 		HealthInterval: 5 * time.Millisecond,
-		UpAfter:        1,
 		Probe: func(addr, opsAddr string) (fleet.ProbeResult, error) {
 			return fleet.ProbeResult{Draining: byAddr[addr].Service().Draining()}, nil
 		},

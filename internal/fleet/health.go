@@ -61,7 +61,7 @@ func DefaultProbe(addr, opsAddr string) (ProbeResult, error) {
 }
 
 // Start launches the active health loop: every HealthInterval each replica
-// is probed, failures and successes feeding the same DownAfter/UpAfter
+// is probed, failures and successes feeding the same DownAfter/upAfter
 // hysteresis as passive forwarding errors. A replica whose probe reports
 // "draining" is drained router-side too, migrating its sessions. No-op when
 // the interval is negative or the router is already running.

@@ -16,7 +16,7 @@ type ReplicaInfo struct {
 	Up       bool   `json:"up"`
 	Draining bool   `json:"draining"`
 	// Breaker is the replica's circuit-breaker state: "closed", "open" or
-	// "half-open" ("" when circuit breaking is disabled).
+	// "half-open".
 	Breaker string `json:"breaker,omitempty"`
 	// Model is the served model identity last reported by the replica's
 	// health probe ("name@version"; empty for unversioned parameters), so a
@@ -47,10 +47,6 @@ func (rt *Router) Info() Info {
 		rep.mu.Lock()
 		up, draining, model := rep.up, rep.draining, rep.model
 		rep.mu.Unlock()
-		brk := ""
-		if rep.brk != nil {
-			brk = rep.brk.current().String()
-		}
 		info.Replicas = append(info.Replicas, ReplicaInfo{
 			ID:       rep.id,
 			Addr:     rep.addr,
@@ -58,7 +54,7 @@ func (rt *Router) Info() Info {
 			PID:      rep.pid,
 			Up:       up,
 			Draining: draining,
-			Breaker:  brk,
+			Breaker:  rep.brk.current().String(),
 			Model:    model,
 			Sessions: rt.sessionsOn(rep.id),
 			Events:   rep.events.Load(),
@@ -93,11 +89,8 @@ func (rt *Router) WriteProm(w io.Writer) {
 		if rep == nil {
 			continue
 		}
-		// Breaker state: 0 closed, 1 open, 2 half-open (none when circuit
-		// breaking is disabled).
-		if rep.brk != nil {
-			breaker = append(breaker, obs.Sample{Labels: l, Value: float64(rep.brk.current())})
-		}
+		// Breaker state: 0 closed, 1 open, 2 half-open.
+		breaker = append(breaker, obs.Sample{Labels: l, Value: float64(rep.brk.current())})
 		latency = append(latency, rep.forward.Snapshot().Samples(l)...)
 	}
 	obs.Write(w, "fleet_replica_up", "gauge", up...)

@@ -71,7 +71,7 @@ func routerPage(rt *Router) string {
 func replicaPage(id, model string) string {
 	d := rpcsvc.NewDecimaSessions(rpcsvc.SessionConfig{ReplicaID: id})
 	d.SetModel(model, 2)
-	tr := online.New(core.New(core.DefaultConfig(4), rand.New(rand.NewSource(1))), online.Config{})
+	tr := online.New(core.New(core.DefaultConfig(4), rand.New(rand.NewSource(1))))
 	rec := httptest.NewRecorder()
 	rpcsvc.NewOpsHandler(d, tr.WriteProm).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	return rec.Body.String()

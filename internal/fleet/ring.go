@@ -7,13 +7,13 @@ import (
 	"sync"
 )
 
-// DefaultVnodes is the number of ring points per replica when Config leaves
-// Vnodes zero. More points smooth the key distribution; 64 keeps the
+// DefaultVnodes is the number of ring points per replica when NewRing is
+// given zero; the router's ring always uses it. More points smooth the key distribution; 64 keeps the
 // placement spread within a few percent of even for small fleets while the
 // whole ring stays a couple of KB.
 const DefaultVnodes = 64
 
-// Ring is a consistent-hash ring over replica ids. Each member owns Vnodes
+// Ring is a consistent-hash ring over replica ids. Each member owns vnodes
 // pseudo-random points on a 64-bit circle; a key belongs to the member
 // owning the first point at or after the key's hash. Adding a member moves
 // only keys onto it, excluding one (OwnerWhere) moves only the keys it owned

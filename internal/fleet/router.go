@@ -17,44 +17,37 @@ import (
 const (
 	DefaultHealthInterval = 2 * time.Second
 	DefaultDownAfter      = 2
-	DefaultUpAfter        = 2
-	// DefaultBreakerThreshold trips a replica's circuit breaker after this
-	// many consecutive forward failures or overload answers.
-	DefaultBreakerThreshold = 5
-	// DefaultBreakerCooldown is how long an open breaker refuses before
-	// letting one half-open trial request through.
-	DefaultBreakerCooldown = 2 * time.Second
+)
+
+// Replica hysteresis and circuit-breaker settings.
+const (
+	// upAfter is the consecutive successful probes that bring a down
+	// replica back; with DownAfter it is the asymmetric hysteresis that
+	// keeps a flapping replica from thrashing session placement.
+	upAfter = 2
+	// breakerThreshold trips a replica's circuit breaker after this many
+	// consecutive forward failures or overload answers.
+	breakerThreshold = 5
+	// breakerCooldown is how long an open breaker refuses before letting
+	// one half-open trial request through.
+	breakerCooldown = 2 * time.Second
 )
 
 // Config parameterises a Router.
 type Config struct {
-	// Vnodes is the consistent-hash points per replica (0 selects
-	// DefaultVnodes).
-	Vnodes int
 	// HealthInterval is the period of the active health loop (0 selects
 	// DefaultHealthInterval; negative disables the loop — passive
 	// transport-failure detection still applies).
 	HealthInterval time.Duration
 	// DownAfter is the consecutive-failure count (probes and forwarding
-	// transport errors combined) that marks a replica down; UpAfter the
-	// consecutive successful probes that bring it back. Both default via
-	// the package constants; the asymmetric pair is the hysteresis that
-	// keeps a flapping replica from thrashing session placement.
-	DownAfter, UpAfter int
-	// BreakerThreshold is the consecutive forward-failure/overload streak
-	// that opens a replica's circuit breaker (0 selects
-	// DefaultBreakerThreshold; negative disables circuit breaking).
-	BreakerThreshold int
-	// BreakerCooldown is the open → half-open delay (0 selects
-	// DefaultBreakerCooldown).
-	BreakerCooldown time.Duration
+	// transport errors combined) that marks a replica down (≤ 0 selects
+	// DefaultDownAfter).
+	DownAfter int
 	// Probe overrides the health probe (nil selects DefaultProbe).
 	Probe ProbeFunc
 	// Logger receives structured lifecycle events (nil selects
 	// slog.Default()).
 	Logger *slog.Logger
-	// Dial overrides replica dialing (nil selects rpcsvc.Dial); a test seam.
-	Dial func(addr string) (*rpcsvc.Client, error)
 }
 
 // replica is the router's view of one backend server.
@@ -62,8 +55,7 @@ type replica struct {
 	id, addr, opsAddr string
 	pid               int
 	cli               *rpcsvc.Client
-	// brk is the replica's circuit breaker; nil when breaking is disabled.
-	brk *breaker
+	brk               *breaker
 
 	mu         sync.Mutex
 	up         bool
@@ -84,22 +76,9 @@ func (rep *replica) routable() bool {
 	return rep.up && !rep.draining
 }
 
-// breakerReady reports whether the replica's breaker would pass a request
-// (trivially true with breaking disabled). Non-consuming — safe in
-// placement predicates.
-func (rep *replica) breakerReady() bool {
-	return rep.brk == nil || rep.brk.ready()
-}
-
-// forwardOK/forwardFail report one forward outcome to the breaker.
-func (rep *replica) forwardOK() {
-	if rep.brk != nil {
-		rep.brk.recordOK()
-	}
-}
-
+// forwardFail reports one failed forward to the replica's breaker.
 func (rt *Router) forwardFail(rep *replica, cause string) {
-	if rep.brk != nil && rep.brk.recordFail() {
+	if rep.brk.recordFail() {
 		rt.log.Warn("fleet: breaker open", "replica", rep.id, "cause", cause)
 	}
 }
@@ -160,20 +139,8 @@ func New(cfg Config) *Router {
 	if cfg.DownAfter <= 0 {
 		cfg.DownAfter = DefaultDownAfter
 	}
-	if cfg.UpAfter <= 0 {
-		cfg.UpAfter = DefaultUpAfter
-	}
-	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = DefaultBreakerThreshold
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = DefaultBreakerCooldown
-	}
 	if cfg.Probe == nil {
 		cfg.Probe = DefaultProbe
-	}
-	if cfg.Dial == nil {
-		cfg.Dial = rpcsvc.Dial
 	}
 	log := cfg.Logger
 	if log == nil {
@@ -182,7 +149,7 @@ func New(cfg Config) *Router {
 	return &Router{
 		cfg:      cfg,
 		log:      log,
-		ring:     NewRing(cfg.Vnodes),
+		ring:     NewRing(0),
 		replicas: make(map[string]*replica),
 		sessions: make(map[uint64]*route),
 		tombs:    make(map[uint64]bool),
@@ -199,14 +166,12 @@ func (rt *Router) AddReplica(id, addr, opsAddr string, pid int) error {
 	if id == "" {
 		return fmt.Errorf("fleet: replica id must be non-empty")
 	}
-	cli, err := rt.cfg.Dial(addr)
+	cli, err := rpcsvc.Dial(addr)
 	if err != nil {
 		return fmt.Errorf("fleet: dial replica %q at %s: %w", id, addr, err)
 	}
-	rep := &replica{id: id, addr: addr, opsAddr: opsAddr, pid: pid, cli: cli, up: true}
-	if rt.cfg.BreakerThreshold > 0 {
-		rep.brk = newBreaker(rt.cfg.BreakerThreshold, rt.cfg.BreakerCooldown)
-	}
+	rep := &replica{id: id, addr: addr, opsAddr: opsAddr, pid: pid, cli: cli, up: true,
+		brk: newBreaker(breakerThreshold, breakerCooldown)}
 	rt.mu.Lock()
 	if rt.replicas[id] != nil {
 		rt.mu.Unlock()
@@ -307,7 +272,7 @@ func (rt *Router) markFailed(rep *replica, cause string) {
 	}
 }
 
-// markProbeOK records one successful probe; at UpAfter consecutive
+// markProbeOK records one successful probe; at upAfter consecutive
 // successes a down replica is redialed and brought back into rotation.
 func (rt *Router) markProbeOK(rep *replica) {
 	rep.mu.Lock()
@@ -317,7 +282,7 @@ func (rt *Router) markProbeOK(rep *replica) {
 		return
 	}
 	rep.okStreak++
-	ready := rep.okStreak >= rt.cfg.UpAfter
+	ready := rep.okStreak >= upAfter
 	rep.mu.Unlock()
 	if !ready {
 		return
@@ -352,7 +317,7 @@ func (rt *Router) open(req *rpcsvc.OpenRequest, resp *rpcsvc.OpenResponse) error
 				return false
 			}
 			rep := rt.replica(id)
-			return rep != nil && rep.routable() && rep.breakerReady()
+			return rep != nil && rep.routable() && rep.brk.ready()
 		})
 		if id == "" {
 			break
@@ -364,7 +329,7 @@ func (rt *Router) open(req *rpcsvc.OpenRequest, resp *rpcsvc.OpenResponse) error
 		}
 		bresp, err := rep.cli.OpenRPC(&fwd)
 		if err == nil {
-			rep.forwardOK()
+			rep.brk.recordOK()
 			rt.mu.Lock()
 			rt.nextSID++
 			sid := rt.nextSID
@@ -429,7 +394,7 @@ func (rt *Router) event(req *rpcsvc.EventRequest, resp *rpcsvc.EventResponse) er
 		rt.dropRoute(req.SID)
 		return fmt.Errorf("fleet: session %d lost replica %q: %w", req.SID, r.replicaID, rpcsvc.ErrSessionEvicted)
 	}
-	if rep.brk != nil && !rep.brk.allow() {
+	if !rep.brk.allow() {
 		// The breaker is open: shed locally without spending a forward on a
 		// replica that keeps failing or refusing. The session client backs
 		// off with jitter and retries the identical event — the session is
@@ -443,7 +408,7 @@ func (rt *Router) event(req *rpcsvc.EventRequest, resp *rpcsvc.EventResponse) er
 	start := time.Now()
 	bresp, err := rep.cli.EventRPC(&fwd)
 	if err == nil {
-		rep.forwardOK()
+		rep.brk.recordOK()
 		rep.forward.Observe(time.Since(start))
 		rep.events.Add(1)
 		rt.stats.events.Add(1)
@@ -470,7 +435,7 @@ func (rt *Router) event(req *rpcsvc.EventRequest, resp *rpcsvc.EventResponse) er
 	}
 	// Any other application answer means the replica is serving; feed the
 	// breaker a success so eviction/seq-gap storms cannot open it.
-	rep.forwardOK()
+	rep.brk.recordOK()
 	if rpcsvc.IsSessionEvicted(err) || rpcsvc.IsSeqGap(err) {
 		// The backend lost (or will never accept) this stream; the fleet
 		// route is dead too. The client reopens under a fresh id either way.

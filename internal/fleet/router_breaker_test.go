@@ -62,10 +62,9 @@ func TestRouterBreakerTripsOnOverload(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 
 	rt, cli := startFleet(t, fleet.Config{
-		HealthInterval:   -1, // no probes: only forward outcomes drive state
-		BreakerThreshold: 2,
-		BreakerCooldown:  time.Hour, // recovery below must come from recordOK, not the cooldown
+		HealthInterval: -1, // no probes: only forward outcomes drive state
 	}, map[string]*rpcsvc.Server{"r1": srv})
+	rt.SetBreakers(2, time.Hour) // recovery below must come from recordOK, not the cooldown
 
 	blockSess, err := cli.OpenSession(&rpcsvc.OpenRequest{Scheduler: "block", TotalExecutors: 2})
 	if err != nil {

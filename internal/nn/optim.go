@@ -9,6 +9,10 @@ func ZeroGrads(params []*Tensor) {
 	}
 }
 
+// GradClip is the global gradient-norm bound the offline (internal/rl) and
+// online (internal/online) trainers clip to before each Adam step.
+const GradClip = 10
+
 // ClipGradNorm rescales the gradients of params so their global L2 norm does
 // not exceed maxNorm, returning the pre-clip norm. REINFORCE gradients on
 // long episodes occasionally spike; clipping keeps Adam stable.

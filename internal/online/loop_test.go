@@ -25,7 +25,7 @@ func onlineLoopCheckpoint(t *testing.T) []byte {
 	const executors = 5
 	base := smallAgent(77)
 	base.Greedy = true
-	tr := New(base, Config{})
+	tr := New(base)
 
 	srv, err := rpcsvc.ListenAndServeSessions("127.0.0.1:0", rpcsvc.SessionConfig{
 		Default: "decima",

@@ -32,43 +32,22 @@ import (
 	"repro/internal/registry"
 )
 
-// Config parameterises the online trainer.
-type Config struct {
-	// LR is Adam's learning rate (default 1e-3).
-	LR float64
-	// EntropyWeight scales the exploration bonus (default 0.01 — lower
-	// than offline training: served traffic should not be degraded by
-	// aggressive exploration).
-	EntropyWeight float64
-	// GradClip bounds the global gradient norm (default 10).
-	GradClip float64
-	// MinSteps drops episodes with fewer recorded decisions (default 2 —
-	// a single step has zero advantage and contributes nothing).
-	MinSteps int
-	// QueueCap bounds the pending-episode queue (default 64). When full,
-	// the oldest queued episode is dropped — learning prefers fresh
-	// traffic, and serving must never block on a slow trainer.
-	QueueCap int
-}
-
-func (c Config) withDefaults() Config {
-	if c.LR == 0 {
-		c.LR = 1e-3
-	}
-	if c.EntropyWeight == 0 {
-		c.EntropyWeight = 0.01
-	}
-	if c.GradClip == 0 {
-		c.GradClip = 10
-	}
-	if c.MinSteps == 0 {
-		c.MinSteps = 2
-	}
-	if c.QueueCap == 0 {
-		c.QueueCap = 64
-	}
-	return c
-}
+// The online trainer's hyperparameters.
+const (
+	// lr is Adam's learning rate.
+	lr = 1e-3
+	// entropyWeight scales the exploration bonus — lower than offline
+	// training: served traffic should not be degraded by aggressive
+	// exploration.
+	entropyWeight = 0.01
+	// minSteps drops episodes with fewer recorded decisions: a single step
+	// has zero advantage and contributes nothing.
+	minSteps = 2
+	// queueCap bounds the pending-episode queue. When full, the oldest
+	// queued episode is dropped — learning prefers fresh traffic, and
+	// serving must never block on a slow trainer.
+	queueCap = 64
+)
 
 // Stats is a snapshot of the trainer's counters.
 type Stats struct {
@@ -76,7 +55,7 @@ type Stats struct {
 	EpisodesSubmitted uint64
 	// EpisodesConsumed counts episodes a TrainOnce update consumed.
 	EpisodesConsumed uint64
-	// EpisodesDropped counts episodes lost to queue overflow or MinSteps.
+	// EpisodesDropped counts episodes lost to queue overflow or minSteps.
 	EpisodesDropped uint64
 	// StepsConsumed counts replayed decision steps.
 	StepsConsumed uint64
@@ -91,8 +70,6 @@ type Stats struct {
 // it as they close); TrainOnce/Publish serialise on the trainer's lock, so
 // one background goroutine typically owns the training cadence.
 type Trainer struct {
-	cfg Config
-
 	mu    sync.Mutex
 	queue [][]core.ReplayStep // slices.Delete nils the slot a shift vacates
 	agent *core.Agent
@@ -112,13 +89,12 @@ type Trainer struct {
 // The trainer's agent is private: serving agents are never mutated by
 // training — new parameters only reach them through a registry publish and
 // an explicit hot-swap.
-func New(base *core.Agent, cfg Config) *Trainer {
-	cfg = cfg.withDefaults()
-	t := &Trainer{cfg: cfg}
+func New(base *core.Agent) *Trainer {
+	t := &Trainer{}
 	// The clone's RNG is never drawn from — replay training recomputes
 	// recorded actions, it does not sample — so any seed is equivalent.
 	t.agent = base.Clone(rand.New(rand.NewSource(1)))
-	t.opt = nn.NewAdam(cfg.LR)
+	t.opt = nn.NewAdam(lr)
 	return t
 }
 
@@ -127,12 +103,12 @@ func New(base *core.Agent, cfg Config) *Trainer {
 // blocks: when the queue is full the oldest pending episode is dropped.
 func (t *Trainer) Submit(steps []core.ReplayStep) {
 	t.submitted.Add(1)
-	if len(steps) < t.cfg.MinSteps {
+	if len(steps) < minSteps {
 		t.dropped.Add(1)
 		return
 	}
 	t.mu.Lock()
-	if len(t.queue) >= t.cfg.QueueCap {
+	if len(t.queue) >= queueCap {
 		t.queue = slices.Delete(t.queue, 0, 1)
 		t.dropped.Add(1)
 	}
@@ -179,7 +155,7 @@ func (t *Trainer) update(steps []core.ReplayStep) bool {
 			usable = append(usable, s)
 		}
 	}
-	if len(usable) < t.cfg.MinSteps {
+	if len(usable) < minSteps {
 		return false
 	}
 	steps = usable
@@ -207,14 +183,14 @@ func (t *Trainer) update(steps []core.ReplayStep) bool {
 	for k := range returns {
 		adv := (returns[k] - mean) / std
 		wLogp[k] = -adv * scale
-		wEnt[k] = -t.cfg.EntropyWeight * scale
+		wEnt[k] = -entropyWeight * scale
 	}
 	params := t.agent.Params()
 	nn.ZeroGrads(params)
 	loss, _ := t.agent.ReplayLoss(&t.replay, steps, wLogp, wEnt)
 	loss.Backward(1)
 	t.replay.Reset() // the episode's graphs are not held until the next one
-	nn.ClipGradNorm(params, t.cfg.GradClip)
+	nn.ClipGradNorm(params, nn.GradClip)
 	t.opt.Step(params)
 	return true
 }

@@ -54,23 +54,23 @@ func recordEpisodes(t testing.TB, rounds, jobsN int) [][]core.ReplayStep {
 }
 
 func TestSubmitBoundsAndDrops(t *testing.T) {
-	tr := New(smallAgent(1), Config{QueueCap: 3})
+	tr := New(smallAgent(1))
 
-	// Below MinSteps: dropped, never queued.
-	tr.Submit([]core.ReplayStep{{}})
+	// Below minSteps: dropped, never queued.
+	tr.Submit(make([]core.ReplayStep, minSteps-1))
 	if got := tr.Pending(); got != 0 {
 		t.Fatalf("short episode queued (pending %d)", got)
 	}
-	mk := func() []core.ReplayStep { return make([]core.ReplayStep, 2) }
-	for i := 0; i < 5; i++ {
+	mk := func() []core.ReplayStep { return make([]core.ReplayStep, minSteps) }
+	for i := 0; i < queueCap+2; i++ {
 		tr.Submit(mk())
 	}
-	if got := tr.Pending(); got != 3 {
-		t.Fatalf("pending = %d, want QueueCap 3", got)
+	if got := tr.Pending(); got != queueCap {
+		t.Fatalf("pending = %d, want queueCap %d", got, queueCap)
 	}
 	st := tr.Stats()
-	if st.EpisodesSubmitted != 6 {
-		t.Fatalf("submitted = %d, want 6", st.EpisodesSubmitted)
+	if st.EpisodesSubmitted != queueCap+3 {
+		t.Fatalf("submitted = %d, want %d", st.EpisodesSubmitted, queueCap+3)
 	}
 	if st.EpisodesDropped != 3 { // 1 short + 2 overflowed
 		t.Fatalf("dropped = %d, want 3", st.EpisodesDropped)
@@ -78,7 +78,7 @@ func TestSubmitBoundsAndDrops(t *testing.T) {
 	if _, ok := tr.TrainOnce(); !ok {
 		t.Fatal("TrainOnce found nothing despite a non-empty queue")
 	}
-	if got := tr.Pending(); got != 2 {
+	if got := tr.Pending(); got != queueCap-1 {
 		t.Fatalf("pending after TrainOnce = %d", got)
 	}
 }
@@ -88,7 +88,7 @@ func TestSubmitBoundsAndDrops(t *testing.T) {
 // recorded episode's steps and graphs are not held until a later Submit.
 func TestDrainReleasesEpisodes(t *testing.T) {
 	eps := recordEpisodes(t, 2, 2)
-	tr := New(smallAgent(1), Config{})
+	tr := New(smallAgent(1))
 	tr.Submit(eps[0])
 	tr.Submit(eps[1])
 	if n := tr.Drain(); n != 2 {
@@ -102,7 +102,7 @@ func TestDrainReleasesEpisodes(t *testing.T) {
 }
 
 func TestTrainOnceEmptyQueue(t *testing.T) {
-	tr := New(smallAgent(1), Config{})
+	tr := New(smallAgent(1))
 	if n, ok := tr.TrainOnce(); ok || n != 0 {
 		t.Fatalf("TrainOnce on empty queue = (%d, %v)", n, ok)
 	}
@@ -113,7 +113,7 @@ func TestTrainOnceEmptyQueue(t *testing.T) {
 func TestUpdateMovesParameters(t *testing.T) {
 	base := smallAgent(7)
 	before := paramBits(base.Params())
-	tr := New(base, Config{})
+	tr := New(base)
 	eps := recordEpisodes(t, 2, 2)
 	for _, ep := range eps {
 		tr.Submit(ep)
@@ -159,7 +159,7 @@ func same(a, b []uint64) bool {
 // trainer and returns the published checkpoint's file bytes.
 func trainAndPublish(t *testing.T, eps [][]core.ReplayStep) []byte {
 	t.Helper()
-	tr := New(smallAgent(7), Config{})
+	tr := New(smallAgent(7))
 	for _, ep := range eps {
 		// The trainer takes ownership but never mutates steps; sharing the
 		// recorded episodes across trainers keeps the input identical.

@@ -34,6 +34,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/nn"
@@ -101,9 +102,11 @@ func validName(name string) bool {
 }
 
 // Registry is a directory of model checkpoints. Concurrent use from one
-// process is safe (publishes serialise on temp+rename; loads only read).
+// process is safe: publishes serialise on the registry's mutex, so each
+// gets its own version, and loads only read files written by temp+rename.
 type Registry struct {
 	root string
+	mu   sync.Mutex // held by Publish from version allocation to LATEST
 }
 
 // Open returns a registry rooted at dir, creating it if needed.
@@ -212,6 +215,8 @@ func (r *Registry) Publish(name string, params []*nn.Tensor, note string) (int, 
 	if !validName(name) {
 		return 0, fmt.Errorf("%w: %q", ErrBadRef, name)
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	dir := r.modelDir(name)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, err

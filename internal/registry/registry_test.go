@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/nn"
@@ -188,6 +189,62 @@ func TestCorruptionDetected(t *testing.T) {
 // online-loop test builds on: publishing identical parameters into fresh
 // registries yields bitwise-identical checkpoint files (timestamps live
 // only in the meta sidecar).
+// TestConcurrentPublishDistinctVersions pins the package's concurrency
+// promise: publishes of one name from many goroutines each get their own
+// version, and every version loads back with its own publisher's
+// parameters — none silently overwrites another.
+func TestConcurrentPublishDistinctVersions(t *testing.T) {
+	const goroutines, each = 8, 5
+	reg := openTemp(t)
+	var mu sync.Mutex
+	seedOf := map[int]int64{} // version -> seed of the parameters published as it
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				seed := int64(100*g + i)
+				ver, err := reg.Publish("m", testParams(seed), "")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				if prev, dup := seedOf[ver]; dup {
+					t.Errorf("version %d returned to two publishes (seeds %d and %d)", ver, prev, seed)
+				}
+				seedOf[ver] = seed
+				mu.Unlock()
+			}
+		}(g)
+	}
+	wg.Wait()
+	if len(seedOf) != goroutines*each {
+		t.Fatalf("%d distinct versions from %d publishes", len(seedOf), goroutines*each)
+	}
+	for ver, seed := range seedOf {
+		ck, err := reg.Load(Ref{Name: "m", Version: ver})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := testParams(-1), testParams(seed)
+		if err := ck.LoadInto(got); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			for j := range want[i].Data {
+				if math.Float64bits(got[i].Data[j]) != math.Float64bits(want[i].Data[j]) {
+					t.Fatalf("v%d holds parameters other than its publisher's (seed %d)", ver, seed)
+				}
+			}
+		}
+	}
+	if v, err := reg.Latest("m"); err != nil || v != goroutines*each {
+		t.Fatalf("LATEST = %d (%v), want %d", v, err, goroutines*each)
+	}
+}
+
 func TestPublishBitwiseReproducible(t *testing.T) {
 	var files [][]byte
 	for i := 0; i < 2; i++ {

@@ -58,8 +58,6 @@ type Config struct {
 	EntropyWeight float64
 	// EntropyDecay multiplies EntropyWeight every iteration (e.g. 0.999).
 	EntropyDecay float64
-	// GradClip bounds the global gradient norm.
-	GradClip float64
 	// InitialHorizon is the starting mean of the exponential episode
 	// length τ, in simulated seconds.
 	InitialHorizon float64
@@ -96,7 +94,6 @@ func DefaultConfig() Config {
 		LR:                 1e-3,
 		EntropyWeight:      0.1,
 		EntropyDecay:       0.995,
-		GradClip:           10,
 		InitialHorizon:     500,
 		HorizonGrowth:      50,
 		MaxHorizon:         20000,
@@ -400,7 +397,7 @@ func (t *Trainer) Iteration(src JobSource, simCfg sim.Config) IterStats {
 		entropyCount += len(ep.entVals)
 		mismatches += ep.mismatches
 	}
-	grad := nn.ClipGradNorm(params, t.Cfg.GradClip)
+	grad := nn.ClipGradNorm(params, nn.GradClip)
 	t.opt.Step(params)
 	for _, ep := range episodes {
 		t.updateRbar(ep)

@@ -60,7 +60,7 @@ func TestReplicaMetricsGolden(t *testing.T) {
 	d.SetModel("decima", 3)
 	d.draining.Store(true)
 
-	tr := online.New(core.New(core.DefaultConfig(4), rand.New(rand.NewSource(1))), online.Config{})
+	tr := online.New(core.New(core.DefaultConfig(4), rand.New(rand.NewSource(1))))
 	tr.Submit(nil)
 	tr.Submit(nil)
 	tr.Submit(make([]core.ReplayStep, 3))

@@ -33,9 +33,8 @@ type RecordSink func(steps []core.ReplayStep)
 // under the session lock: decisions record while the event holds it, and
 // reset flushes while holding it.
 type recorder struct {
-	steps   []core.ReplayStep
-	start   int // ring head once len(steps) == DefaultRecordMaxSteps
-	dropped uint64
+	steps []core.ReplayStep
+	start int // ring head once len(steps) == DefaultRecordMaxSteps
 }
 
 // record captures one decision. The step's slices alias agent-owned
@@ -52,7 +51,6 @@ func (r *recorder) record(rs core.ReplayStep) {
 	}
 	r.steps[r.start] = rs
 	r.start = (r.start + 1) % DefaultRecordMaxSteps
-	r.dropped++
 }
 
 // take linearises the ring into decision order and resets the recorder,

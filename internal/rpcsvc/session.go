@@ -323,7 +323,6 @@ type sessionTable struct {
 	m     map[uint64]*session
 	lru   *list.List // front = most recently used; values are *session
 	elem  map[uint64]*list.Element
-	now   func() time.Time     // test seam
 	used  map[uint64]time.Time // last-use stamps for idle eviction
 	stats *ServerStats         // eviction counters by cause
 }
@@ -335,7 +334,6 @@ func newSessionTable(max int, idle time.Duration, stats *ServerStats) *sessionTa
 		m:     make(map[uint64]*session),
 		lru:   list.New(),
 		elem:  make(map[uint64]*list.Element),
-		now:   time.Now,
 		used:  make(map[uint64]time.Time),
 		stats: stats,
 	}
@@ -351,7 +349,7 @@ func (t *sessionTable) add(s *session) (uint64, []*session) {
 	s.id = t.next
 	t.m[s.id] = s
 	t.elem[s.id] = t.lru.PushFront(s)
-	t.used[s.id] = t.now()
+	t.used[s.id] = time.Now()
 	var evicted []*session
 	evicted = append(evicted, t.sweepIdleLocked()...)
 	for t.max > 0 && len(t.m) > t.max {
@@ -378,7 +376,7 @@ func (t *sessionTable) get(sid uint64) (*session, []*session, error) {
 		return nil, evicted, fmt.Errorf("rpcsvc: unknown session %d: %w", sid, ErrSessionEvicted)
 	}
 	t.lru.MoveToFront(t.elem[sid])
-	t.used[sid] = t.now()
+	t.used[sid] = time.Now()
 	return s, evicted, nil
 }
 
@@ -408,7 +406,7 @@ func (t *sessionTable) sweepIdleLocked() []*session {
 	if t.idle <= 0 {
 		return nil
 	}
-	cutoff := t.now().Add(-t.idle)
+	cutoff := time.Now().Add(-t.idle)
 	var evicted []*session
 	for e := t.lru.Back(); e != nil; {
 		s := e.Value.(*session)

@@ -17,12 +17,8 @@ func init() {
 	Register("sjf-cp", func(Options) (Scheduler, error) { return sched.NewSJFCP(), nil })
 	Register("fair", func(Options) (Scheduler, error) { return sched.NewFair(), nil })
 	Register("naive-wfair", func(Options) (Scheduler, error) { return sched.NewNaiveWeightedFair(), nil })
-	Register("opt-wfair", func(o Options) (Scheduler, error) {
-		alpha := o.WFairAlpha
-		if alpha == 0 {
-			alpha = -1 // the tuned optimum the paper's sweep typically finds
-		}
-		return sched.NewWeightedFair(alpha), nil
+	Register("opt-wfair", func(Options) (Scheduler, error) {
+		return sched.NewWeightedFair(-1), nil // the tuned optimum the paper's sweep typically finds
 	})
 	Register("tetris", func(Options) (Scheduler, error) { return sched.NewTetris(), nil })
 	Register("graphene-star", func(Options) (Scheduler, error) {

@@ -62,9 +62,6 @@ type Options struct {
 	Seed int64
 	// Sampled makes "decima" sample actions instead of greedy argmax.
 	Sampled bool
-	// WFairAlpha sets the weighted-fair exponent for "opt-wfair"; 0 selects
-	// the paper's tuned default of −1 (α = 0 itself is the "fair" policy).
-	WFairAlpha float64
 	// Agent, when non-nil, makes "decima" serve a runner of this pre-built
 	// (typically trained) agent (core.Agent.Runner) instead of constructing
 	// a fresh one. Runners share the agent's model by pointer, which is never
