@@ -100,10 +100,10 @@ func replayOnce(a *Agent, rs *ReplayScratch, steps []ReplayStep) (float64, []flo
 	return loss.Value(), sv, nn.CloneGrads(a.Params())
 }
 
-// poison overwrites every float64 the scratch's tape has ever handed out
-// with NaN, one element at a time so no slab tail is skipped: whatever a
-// later replay (or a caller holding on to a result) reads without having
-// written it shows.
+// poison overwrites every float64 of the scratch's tape with NaN, one
+// element at a time, which first fit lays end to end over every slab:
+// whatever a later replay (or a caller holding on to a result) reads without
+// having written it shows.
 func poison(rs *ReplayScratch) {
 	rs.Reset()
 	tp := &rs.Tape

@@ -1,15 +1,28 @@
 package nn
 
-// arena is a bump allocator over retained slabs: the storage of both the
-// inference path's Scratch and the tracked path's Tape. When a computation
-// outgrows the slabs it adds one of a quarter of the capacity so far (at
-// least the request): capacity tracks the high-water mark within a quarter
-// instead of doubling past it, stops moving once the largest computations
-// have been seen, and a record-size one costs a quarter of a re-allocation.
-type arena[T any] struct {
-	slabs [][]T
-	slab  int // index of the slab alloc currently fills
-	off   int // write offset into that slab
+import "math"
+
+// arena is a first-fit allocator over retained slabs: the storage of both
+// the inference path's Scratch and the tracked path's Tape. Each slab keeps
+// its own write offset, and a request is cut from the first slab whose
+// remaining room fits it, so the tail a large request leaves behind still
+// serves later, smaller ones. Only when no slab fits does the arena add one
+// of a quarter of the capacity so far (at least the request): capacity
+// tracks the high-water mark within a quarter instead of doubling past it,
+// stops moving once the largest computations have been seen, and a
+// record-size one costs a quarter of a re-allocation.
+//
+// Race builds poison every element not currently handed out (a fresh slab,
+// and on reset what the finished computation used), so a kernel that reads
+// its output before writing it shows up as a NaN in the golden digests.
+type arena[T float64 | int] struct {
+	slabs []slab[T]
+}
+
+// slab is one retained buffer and how much of it is handed out.
+type slab[T float64 | int] struct {
+	buf []T
+	off int
 }
 
 // arenaMinSlab is the smallest slab an arena grows by, in elements.
@@ -18,31 +31,53 @@ const arenaMinSlab = 1 << 12
 // alloc returns a length-n slice WITHOUT clearing it: for buffers the caller
 // overwrites in full (kernel outputs).
 func (a *arena[T]) alloc(n int) []T {
-	for {
-		if a.slab < len(a.slabs) {
-			sl := a.slabs[a.slab]
-			if a.off+n <= len(sl) {
-				b := sl[a.off : a.off+n : a.off+n]
-				a.off += n
-				return b
-			}
-			a.slab++
-			a.off = 0
-			continue
+	for i := range a.slabs {
+		s := &a.slabs[i]
+		if off := s.off; off+n <= len(s.buf) {
+			s.off += n
+			return s.buf[off : off+n : off+n]
 		}
-		a.slabs = append(a.slabs, make([]T, max(n, a.cap()/4, arenaMinSlab)))
 	}
+	buf := make([]T, max(n, a.cap()/4, arenaMinSlab))
+	if poisonRecycled {
+		poison(buf)
+	}
+	a.slabs = append(a.slabs, slab[T]{buf: buf, off: n})
+	return buf[:n:n]
 }
 
 // reset recycles everything handed out; the slabs are retained.
-func (a *arena[T]) reset() { a.slab, a.off = 0, 0 }
+func (a *arena[T]) reset() {
+	for i := range a.slabs {
+		s := &a.slabs[i]
+		if poisonRecycled {
+			poison(s.buf[:s.off])
+		}
+		s.off = 0
+	}
+}
 
 func (a *arena[T]) cap() int {
 	n := 0
-	for _, sl := range a.slabs {
-		n += len(sl)
+	for _, s := range a.slabs {
+		n += len(s.buf)
 	}
 	return n
+}
+
+// poison overwrites b with values no computation should read: NaN for
+// floats, and for ints one that fails any index bounds check.
+func poison[T float64 | int](b []T) {
+	switch b := any(b).(type) {
+	case []float64:
+		for i := range b {
+			b[i] = math.NaN()
+		}
+	case []int:
+		for i := range b {
+			b[i] = math.MinInt
+		}
+	}
 }
 
 // headerPool hands out *Tensor headers from fixed-size chunks that are never

@@ -24,9 +24,10 @@
 //   - ops.go — the differentiable operations (MatMul, gathers, segment sums, …)
 //   - layers.go — Linear and MLP: one tracked node per layer, with initialisers
 //   - rows.go — MLP.ForwardRows: a layer over row-gathered column blocks
+//   - arena.go — the first-fit slab arena and header pool under Tape and Scratch
 //   - tape.go — Tape, the arena that owns a tracked computation's tensors
 //   - optim.go, params.go, serialize.go — Adam, parameter sets, model I/O
-//   - nograd.go — no-grad inference mode and the Scratch bump arena
+//   - nograd.go — no-grad inference mode and the Scratch arena
 //   - fused.go — fused no-grad MLP forward (matmul + bias + activation)
 //   - kernel.go — the raw-speed kernel layer: blocked, register-tiled
 //     matmul kernels shared by the tracked and fused paths, each running on

@@ -26,16 +26,16 @@ func Inference(fn func()) {
 	fn()
 }
 
-// Scratch is a bump-allocation arena for inference-mode buffers and the
+// Scratch is a first-fit arena (arena.go) for inference-mode buffers and the
 // tensor headers that wrap them. The scheduling hot path creates dozens of
 // short-lived matrices per decision; drawing both the float64 storage and the
 // *Tensor headers from a reusable arena (reset once per decision) removes
 // that garbage entirely. A Scratch is owned by one goroutine at a time — each
 // agent holds its own — and must not be shared concurrently.
 //
-// Buffers and tensors handed out are valid until the next Reset; results
-// that must outlive the decision (e.g. cached per-job embeddings) must be
-// copied out.
+// Buffers and tensors handed out are valid until the next Reset (race builds
+// NaN-fill the buffers then); results that must outlive the decision (e.g.
+// cached per-job embeddings) must be copied out.
 type Scratch struct {
 	f    arena[float64]
 	hdrs headerPool
@@ -53,13 +53,16 @@ func (s *Scratch) Alloc(n int) []float64 {
 }
 
 // wrap returns an arena-owned rows×cols tensor header over data (not
-// copied), recycled by Reset like the buffers themselves.
+// copied), recycled by Reset like the buffers themselves. A scratch header
+// never carries a gradient, parents, a closure or a tape — those fields stay
+// zero from the chunk's allocation — so only the shape and data are stored,
+// not the whole header.
 func (s *Scratch) wrap(rows, cols int, data []float64) *Tensor {
 	if len(data) != rows*cols {
 		panic(fmt.Sprintf("nn: data length %d != %d×%d", len(data), rows, cols))
 	}
 	t := s.hdrs.next()
-	*t = Tensor{Rows: rows, Cols: cols, Data: data}
+	t.Rows, t.Cols, t.Data = rows, cols, data
 	return t
 }
 

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"sync"
 )
 
@@ -193,10 +192,7 @@ func getRowScratch(n int) *[]float64 {
 // read of a row the current chunk did not write surfaces as a NaN.
 func putRowScratch(p *[]float64) {
 	if poisonRecycled {
-		all := (*p)[:cap(*p)]
-		for i := range all {
-			all[i] = math.NaN()
-		}
+		poison((*p)[:cap(*p)])
 	}
 	rowScratch.Put(p)
 }

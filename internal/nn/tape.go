@@ -1,7 +1,5 @@
 package nn
 
-import "math"
-
 // Tape is the arena of one tracked computation at a time: it owns the Data
 // and (lazily created) Grad of every op result built from its tensors, the
 // result headers, and the index and weight scratch the caller's plan needs —
@@ -15,6 +13,10 @@ import "math"
 // never met a tape (parameters, test inputs, the ledger's kernel probes)
 // allocate exactly as they always did.
 //
+// Storage comes from the first-fit arena Scratch also uses (arena.go): a
+// buffer is cut from the first slab with room for it, so a warm tape holds
+// about what its largest replay used, plus at most one growth slab.
+//
 // Gradients are the exception to "until Reset": once an op result's own
 // backward has consumed its gradient, Backward hands the buffer back (the
 // field goes nil) and the next gradient that fits is cut from it, so a
@@ -22,9 +24,10 @@ import "math"
 // gradient for every value. The root and the leaves keep theirs.
 //
 // A Tape is owned by one goroutine at a time. Everything else handed out is
-// valid until the next Reset and is NOT cleared by it: whatever must outlive
-// the replay — the loss value, per-step values, parameter gradients (which
-// live on the parameters, not here) — is copied out first.
+// valid until the next Reset and is NOT cleared by it (race builds NaN-fill
+// it): whatever must outlive the replay — the loss value, per-step values,
+// parameter gradients (which live on the parameters, not here) — is copied
+// out first.
 type Tape struct {
 	f    arena[float64]
 	i    arena[int]
@@ -113,10 +116,7 @@ func (tp *Tape) grad(n int) []float64 {
 // poison it first, so a read after hand-back surfaces as a NaN.
 func (tp *Tape) handBack(g []float64) {
 	if poisonRecycled {
-		all := g[:cap(g)]
-		for i := range all {
-			all[i] = math.NaN()
-		}
+		poison(g[:cap(g)])
 	}
 	tp.freed = append(tp.freed, g)
 }

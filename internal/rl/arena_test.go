@@ -88,11 +88,13 @@ func TestTapeCapacitySettles(t *testing.T) {
 // iterations, in floats: tapeFloatsParent when every layer input was built
 // by GatherRows/ConcatCols and every message-passing level copied the
 // node-embedding matrix (5.56M before that, when every gradient also stayed
-// on the tape until Reset), tapeFloatsMeasured since layers read their input
-// rows in place and the levels share one matrix.
+// on the tape until Reset), 2,846,888 once layers read their input rows in
+// place and the levels shared one matrix, and tapeFloatsMeasured since the
+// arena fills slabs first-fit instead of skipping the tail a request does
+// not fit.
 const (
 	tapeFloatsParent   = 3_975_758
-	tapeFloatsMeasured = 2_846_888
+	tapeFloatsMeasured = 2_035_589
 )
 
 // TestTapeHoldsGradientFrontier bounds the workers' tapes at the ledger's
@@ -140,8 +142,10 @@ func replayedNodes(ep *episode) int {
 	return n
 }
 
-// poisonTape overwrites every float64 the worker's tape has ever handed out
-// with NaN, one element at a time so no slab tail is skipped.
+// poisonTape overwrites every float64 of the worker's tape with NaN, one
+// element at a time: the first-fit arena cuts each from the first slab with
+// room, so Cap requests cover every slab end to end. Race builds' Reset
+// poisons what a replay used anyway; this covers plain builds too.
 func poisonTape(w *worker) {
 	w.replay.Reset()
 	tp := &w.replay.Tape

@@ -28,7 +28,7 @@ func benchTrainer() (*Trainer, JobSource, sim.Config) {
 // forward and one backward per episode), gradient merge and Adam step — on
 // the small single-worker fixture (reporting "episodes/sec") and at the
 // ledger's train-replay shape with its two workers, where the per-worker
-// tape arena and the parallel tall-stack kernels engage ("decisions/sec" is
+// tape arenas hold replays thousands of rows tall ("decisions/sec" is
 // the ledger's events_per_s; B/op is its rl.alloc_mb_per_iter; tape_MB is
 // the workers' summed tape capacity).
 func BenchmarkTrainIteration(b *testing.B) {

@@ -66,7 +66,7 @@ func rolloutDigest(greedy bool) uint64 {
 // the default 15-executor model, 6 Poisson jobs at load 0.70 per arrival
 // sequence, 8 episodes per iteration, every episode run to completion. Its
 // stacked replay matrices are thousands of rows tall, so unlike the smallAgent
-// fixtures it reaches the parallel tall-stack kernels.
+// fixtures it runs the kernels over tall matrices on tapes of many slabs.
 func replayShapeTrainer(workers int, seed int64) (*Trainer, JobSource, sim.Config) {
 	const executors = 15
 	agent := core.New(core.DefaultConfig(executors), rand.New(rand.NewSource(42)))
