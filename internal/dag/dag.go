@@ -11,6 +11,14 @@
 // node is computed downstream over its children:
 //
 //	cp(v) = work(v) + max_{u ∈ children(v)} cp(u).
+//
+// A job's DAG is an immutable value once the job has been instanced: Clone
+// hands each instance the template's Stages slice and LevelPlan instead of
+// copying them, so every Stage, its adjacency lists and the plan are shared
+// by the template and all its instances, across goroutines. They are
+// read-only from then on; AddEdge panics on a job that shares its stages.
+// Only the per-instance fields (ID, Name, Arrival, Inflation) are the
+// instance's own.
 package dag
 
 import (
@@ -66,6 +74,9 @@ type Job struct {
 	// plan caches Levels(); a finished job's DAG is immutable, so it is
 	// derived once. AddEdge drops it.
 	plan atomic.Pointer[LevelPlan]
+	// shared marks a job whose Stages another Job also holds: the template
+	// of a Clone and every Clone. Its DAG is frozen.
+	shared atomic.Bool
 }
 
 // NumStages returns the number of stages in the job.
@@ -90,7 +101,11 @@ func (j *Job) TotalTasks() int {
 }
 
 // AddEdge records a parent→child dependency, updating both adjacency lists.
+// It panics on a job that shares its stages (a Clone or its template).
 func (j *Job) AddEdge(parent, child int) {
+	if j.shared.Load() {
+		panic(fmt.Sprintf("dag: AddEdge on job %d (%q), whose stages are shared with its instances", j.ID, j.Name))
+	}
 	j.Stages[parent].Children = append(j.Stages[parent].Children, child)
 	j.Stages[child].Parents = append(j.Stages[child].Parents, parent)
 	j.plan.Store(nil)
@@ -312,17 +327,17 @@ func (j *Job) CriticalPathLength() float64 {
 	return best
 }
 
-// Clone returns a deep copy of the job (stages and adjacency copied; the
-// Inflation function is shared).
+// Clone returns a new instance of the job: its own ID, Name, Arrival and
+// Inflation, and j's DAG — the same cap-clipped Stages slice and the same
+// LevelPlan, built here if j had none (so j must be acyclic, as Levels
+// requires). Both jobs are frozen afterwards (see the package doc): an
+// instance costs one small struct, and no instance ever rebuilds a level
+// plan.
 func (j *Job) Clone() *Job {
-	c := &Job{ID: j.ID, Name: j.Name, Arrival: j.Arrival, Inflation: j.Inflation}
-	c.Stages = make([]*Stage, len(j.Stages))
-	for i, s := range j.Stages {
-		ns := *s
-		ns.Parents = append([]int(nil), s.Parents...)
-		ns.Children = append([]int(nil), s.Children...)
-		c.Stages[i] = &ns
-	}
+	j.shared.Store(true)
+	c := &Job{ID: j.ID, Name: j.Name, Stages: j.Stages[:len(j.Stages):len(j.Stages)], Arrival: j.Arrival, Inflation: j.Inflation}
+	c.plan.Store(j.Levels())
+	c.shared.Store(true)
 	return c
 }
 

@@ -179,16 +179,47 @@ func TestTotalWorkAndTasks(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
+// TestCloneSharesDAG checks the instancing contract: a clone holds the
+// template's stages (cap-clipped, so an append cannot reach the template's
+// array) and level plan, keeps its own ID, Name and Arrival, and neither
+// the template nor any instance accepts another edge.
+func TestCloneSharesDAG(t *testing.T) {
 	j := diamond()
 	c := j.Clone()
-	c.Stages[0].NumTasks = 99
-	c.AddEdge(1, 2)
-	if j.Stages[0].NumTasks == 99 {
-		t.Fatal("clone shares stage structs")
+	cc := c.Clone()
+	for _, x := range []*Job{c, cc} {
+		if len(x.Stages) != len(j.Stages) || cap(x.Stages) != len(j.Stages) {
+			t.Fatalf("clone stages len %d cap %d, want %d cap-clipped", len(x.Stages), cap(x.Stages), len(j.Stages))
+		}
+		for i := range j.Stages {
+			if x.Stages[i] != j.Stages[i] {
+				t.Fatalf("clone stage %d is a copy, not the template's", i)
+			}
+		}
+		if x.Levels() != j.Levels() {
+			t.Fatal("clone rebuilt the level plan")
+		}
+	}
+	c.ID, c.Name, c.Arrival = 7, "instance", 3
+	if j.ID != 0 || j.Name != "diamond" || j.Arrival != 0 || cc.ID != 0 {
+		t.Fatal("per-instance fields are shared")
+	}
+	c.Stages = append(c.Stages, &Stage{ID: 4, NumTasks: 1})
+	if len(j.Stages) != 4 || len(cc.Stages) != 4 {
+		t.Fatal("an append to a clone's stages reached the template")
+	}
+	for name, x := range map[string]*Job{"template": j, "clone": c, "clone of a clone": cc} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("AddEdge on the %s did not panic", name)
+				}
+			}()
+			x.AddEdge(1, 2)
+		}()
 	}
 	if len(j.Stages[1].Children) != 1 {
-		t.Fatal("clone shares adjacency slices")
+		t.Fatal("a refused AddEdge changed the shared adjacency")
 	}
 	if err := j.Validate(); err != nil {
 		t.Fatal(err)
@@ -222,14 +253,14 @@ func TestSingleStageJob(t *testing.T) {
 // TestLevelsProperty checks the cached level plan against its definition:
 // level h lists exactly the stages of height h in ascending id, with their
 // children flattened in parent order and Seg pointing each child back at its
-// parent; the plan is built once per job, dropped by AddEdge, and never
-// shared with a clone.
+// parent; the plan is built once per job, dropped by AddEdge, and shared,
+// not rebuilt, by a clone.
 func TestLevelsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		j := Random(rng, 1+rng.Intn(30), 0.3)
 		p := j.Levels()
-		if j.Levels() != p || j.Clone().Levels() == p {
+		if j.Levels() != p {
 			return false
 		}
 		h := j.Heights()
@@ -263,7 +294,10 @@ func TestLevelsProperty(t *testing.T) {
 		// A new edge invalidates the plan.
 		j.Stages = append(j.Stages, &Stage{ID: len(j.Stages), NumTasks: 1})
 		j.AddEdge(0, len(j.Stages)-1)
-		return j.Levels() != p && len(j.Levels().Heights) == len(j.Stages)
+		if j.Levels() == p || len(j.Levels().Heights) != len(j.Stages) {
+			return false
+		}
+		return j.Clone().Levels() == j.Levels()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

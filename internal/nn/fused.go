@@ -24,13 +24,13 @@ func (l *Linear) ForwardInference(x *Tensor, act Activation, s *Scratch) *Tensor
 // added, then the activation applied: the arithmetic of MatMul, AddRow and
 // the tracked activation op, element for element. Eight output columns are
 // register-tiled per pass and finished (bias, activation) at the tile store,
-// so the output row is written once and never re-read.
+// so the output row is written once and never re-read; the columns past the
+// last tile go to linearTailF64.
 func linearRowsF64(out, a, w, bias []float64, n, k, m int, act Activation) {
 	for i := 0; i < n; i++ {
 		ar := a[i*k : (i+1)*k]
 		or := out[i*m : (i+1)*m]
-		j := 0
-		for ; j+8 <= m; j += 8 {
+		for j := 0; j+8 <= m; j += 8 {
 			var s0, s1, s2, s3, s4, s5, s6, s7 float64
 			for p, av := range ar {
 				wr := w[p*m+j : p*m+j+8 : p*m+j+8]
@@ -54,14 +54,55 @@ func linearRowsF64(out, a, w, bias []float64, n, k, m int, act Activation) {
 			t[4], t[5], t[6], t[7] = s4+br[4], s5+br[5], s6+br[6], s7+br[7]
 			activate(t, act)
 		}
-		for ; j < m; j++ {
+	}
+	if m&7 != 0 {
+		linearTailF64(out, a, w, bias, n, k, m, act)
+	}
+}
+
+// linearTailF64 computes linearRowsF64's columns [m&^7, m): all of a layer
+// narrower than eight, such as the 8→1 output layer of the Q, W and C heads.
+// One row per pass would leave a single dependent add chain per element;
+// four rows per pass run four independent chains on one load of w. Each
+// element still sums ascending p from +0, then adds the bias, then the
+// activation.
+func linearTailF64(out, a, w, bias []float64, n, k, m int, act Activation) {
+	j0 := m &^ 7
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		a0 := a[i*k : (i+1)*k]
+		a1 := a[(i+1)*k : (i+2)*k][:len(a0)]
+		a2 := a[(i+2)*k : (i+3)*k][:len(a0)]
+		a3 := a[(i+3)*k : (i+4)*k][:len(a0)]
+		for j := j0; j < m; j++ {
+			var s0, s1, s2, s3 float64
+			for p, av := range a0 {
+				wv := w[p*m+j]
+				s0 += av * wv
+				s1 += a1[p] * wv
+				s2 += a2[p] * wv
+				s3 += a3[p] * wv
+			}
+			bj := bias[j]
+			out[i*m+j], out[(i+1)*m+j], out[(i+2)*m+j], out[(i+3)*m+j] = s0+bj, s1+bj, s2+bj, s3+bj
+		}
+	}
+	for ; i < n; i++ {
+		ar := a[i*k : (i+1)*k]
+		for j := j0; j < m; j++ {
 			var s float64
 			for p, av := range ar {
 				s += av * w[p*m+j]
 			}
-			or[j] = s + bias[j]
+			out[i*m+j] = s + bias[j]
 		}
-		activate(or[m&^7:], act)
+	}
+	if j0 == 0 { // the whole output is tail
+		activate(out[:n*m], act)
+		return
+	}
+	for i := 0; i < n; i++ {
+		activate(out[i*m+j0:(i+1)*m], act)
 	}
 }
 

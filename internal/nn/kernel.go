@@ -102,8 +102,13 @@ func matmulDARows(agrad, g, b []float64, n, k, m int) {
 // elements share a loop, never the order one element accumulates in, so the
 // result is bit-identical to the scalar kernel. The zero-skip stays, per
 // a[i,p]: dA-side activations are often sparse (zero locality flags, ablated
-// duration features) and a skipped i contributes nothing either way.
+// duration features) and a skipped i contributes nothing either way. A
+// one-column G (the heads' 8→1 output layer) goes to matmulDBColumn.
 func matmulDBRows(bgrad, a, g []float64, n, k, m int) {
+	if m == 1 {
+		matmulDBColumn(bgrad, a, g, n, k)
+		return
+	}
 	for i0 := 0; i0 < n; i0 += kernelBlockRows {
 		i1 := min(i0+kernelBlockRows, n)
 		p := 0
@@ -156,6 +161,46 @@ func matmulDBRows(bgrad, a, g []float64, n, k, m int) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// matmulDBColumn is matmulDBRows for a one-column G: dB[p] += Σ_i a[i,p]·g[i],
+// ascending i per element, with the zero-skip. Four dB rows live in locals
+// per pass, so each chunk of rows runs four independent chains on one load
+// of g[i] and four adjacent a's, where the two-row tile ran two.
+func matmulDBColumn(bgrad, a, g []float64, n, k int) {
+	for i0 := 0; i0 < n; i0 += kernelBlockRows {
+		i1 := min(i0+kernelBlockRows, n)
+		p := 0
+		for ; p+4 <= k; p += 4 {
+			s0, s1, s2, s3 := bgrad[p], bgrad[p+1], bgrad[p+2], bgrad[p+3]
+			for i := i0; i < i1; i++ {
+				gv := g[i]
+				ar := a[i*k+p : i*k+p+4 : i*k+p+4]
+				if a0 := ar[0]; a0 != 0 {
+					s0 += a0 * gv
+				}
+				if a1 := ar[1]; a1 != 0 {
+					s1 += a1 * gv
+				}
+				if a2 := ar[2]; a2 != 0 {
+					s2 += a2 * gv
+				}
+				if a3 := ar[3]; a3 != 0 {
+					s3 += a3 * gv
+				}
+			}
+			bgrad[p], bgrad[p+1], bgrad[p+2], bgrad[p+3] = s0, s1, s2, s3
+		}
+		for ; p < k; p++ {
+			s := bgrad[p]
+			for i := i0; i < i1; i++ {
+				if av := a[i*k+p]; av != 0 {
+					s += av * g[i]
+				}
+			}
+			bgrad[p] = s
 		}
 	}
 }

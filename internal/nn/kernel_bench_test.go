@@ -52,9 +52,10 @@ func BenchmarkKernelMatMulF64(b *testing.B) {
 
 // BenchmarkKernelMatMulDB measures the dB = Aᵀ·G backward kernel alone, one
 // thread, at the replay row count and the layer shapes of the stack's
-// 24→32→16→1 and 8→32→16→8 networks (k×m is the weight's shape).
+// 24→32→16→1 and 8→32→16→8 networks and the heads' 8→1 output layer at
+// the replay row count (k×m is the weight's shape).
 func BenchmarkKernelMatMulDB(b *testing.B) {
-	for _, sh := range []struct{ n, k, m int }{{8192, 32, 16}, {8192, 24, 32}, {8192, 16, 8}, {8192, 16, 1}} {
+	for _, sh := range []struct{ n, k, m int }{{8192, 32, 16}, {8192, 24, 32}, {8192, 16, 8}, {8192, 16, 1}, {replayLayerRows, 8, 1}} {
 		b.Run(fmt.Sprintf("%dx%dx%d", sh.n, sh.k, sh.m), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(4))
 			a := randTensor(rng, sh.n, sh.k)
@@ -97,9 +98,10 @@ func BenchmarkKernelMLPInference(b *testing.B) {
 
 // replayLayerShapes are the (k, m) weight shapes of the replay's layers with
 // the default 16/8 hidden widths and D = 8: FNode/GNode/FGlob/GGlob/GJob
-// (8→16, 16→8, 8→8), FJob's first layer (14 = F + D → 16) and Q's first
-// layer (24 = 3D → 16). replayLayerRows is a stacked replay's row count.
-var replayLayerShapes = []struct{ k, m int }{{16, 8}, {8, 8}, {8, 16}, {14, 16}, {24, 16}}
+// (8→16, 16→8, 8→8), FJob's first layer (14 = F + D → 16), Q's first
+// layer (24 = 3D → 16) and the heads' one-column output layer (8→1).
+// replayLayerRows is a stacked replay's row count.
+var replayLayerShapes = []struct{ k, m int }{{16, 8}, {8, 8}, {8, 16}, {14, 16}, {24, 16}, {8, 1}}
 
 const replayLayerRows = 3000
 

@@ -117,6 +117,9 @@ func TestMatMulBlockedBitIdentical(t *testing.T) {
 		{2*kernelBlockRows + 1, 6, 9}, // even k, m = 8+1
 		{3 * kernelBlockRows, 9, 4},   // exact chunks, exact column tile
 		{kernelBlockRows - 1, 4, 1},   // a score head's single column
+		{2*kernelBlockRows + 3, 8, 1}, // the heads' 8→1 layer across chunks
+		{kernelBlockRows + 5, 6, 1},   // one column, k = 4+2
+		{7, 3, 1},                     // one column, k < 4
 	} {
 		for _, sparsity := range []float64{0, 0.5} {
 			a := withSparsity(randTensor(rng, sh.n, sh.k), rng, sparsity)
@@ -162,6 +165,35 @@ func TestFusedInferenceBlockedBitIdentical(t *testing.T) {
 		for i, v := range got.Data {
 			if v != want.Data[i] {
 				t.Fatalf("act=%d: fused[%d] = %v, want %v (not bitwise)", act, i, v, want.Data[i])
+			}
+		}
+	}
+}
+
+// TestLinearTailBitIdentical pins linearRowsF64's tail — the columns past the
+// last eight-wide tile, four rows per pass — to the scalar reference
+// (refMatMul, then the bias, then the activation op) for every remainder of
+// n mod 4, widths that are all tail (1, 3) or a tile plus a tail (9, 15),
+// and every activation.
+func TestLinearTailBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, act := range []Activation{ActLeakyReLU, ActTanh, ActSigmoid, ActIdentity} {
+		for _, n := range []int{1, 2, 3, 4, 41, 50, 203, 3000} {
+			for _, km := range [][2]int{{8, 1}, {16, 1}, {5, 3}, {8, 9}, {7, 15}} {
+				k, m := km[0], km[1]
+				a, w, bias := randTensor(rng, n, k), randTensor(rng, k, m), randTensor(rng, 1, m)
+				ref := refMatMul(a, w)
+				for i := range ref {
+					ref[i] += bias.Data[i%m]
+				}
+				want := refActivation(New(n, m, ref), act).Data
+				got := make([]float64, n*m)
+				linearRowsF64(got, a.Data, w.Data, bias.Data, n, k, m, act)
+				for i, v := range got {
+					if math.Float64bits(v) != math.Float64bits(want[i]) {
+						t.Fatalf("act=%d %dx%dx%d: [%d] = %v, want %v (not bitwise)", act, n, k, m, i, v, want[i])
+					}
+				}
 			}
 		}
 	}

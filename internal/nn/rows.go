@@ -44,7 +44,9 @@ func (m *MLP) ForwardRows(in ...Rows) *Tensor {
 // GatherRows' place in the order, holds no values, gets its slice of dx as
 // its gradient and scatter-adds it into the source in ascending row order,
 // as GatherRows' backward did. dx's slices are computed by matmulDARows into
-// zeroed scratch, so each is 0 + (G·Wᵀ), the chain's value.
+// zeroed scratch, so each is 0 + (G·Wᵀ), the chain's value, and only for the
+// blocks that take a gradient: the columns of a constant block are never
+// computed.
 func (l *Linear) forwardRows(in []Rows, act Activation) *Tensor {
 	n, k, m := in[0].rows(), 0, l.W.Cols
 	parents := make([]*Tensor, 0, len(in)+2)
@@ -89,19 +91,20 @@ func (l *Linear) forwardRows(in []Rows, act Activation) *Tensor {
 			}
 		}
 		if wantDX {
+			// Each block that takes a gradient gets its dx from its own
+			// rows of W. Every element sums over the same ascending j as
+			// over all k columns, so its bits do not change.
 			forRowChunks(n, k, func(lo, hi int, buf []float64) {
-				buf = buf[:(hi-lo)*k]
-				clear(buf)
-				matmulDARows(buf, g[lo*m:hi*m], w, hi-lo, k, m)
 				off := 0
 				for _, p := range dx {
 					kb := p.Cols
 					if p.requiresGrad {
-						for i := lo; i < hi; i++ {
-							dst := p.Grad[i*kb : (i+1)*kb]
-							for j, v := range buf[(i-lo)*k+off : (i-lo)*k+off+kb] {
-								dst[j] += v
-							}
+						part := buf[:(hi-lo)*kb]
+						clear(part)
+						matmulDARows(part, g[lo*m:hi*m], w[off*m:(off+kb)*m], hi-lo, kb, m)
+						dst := p.Grad[lo*kb : hi*kb]
+						for j, v := range part {
+							dst[j] += v
 						}
 					}
 					off += kb

@@ -281,3 +281,38 @@ func TestAddRowsInPlaceGradcheck(t *testing.T) {
 	// Scale's result is fresh storage whose backward reads no values.
 	checkGrads(t, func() *Tensor { return Sum(Square(AddRowsInPlace(Scale(e0, 1.5), idx, d))) }, e0, d)
 }
+
+// TestForwardRowsDXSkipsConstants checks dx on inputs whose constant blocks
+// sit first, between and last (FJob's feature block, W's limit column, C's
+// memory column): the gradient-taking blocks, each computed over its own
+// rows of W, equal the chain's bit for bit, and so do W's and b's.
+func TestForwardRowsDXSkipsConstants(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	net := NewMLP([]int{13, 8, 1}, ActLeakyReLU, rng)
+	for _, n := range rowsTestRows {
+		c0, c1, c2 := randTensor(rng, n, 2), randTensor(rng, n, 1), randTensor(rng, n, 3)
+		xd, yd, zd := randTensor(rng, n, 3).Data, randTensor(rng, n, 2).Data, randTensor(rng, n, 2).Data
+		wts := randTensor(rng, n, 1).Data
+		run := func(rows bool) (x, y, z *Tensor, m *MLP) {
+			m = cloneMLP(net)
+			x, y, z = leafOn(nil, n, 3, xd), leafOn(nil, n, 2, yd), leafOn(nil, n, 2, zd)
+			var out *Tensor
+			if rows {
+				out = m.ForwardRows(Rows{T: c0}, Rows{T: x}, Rows{T: c1}, Rows{T: y}, Rows{T: z}, Rows{T: c2})
+			} else {
+				out = m.Forward(ConcatCols(c0, x, c1, y, z, c2))
+			}
+			weightedSum(out, wts).Backward(1)
+			return x, y, z, m
+		}
+		wx, wy, wz, wm := run(false)
+		gx, gy, gz, gm := run(true)
+		what := fmt.Sprintf("n=%d", n)
+		bitsEqual(t, what+": dx", gx.Grad, wx.Grad)
+		bitsEqual(t, what+": dy", gy.Grad, wy.Grad)
+		bitsEqual(t, what+": dz", gz.Grad, wz.Grad)
+		for j, p := range wm.Params() {
+			bitsEqual(t, fmt.Sprintf("%s: param %d", what, j), gm.Params()[j].Grad, p.Grad)
+		}
+	}
+}

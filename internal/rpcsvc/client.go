@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net"
 	"net/rpc"
+	"slices"
 	"sync"
 	"time"
 
@@ -227,6 +228,10 @@ type shadowStage struct {
 type shadowJob struct {
 	executors, limit int
 	stages           []shadowStage
+	// pass is the Session.pass that last found the job in an observed
+	// state, and state the JobState it found there.
+	pass  uint64
+	state *sim.JobState
 }
 
 // Session is the client half of one scheduling session. It keeps a
@@ -240,6 +245,11 @@ type Session struct {
 	seq     uint64
 	total   int // last executor count the server acknowledged
 	shadow  map[int]*shadowJob
+	// pass numbers the walks of delta and commit over an observed state;
+	// a shadowJob stamped with the current pass is in that state. fresh
+	// holds the current delta's jobs that have no shadow yet.
+	pass  uint64
+	fresh []*sim.JobState
 
 	// Deadline, when positive, is attached to every Event as the server-side
 	// overload budget (EventRequest.Deadline). Zero sends the pre-overload
@@ -288,15 +298,17 @@ func (s *Session) delta(st *sim.State) *EventRequest {
 		// Executor-pool delta (churn, late arrivals); 0 means unchanged.
 		req.TotalExecutors = st.TotalExecutors
 	}
-	jobIdx := make(map[*sim.JobState]int, len(st.Jobs))
+	s.pass++
+	s.fresh = s.fresh[:0]
 	for i, j := range st.Jobs {
-		jobIdx[j] = i
 		req.Order[i] = j.Job.ID
 		sh := s.shadow[j.Job.ID]
 		if sh == nil {
+			s.fresh = append(s.fresh, j)
 			req.NewJobs = append(req.NewJobs, jobInfo(j))
 			continue
 		}
+		sh.pass, sh.state = s.pass, j
 		d := JobDelta{ID: j.Job.ID, Executors: j.Executors, Limit: j.Limit}
 		changed := sh.executors != j.Executors || sh.limit != j.Limit
 		for si, stg := range j.Stages {
@@ -316,35 +328,44 @@ func (s *Session) delta(st *sim.State) *EventRequest {
 	}
 	for _, e := range st.FreeExecutors {
 		local := -1
-		if e.BoundTo != nil {
-			if _, ok := jobIdx[e.BoundTo]; ok {
-				local = e.BoundTo.Job.ID
-			}
+		if e.BoundTo != nil && s.observed(e.BoundTo) {
+			local = e.BoundTo.Job.ID
 		}
 		req.FreeExecutors = append(req.FreeExecutors, ExecutorInfo{ID: e.ID, Class: e.Class, Mem: e.Mem, LocalJob: local})
 	}
+	clear(s.fresh)
 	return req
+}
+
+// observed reports whether j is one of the jobs of the state the current
+// delta walks: a shadowed job stamped in this pass with that very JobState,
+// or one of the few new jobs.
+func (s *Session) observed(j *sim.JobState) bool {
+	if sh := s.shadow[j.Job.ID]; sh != nil && sh.pass == s.pass && sh.state == j {
+		return true
+	}
+	return slices.Contains(s.fresh, j)
 }
 
 // commit advances the shadow to st after the server acknowledged seq.
 func (s *Session) commit(st *sim.State, seq uint64) {
 	s.seq = seq
 	s.total = st.TotalExecutors
-	live := make(map[int]bool, len(st.Jobs))
+	s.pass++
 	for _, j := range st.Jobs {
-		live[j.Job.ID] = true
 		sh := s.shadow[j.Job.ID]
 		if sh == nil {
 			sh = &shadowJob{stages: make([]shadowStage, len(j.Stages))}
 			s.shadow[j.Job.ID] = sh
 		}
+		sh.pass, sh.state = s.pass, j
 		sh.executors, sh.limit = j.Executors, j.Limit
 		for si, stg := range j.Stages {
 			sh.stages[si] = shadowStage{stg.TasksLaunched, stg.TasksDone, stg.ParentsDone, stg.Running}
 		}
 	}
-	for id := range s.shadow {
-		if !live[id] {
+	for id, sh := range s.shadow {
+		if sh.pass != s.pass {
 			delete(s.shadow, id)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -117,5 +118,36 @@ func TestClientConcurrentCallersAndRedial(t *testing.T) {
 	cli.mu.Unlock()
 	if idle > callers+1 || open != idle {
 		t.Fatalf("after the storm: %d idle, %d open connections; want at most %d idle and none outside the free list", idle, open, callers+1)
+	}
+}
+
+// TestDeltaCommitAllocs bounds the session client's per-event garbage in
+// steady state, where one job changes per event (session-stream's regime):
+// delta and commit allocate the request, its Order, Deltas, stage-delta and
+// FreeExecutors slices, and nothing per job — no index maps.
+func TestDeltaCommitAllocs(t *testing.T) {
+	jobs := workload.Batch(rand.New(rand.NewSource(7)), 20)
+	fifo := sched.NewFIFO()
+	allocs := -1.0
+	probe := sim.SchedulerFunc(func(st *sim.State) *sim.Action {
+		if allocs < 0 && st.Time > 0 && len(st.Jobs) > 10 && len(st.FreeExecutors) > 0 {
+			s := &Session{total: st.TotalExecutors, shadow: make(map[int]*shadowJob)}
+			s.commit(st, s.delta(st).Seq)
+			stg := st.Jobs[3].Stages[0]
+			running := stg.Running
+			allocs = testing.AllocsPerRun(100, func() {
+				stg.Running ^= 1
+				s.commit(st, s.delta(st).Seq)
+			})
+			stg.Running = running
+		}
+		return fifo.Schedule(st)
+	})
+	sim.New(sim.SparkDefaults(10), jobs, probe, rand.New(rand.NewSource(8))).Run()
+	if allocs < 0 {
+		t.Fatal("no steady-state event to measure")
+	}
+	if allocs > 5 {
+		t.Fatalf("delta+commit make %.1f allocations per event, want ≤ 5", allocs)
 	}
 }

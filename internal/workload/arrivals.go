@@ -37,7 +37,7 @@ func Poisson(rng *rand.Rand, n int, meanIAT float64) []*dag.Job {
 }
 
 // WithArrivals stamps sequential IDs and the given arrival times onto clones
-// of the jobs, returning them sorted by arrival.
+// of the jobs (sharing their DAGs), returning them sorted by arrival.
 func WithArrivals(jobs []*dag.Job, arrivals []float64) []*dag.Job {
 	if len(jobs) != len(arrivals) {
 		panic("workload: arrivals length mismatch")
@@ -56,9 +56,11 @@ func WithArrivals(jobs []*dag.Job, arrivals []float64) []*dag.Job {
 	return out
 }
 
-// CloneAll deep-copies a job sequence so several simulations can consume the
+// CloneAll instances a job sequence so several simulations can consume the
 // same arrival sequence independently (the input-dependent baseline of §5.3
-// replays one sequence across many episodes).
+// replays one sequence across many episodes). A simulation keeps its
+// runtime state outside the dag.Job, so the clones share their DAGs and
+// each costs one small struct.
 func CloneAll(jobs []*dag.Job) []*dag.Job {
 	out := make([]*dag.Job, len(jobs))
 	for i, j := range jobs {

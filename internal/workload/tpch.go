@@ -11,7 +11,9 @@
 //
 // A (query, size) pair fixes a job completely, so each of the 22 × 6
 // templates is built once, on first use, and every instance TPCHJob hands
-// out is a Clone of it. A template draws only from its own seeded sources,
+// out is a Clone of it: its own ID, arrival and name on the template's
+// shared, read-only stages and level plan (see package dag). A template
+// draws only from its own seeded sources,
 // and the arrival generators draw from the caller's rng exactly what a
 // fresh build per job would: a seed generates the same jobs, bit for bit,
 // whichever templates were built before (TestGeneratedWorkloadGolden).
@@ -169,7 +171,8 @@ func inflation(q int, sizeGB float64) func(int) float64 {
 // TPCHJob instantiates query q (1-based, 1..22) at the given input size.
 // The job's stages, work split and memory requests are deterministic per
 // (q, size), so an instance is a Clone of that pair's template, built once
-// on first use; the caller assigns ID and arrival time. A size outside
+// on first use: it shares the template's stages and level plan, which are
+// read-only, and the caller assigns ID and arrival time. A size outside
 // Sizes is built afresh, uncached.
 func TPCHJob(q int, sizeGB float64) *dag.Job {
 	if q < 1 || q > NumQueries {
@@ -184,7 +187,7 @@ func TPCHJob(q int, sizeGB float64) *dag.Job {
 }
 
 // templates holds each (query, size) job, built on first use. Templates are
-// never handed out or mutated; callers get clones.
+// never handed out; callers get clones that share their DAG.
 var templates [NumQueries][len(Sizes)]templateSlot
 
 type templateSlot struct {

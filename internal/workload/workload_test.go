@@ -153,14 +153,45 @@ func TestIATForLoad(t *testing.T) {
 	}
 }
 
-func TestCloneAllIndependent(t *testing.T) {
+// sharesDAG reports whether c is an instance of j: the same Stage pointers,
+// cap-clipped, and the same level plan.
+func sharesDAG(c, j *dag.Job) bool {
+	if c == j || len(c.Stages) != len(j.Stages) || cap(c.Stages) != len(c.Stages) || c.Levels() != j.Levels() {
+		return false
+	}
+	for i := range j.Stages {
+		if c.Stages[i] != j.Stages[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// mustPanic fails t unless f panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+func TestCloneAllSharesDAG(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	jobs := Batch(rng, 3)
 	clones := CloneAll(jobs)
-	clones[0].Stages[0].NumTasks = 9999
-	if jobs[0].Stages[0].NumTasks == 9999 {
-		t.Fatal("CloneAll shares stages")
+	for i, c := range clones {
+		if !sharesDAG(c, jobs[i]) {
+			t.Fatalf("clone %d does not share its job's DAG", i)
+		}
 	}
+	clones[0].ID, clones[0].Arrival = 99, 5
+	if jobs[0].ID != 0 || jobs[0].Arrival != 0 {
+		t.Fatal("CloneAll shares per-instance fields")
+	}
+	mustPanic(t, "AddEdge on a clone", func() { clones[1].AddEdge(0, 1) })
 }
 
 func TestWithArrivalsSorts(t *testing.T) {
@@ -267,39 +298,35 @@ func TestSampleTPCHRange(t *testing.T) {
 // jobDigest hashes every field of one job (see golden_test.go).
 func jobDigest(j *dag.Job) uint64 { return digestJobs([]*dag.Job{j}) }
 
-// TestTPCHJobInstancesIndependent checks that instances are copies, never
-// the template. Mutating every part of a returned job must leave the next
-// instance of the same (query, size) equal to a fresh uncached build; and
-// eight goroutines building the table from scratch through Batch, Poisson
-// and TPCHJob at once (the race detector watches under `make race`) must
-// each generate what a serial run does.
-func TestTPCHJobInstancesIndependent(t *testing.T) {
+// TestTPCHJobInstancesShareTemplate checks that an instance is its
+// template's DAG under its own identity: it hashes like a fresh uncached
+// build, its stages and level plan are the template's, its ID and arrival
+// are its own, and it refuses AddEdge. And eight goroutines building the
+// table from scratch through Batch, Poisson and TPCHJob at once (the race
+// detector watches under `make race`) must each generate what a serial run
+// does.
+func TestTPCHJobInstancesShareTemplate(t *testing.T) {
 	for _, c := range []struct {
 		q    int
 		size float64
-	}{{9, 100}, {2, 2}, {21, 50}} {
+		i    int
+	}{{9, 100, 5}, {2, 2, 0}, {21, 50, 4}} {
 		want := jobDigest(buildTPCHJob(c.q, c.size))
-		j := TPCHJob(c.q, c.size)
-		if got := jobDigest(j); got != want {
-			t.Fatalf("q%d@%v: instance differs from a fresh build before any mutation", c.q, c.size)
+		a, b := TPCHJob(c.q, c.size), TPCHJob(c.q, c.size)
+		if jobDigest(a) != want || jobDigest(b) != want {
+			t.Fatalf("q%d@%v: instance differs from a fresh build", c.q, c.size)
 		}
-		j.Name = "mutated"
-		for _, s := range j.Stages {
-			s.NumTasks *= 3
-			s.TaskDuration = -1
-			s.ShuffleMB, s.MemReq, s.CPUReq = 7, 7, 7
-			s.Name = "x"
-			s.Parents = append(s.Parents, 99)
-			s.Children = append(s.Children, 98)
-			if len(s.Parents) > 1 {
-				s.Parents[0] = 97
-			}
+		tmpl := tpchTemplate(c.q, c.i)
+		if !sharesDAG(a, tmpl) || !sharesDAG(b, tmpl) {
+			t.Fatalf("q%d@%v: instance does not share its template's stages and plan", c.q, c.size)
 		}
-		j.AddEdge(0, len(j.Stages)-1)
-		j.Inflation = func(int) float64 { return 42 }
-		j.Stages[0] = &dag.Stage{}
-		if got := jobDigest(TPCHJob(c.q, c.size)); got != want {
-			t.Fatalf("q%d@%v: mutating an instance changed the next one", c.q, c.size)
+		a.ID, a.Arrival = 7, 11
+		if b.ID != 0 || b.Arrival != 0 || tmpl.ID != 0 || tmpl.Arrival != 0 {
+			t.Fatalf("q%d@%v: instances share ID or arrival", c.q, c.size)
+		}
+		mustPanic(t, "AddEdge on an instance", func() { a.AddEdge(0, len(a.Stages)-1) })
+		if jobDigest(TPCHJob(c.q, c.size)) != want {
+			t.Fatalf("q%d@%v: a refused AddEdge changed the template", c.q, c.size)
 		}
 	}
 
@@ -333,13 +360,17 @@ func TestTPCHJobInstancesIndependent(t *testing.T) {
 	}
 }
 
-// TestBatchAllocs bounds what one generated job costs: a copy of its
-// template (the job, its stage slice, each stage and its adjacency lists),
-// not a rebuild from seeded rng sources.
+// TestBatchAllocs bounds what one generated job costs: its Job struct and
+// its share of the result slice, never a copy of its template's stages or a
+// rebuild from seeded rng sources.
 func TestBatchAllocs(t *testing.T) {
+	for q := 1; q <= NumQueries; q++ {
+		for i := range Sizes {
+			tpchTemplate(q, i) // build every template first
+		}
+	}
 	rng := rand.New(rand.NewSource(1))
-	Batch(rng, 20) // build the templates first
-	if n := testing.AllocsPerRun(20, func() { Batch(rng, 20) }) / 20; n > 25 {
-		t.Fatalf("Batch makes %.1f allocations per job, want ≤ 25", n)
+	if n := testing.AllocsPerRun(20, func() { Batch(rng, 20) }) / 20; n > 2 {
+		t.Fatalf("Batch makes %.2f allocations per job, want ≤ 2", n)
 	}
 }
