@@ -104,10 +104,12 @@ bench-robustness:
 # (serve, restart, chaos, fleet, online), stopping at the first failure. The
 # serve scenario's schedule is the reference that restart (server SIGKILLed
 # mid-session), chaos (overload plus injected transport faults) and fleet
-# (replica SIGKILLed and drained) must reproduce; see cmd/decima-smoke.
+# (replica SIGKILLed and drained) must reproduce; online serves a model a
+# decima-train process published, found next to -bin; see cmd/decima-smoke.
 smoke:
 	$(GO) build -o bin/decima-server ./cmd/decima-server
 	$(GO) build -o bin/decima-fleet ./cmd/decima-fleet
+	$(GO) build -o bin/decima-train ./cmd/decima-train
 	$(GO) run ./cmd/decima-smoke -bin bin/decima-server -fleet-bin bin/decima-fleet
 
 fmt:

@@ -19,16 +19,17 @@
 // the replica's sessions away), and the process exits once its sessions are
 // gone or -drain-timeout elapses. SIGINT still shuts down immediately.
 //
-// With `-registry` the `-model` flag names a registry checkpoint
-// (`name` or `name@version`, see docs/ONLINE.md) instead of a weights file,
-// and `-online` closes the training loop in-process: sessions opened with
-// recording stream their finished trajectories to a background trainer,
-// which periodically publishes a new registry version and hot-swaps it in —
-// every live session adopts it at its next decision, and none is dropped.
+// `-model` names a checkpoint in the model registry under `-registry`
+// (`name` or `name@version`, see docs/ONLINE.md), such as the one
+// decima-train publishes, and `-online` closes the training loop
+// in-process: sessions opened with recording stream their finished
+// trajectories to a background trainer, which periodically publishes a new
+// registry version and hot-swaps it in — every live session adopts it at
+// its next decision, and none is dropped.
 //
 // Example:
 //
-//	decima-server -addr 127.0.0.1:7764 -executors 25 -model model.gob
+//	decima-server -addr 127.0.0.1:7764 -executors 25 -model decima
 //	decima-server -scheduler fifo
 //	decima-server -replica-id r1 -http 127.0.0.1:9101
 //	decima-server -registry /var/lib/decima -model prod@3
@@ -62,9 +63,9 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:7764", "listen address")
 		schedName    = flag.String("scheduler", "decima", "default policy served to sessions that do not name one ("+strings.Join(scheduler.Names(), "|")+")")
 		executors    = flag.Int("executors", 25, "executor count the decima model was built for")
-		model        = flag.String("model", "", "optional trained decima model: a weights file, or a registry ref (name or name@version) when -registry is set")
-		regDir       = flag.String("registry", "", "model registry directory; makes -model a registry ref and enables -online")
-		onlineFlag   = flag.Bool("online", false, "learn online from recorded session traffic and hot-swap published versions live (requires -registry)")
+		model        = flag.String("model", "", "optional trained decima model: a registry ref (name or name@version) in -registry")
+		regDir       = flag.String("registry", "models", "model registry directory -model loads from and -online publishes to")
+		onlineFlag   = flag.Bool("online", false, "learn online from recorded session traffic and hot-swap published versions live")
 		onlineName   = flag.String("online-name", "online", "registry model name -online publishes under")
 		publishEvery = flag.Int("online-publish-every", 8, "publish and hot-swap after this many trained episodes")
 		sampled      = flag.Bool("sampled", false, "sample actions instead of greedy argmax")
@@ -88,14 +89,13 @@ func main() {
 	base := core.New(core.DefaultConfig(*executors), rand.New(rand.NewSource(*seed)))
 	var reg *registry.Registry
 	modelName, modelVersion := "", 0
-	if *regDir != "" {
+	if *model != "" || *onlineFlag {
 		var err error
 		if reg, err = registry.Open(*regDir); err != nil {
 			log.Fatalf("open registry: %v", err)
 		}
 	}
-	switch {
-	case *model != "" && reg != nil:
+	if *model != "" {
 		ref, err := registry.ParseRef(*model)
 		if err != nil {
 			log.Fatalf("parse model ref: %v", err)
@@ -108,13 +108,6 @@ func main() {
 			log.Fatalf("install model %q: %v", *model, err)
 		}
 		modelName, modelVersion = ck.Name, ck.Version
-	case *model != "":
-		if err := base.Load(*model); err != nil {
-			log.Fatalf("load model: %v", err)
-		}
-	}
-	if *onlineFlag && reg == nil {
-		log.Fatal("-online requires -registry")
 	}
 	if *publishEvery < 1 {
 		log.Fatalf("-online-publish-every must be at least 1, got %d", *publishEvery)

@@ -18,18 +18,21 @@
 //     spawned replicas, SIGKILLing the session's replica at one third of the
 //     run and draining its next host at two thirds; the router's /metrics
 //     must show both migrations with one TYPE line per metric name.
-//   - online: recorded sessions against a server with a temporary model
-//     registry and the online trainer on, until its /metrics shows a
-//     hot-swapped model version; /healthz and the registry on disk must
-//     agree on it.
+//   - online: a decima-train process publishes a one-iteration model into
+//     a temporary registry; a server started with -model on it must report
+//     it on /healthz before any traffic, and then, with the online trainer
+//     on, recorded sessions must drive /metrics to a hot-swapped higher
+//     version that /healthz and the registry on disk agree on.
 //
 // Schedules are compared whole: every completed job's ID and completion time.
 // A failure, the 2-minute deadline and an interrupt all end in fail, which
 // kills every process the run started, a router's spawned replicas
-// included, before it exits.
+// included, before it exits. The decima-train binary is taken from the
+// directory of -bin.
 //
 //	go build -o bin/decima-server ./cmd/decima-server
 //	go build -o bin/decima-fleet ./cmd/decima-fleet
+//	go build -o bin/decima-train ./cmd/decima-train
 //	go run ./cmd/decima-smoke -bin bin/decima-server -fleet-bin bin/decima-fleet
 package main
 
@@ -46,6 +49,7 @@ import (
 	"os"
 	"os/exec"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
@@ -68,7 +72,7 @@ const (
 )
 
 var (
-	serverBin = flag.String("bin", "bin/decima-server", "path to the decima-server binary")
+	serverBin = flag.String("bin", "bin/decima-server", "path to the decima-server binary (decima-train is taken from the same directory)")
 	fleetBin  = flag.String("fleet-bin", "bin/decima-fleet", "path to the decima-fleet binary")
 )
 
@@ -426,18 +430,27 @@ func fleet() string {
 		killed, killAt, drained, drainAt, errs)
 }
 
-// online drives recorded sessions against an -online server with a
-// temporary registry until the trainer has published a version and
-// hot-swapped the live sessions onto it.
+// online seeds a temporary registry with a decima-train run, serves that
+// model from an -online server, and drives recorded sessions until the
+// trainer has published a newer version and hot-swapped the live sessions
+// onto it.
 func online() string {
 	regDir, err := os.MkdirTemp("", "decima-smoke-registry-")
 	if err != nil {
 		fail("registry tempdir: %v", err)
 	}
 	defer os.RemoveAll(regDir)
+	train, _ := start("train", filepath.Join(filepath.Dir(*serverBin), "decima-train"), []string{"published "},
+		"-iters", "1", "-executors", fmt.Sprint(executors), "-registry", regDir, "-publish", "online")
+	if err := train.Wait(); err != nil {
+		fail("decima-train: %v", err)
+	}
 	cmd, addrs := startServer(loopback, []string{"ops http on "},
-		"-registry", regDir, "-online", "-online-publish-every", "2", "-http", loopback)
+		"-registry", regDir, "-model", "online", "-online", "-online-publish-every", "2", "-http", loopback)
 	ops := addrs[1]
+	if v := servedVersion(ops); v != 1 {
+		fail("/healthz serves online@%d before any traffic, want online@1", v)
+	}
 	cli := dial(addrs[0], nil)
 	defer cli.Close()
 
@@ -456,7 +469,7 @@ func online() string {
 				if rec, ok := promValue(page, "decima_recording_opens_total"); !ok || rec < 1 {
 					fail("swap happened but decima_recording_opens_total=%g: recording was never on", rec)
 				}
-				if mv, ok := promValue(page, "decima_model_version"); !ok || mv < 1 {
+				if mv, ok := promValue(page, "decima_model_version"); !ok || mv < 2 {
 					fail("swap happened but decima_model_version=%g", mv)
 				}
 				break
@@ -469,20 +482,30 @@ func online() string {
 		fail("no hot-swap after %d recorded sessions:\n%s", maxRounds, get(ops, "/metrics"))
 	}
 
+	ver := servedVersion(ops)
+	if ver < 2 {
+		fail("/healthz serves online@%d after the swap, want a version above the trained online@1", ver)
+	}
+	if _, err := os.Stat(filepath.Join(regDir, "online", fmt.Sprintf("v%d.ckpt", ver))); err != nil {
+		fail("served checkpoint missing: %v", err)
+	}
+	stop(cmd, os.Interrupt)
+	return fmt.Sprintf("served decima-train's online@1, then recorded traffic trained, published and hot-swapped online@%d live", ver)
+}
+
+// servedVersion returns the version of the online model /healthz reports.
+func servedVersion(ops string) int {
 	var hs struct {
 		Model string `json:"model"`
 	}
 	if err := json.Unmarshal(get(ops, "/healthz"), &hs); err != nil {
 		fail("parse /healthz: %v", err)
 	}
-	if !strings.HasPrefix(hs.Model, "online@") {
+	var ver int
+	if _, err := fmt.Sscanf(hs.Model, "online@%d", &ver); err != nil {
 		fail("/healthz model %q: want online@<version>", hs.Model)
 	}
-	if _, err := os.Stat(regDir + "/online/v1.ckpt"); err != nil {
-		fail("published checkpoint missing: %v", err)
-	}
-	stop(cmd, os.Interrupt)
-	return fmt.Sprintf("recorded traffic trained, published and hot-swapped %s live", hs.Model)
+	return ver
 }
 
 // promValue extracts the value of the first sample whose series name (with

@@ -1,10 +1,11 @@
 // Command decima-train trains a Decima scheduling agent in the cluster
-// simulator and writes the model (and optionally a learning-curve CSV) to
-// disk.
+// simulator, publishes the model as the next version of a registry
+// checkpoint (internal/registry; docs/ONLINE.md) and optionally writes a
+// learning-curve CSV. decima-server -model serves it by name.
 //
 // Examples:
 //
-//	decima-train -executors 25 -iters 500 -out model.gob
+//	decima-train -executors 25 -iters 500
 //	decima-train -workload trace -objective makespan -curve curve.csv
 //	decima-train -iters 200 -eval-against fifo,fair,opt-wfair
 //	decima-train -iters 200 -registry /var/lib/decima -publish prod
@@ -41,14 +42,19 @@ func main() {
 		workers   = flag.Int("workers", 0, "rollout workers (0 = one per CPU); results are identical for any value")
 		lr        = flag.Float64("lr", 3e-3, "Adam learning rate")
 		seed      = flag.Int64("seed", 1, "random seed")
-		out       = flag.String("out", "decima-model.gob", "model output path")
 		curve     = flag.String("curve", "", "optional learning-curve CSV output path")
 		logEvery  = flag.Int("log-every", 10, "print stats every N iterations")
 		evalVs    = flag.String("eval-against", "", "after training, evaluate the model head-to-head against these comma-separated registry schedulers on held-out sequences")
-		regDir    = flag.String("registry", "", "model registry directory; with -publish the trained model is published there as a new version")
-		publish   = flag.String("publish", "", "registry model name to publish the trained model under (requires -registry)")
+		regDir    = flag.String("registry", "models", "model registry directory the trained model is published to")
+		publish   = flag.String("publish", "decima", "registry model name the trained model is published under as its next version")
 	)
 	flag.Parse()
+
+	// Opened before training, so a bad directory fails before the run.
+	reg, err := registry.Open(*regDir)
+	if err != nil {
+		log.Fatalf("open registry: %v", err)
+	}
 
 	acfg := core.DefaultConfig(*executors)
 	agent := core.New(acfg, rand.New(rand.NewSource(*seed)))
@@ -106,26 +112,12 @@ func main() {
 		}
 	})
 
-	if err := agent.Save(*out); err != nil {
-		log.Fatalf("save model: %v", err)
+	note := fmt.Sprintf("decima-train: %d iters, workload %s, seed %d", *iters, *wl, *seed)
+	ver, err := reg.Publish(*publish, agent.Params(), note)
+	if err != nil {
+		log.Fatalf("publish model: %v", err)
 	}
-	fmt.Printf("model written to %s\n", *out)
-
-	if *publish != "" {
-		if *regDir == "" {
-			log.Fatal("-publish requires -registry")
-		}
-		reg, err := registry.Open(*regDir)
-		if err != nil {
-			log.Fatalf("open registry: %v", err)
-		}
-		note := fmt.Sprintf("decima-train: %d iters, workload %s, seed %d", *iters, *wl, *seed)
-		ver, err := reg.Publish(*publish, agent.Params(), note)
-		if err != nil {
-			log.Fatalf("publish model: %v", err)
-		}
-		fmt.Printf("published %s@%d to %s\n", *publish, ver, *regDir)
-	}
+	fmt.Printf("published %s@%d to %s\n", *publish, ver, *regDir)
 
 	if *evalVs != "" {
 		// Held-out evaluation sequences (not seen during training).

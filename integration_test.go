@@ -5,12 +5,12 @@ package repro
 
 import (
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dag"
 	"repro/internal/metrics"
+	"repro/internal/registry"
 	"repro/internal/rl"
 	"repro/internal/rpcsvc"
 	"repro/internal/scheduler"
@@ -18,9 +18,10 @@ import (
 	"repro/internal/workload"
 )
 
-// TestEndToEndTrainSaveServeSchedule trains an agent briefly, saves it,
-// loads it into a fresh agent behind the RPC service, and drives a
-// simulation over TCP — the full §6 deployment path.
+// TestEndToEndTrainSaveServeSchedule trains an agent briefly, publishes it
+// to a model registry, loads the checkpoint into a fresh agent behind the
+// RPC service, and drives a simulation over TCP — the full §6 deployment
+// path.
 func TestEndToEndTrainSaveServeSchedule(t *testing.T) {
 	const executors = 6
 	simCfg := sim.SparkDefaults(executors)
@@ -32,13 +33,19 @@ func TestEndToEndTrainSaveServeSchedule(t *testing.T) {
 	cfg.InitialHorizon = 200
 	rl.NewTrainer(agent, cfg, rand.New(rand.NewSource(2))).Train(5, src, simCfg, nil)
 
-	path := filepath.Join(t.TempDir(), "model.gob")
-	if err := agent.Save(path); err != nil {
+	reg, err := registry.Open(t.TempDir())
+	if err != nil {
 		t.Fatal(err)
 	}
-
+	if _, err := reg.Publish("e2e", agent.Params(), "integration test"); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := reg.Load(registry.Ref{Name: "e2e"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	served := core.New(core.DefaultConfig(executors), rand.New(rand.NewSource(3)))
-	if err := served.Load(path); err != nil {
+	if err := ck.LoadInto(served.Params()); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := rpcsvc.ListenAndServeSessions("127.0.0.1:0", rpcsvc.SessionConfig{

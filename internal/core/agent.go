@@ -241,12 +241,6 @@ func (a *Agent) RNG() *rand.Rand { return a.rng }
 // reproducible regardless of how episodes are spread over workers.
 func (a *Agent) SetRNG(rng *rand.Rand) { a.rng = rng }
 
-// Save writes the agent's parameters to a file.
-func (a *Agent) Save(path string) error { return nn.SaveParamsFile(path, a.Params()) }
-
-// Load reads parameters written by Save.
-func (a *Agent) Load(path string) error { return nn.LoadParamsFile(path, a.Params()) }
-
 // featureKeyInputs returns the only cluster-wide (non-job-local) inputs of a
 // job's feature matrix: the free-executor count, the total pool size, and
 // the locality flag. Everything else fillFeatures reads is job-local state

@@ -3,10 +3,10 @@ package core
 import (
 	"math"
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/nn"
+	"repro/internal/registry"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -144,15 +144,25 @@ func TestAblationVariantsRun(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "model.gob")
+// TestCheckpointRoundTrip publishes an agent to a registry and loads the
+// checkpoint into fresh agents: the same architecture gets bit-identical
+// parameters, and only a real architecture change is refused.
+func TestCheckpointRoundTrip(t *testing.T) {
+	reg, err := registry.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	a := New(DefaultConfig(8), rand.New(rand.NewSource(12)))
-	if err := a.Save(path); err != nil {
+	ver, err := reg.Publish("m", a.Params(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := reg.Load(registry.Ref{Name: "m", Version: ver})
+	if err != nil {
 		t.Fatal(err)
 	}
 	b := New(DefaultConfig(8), rand.New(rand.NewSource(99)))
-	if err := b.Load(path); err != nil {
+	if err := ck.LoadInto(b.Params()); err != nil {
 		t.Fatal(err)
 	}
 	ap, bp := a.Params(), b.Params()
@@ -167,7 +177,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	// point of the limit-as-input design (§5.2): one score function serves
 	// every limit value.
 	c := New(DefaultConfig(16), rand.New(rand.NewSource(13)))
-	if err := c.Load(path); err != nil {
+	if err := ck.LoadInto(c.Params()); err != nil {
 		t.Fatalf("limit-count change broke parameter shapes: %v", err)
 	}
 	// A different embedding width is a real architecture change and must
@@ -175,7 +185,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	cfg := DefaultConfig(8)
 	cfg.EmbedDim = 16
 	d := New(cfg, rand.New(rand.NewSource(14)))
-	if err := d.Load(path); err == nil {
+	if err := ck.LoadInto(d.Params()); err == nil {
 		t.Fatal("load into mismatched architecture succeeded")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 )
 
 // snapshot is the on-disk representation of a parameter set.
@@ -46,27 +45,4 @@ func LoadParams(r io.Reader, params []*Tensor) error {
 		copy(p.Data, s.Data[i])
 	}
 	return nil
-}
-
-// SaveParamsFile writes parameters to the named file.
-func SaveParamsFile(path string, params []*Tensor) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := SaveParams(f, params); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadParamsFile reads parameters from the named file.
-func LoadParamsFile(path string, params []*Tensor) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return LoadParams(f, params)
 }

@@ -241,7 +241,9 @@ func ResponseFromAction(act *sim.Action) *ScheduleResponse {
 	}
 }
 
-// ActionFromResponse resolves a wire response against the local state.
+// ActionFromResponse resolves a wire response against the local state. It
+// accepts only a stage that is Runnable there: the simulator launches the
+// tasks of whatever stage it is handed, parents done or not.
 func ActionFromResponse(resp *ScheduleResponse, s *sim.State) (*sim.Action, error) {
 	if !resp.HasAction {
 		return nil, nil
@@ -253,7 +255,11 @@ func ActionFromResponse(resp *ScheduleResponse, s *sim.State) (*sim.Action, erro
 		if resp.StageID < 0 || resp.StageID >= len(j.Stages) {
 			return nil, fmt.Errorf("rpcsvc: stage %d out of range for job %d", resp.StageID, resp.JobID)
 		}
-		return &sim.Action{Stage: j.Stages[resp.StageID], Limit: resp.Limit, Class: resp.Class}, nil
+		st := j.Stages[resp.StageID]
+		if !st.Runnable() {
+			return nil, fmt.Errorf("rpcsvc: stage %d of job %d is not runnable", resp.StageID, resp.JobID)
+		}
+		return &sim.Action{Stage: st, Limit: resp.Limit, Class: resp.Class}, nil
 	}
 	return nil, fmt.Errorf("rpcsvc: job %d not in state", resp.JobID)
 }

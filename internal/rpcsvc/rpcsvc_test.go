@@ -141,13 +141,29 @@ func jobInState(s *sim.State, j *sim.JobState) bool {
 }
 
 func TestActionFromResponseErrors(t *testing.T) {
-	js := jobStateFromInfo(&JobInfo{ID: 7, Stages: []StageInfo{{ID: 0, NumTasks: 1, TaskDuration: 1, CPUReq: 1}}})
-	st := &sim.State{TotalExecutors: 2, Jobs: []*sim.JobState{js}}
-	if _, err := ActionFromResponse(&ScheduleResponse{HasAction: true, JobID: 999, StageID: 0}, st); err == nil {
-		t.Fatal("unknown job accepted")
+	// Job 7 is a chain 0 → 1 whose root has launched one of its two tasks;
+	// job 8's single stage has launched its only task.
+	js := jobStateFromInfo(&JobInfo{ID: 7, Stages: []StageInfo{
+		{ID: 0, NumTasks: 2, TaskDuration: 1, CPUReq: 1, Children: []int{1}, TasksLaunched: 1, Running: 1},
+		{ID: 1, NumTasks: 1, TaskDuration: 1, CPUReq: 1, Parents: []int{0}},
+	}})
+	full := jobStateFromInfo(&JobInfo{ID: 8, Stages: []StageInfo{{ID: 0, NumTasks: 1, TaskDuration: 1, CPUReq: 1, TasksLaunched: 1, Running: 1}}})
+	st := &sim.State{TotalExecutors: 2, Jobs: []*sim.JobState{js, full}}
+	for _, bad := range []struct {
+		name string
+		resp ScheduleResponse
+	}{
+		{"unknown job", ScheduleResponse{HasAction: true, JobID: 999, StageID: 0}},
+		{"out-of-range stage", ScheduleResponse{HasAction: true, JobID: 7, StageID: 5}},
+		{"parents not done", ScheduleResponse{HasAction: true, JobID: 7, StageID: 1}},
+		{"every task launched", ScheduleResponse{HasAction: true, JobID: 8, StageID: 0}},
+	} {
+		if _, err := ActionFromResponse(&bad.resp, st); err == nil {
+			t.Errorf("%s: accepted", bad.name)
+		}
 	}
-	if _, err := ActionFromResponse(&ScheduleResponse{HasAction: true, JobID: 7, StageID: 5}, st); err == nil {
-		t.Fatal("out-of-range stage accepted")
+	if act, err := ActionFromResponse(&ScheduleResponse{HasAction: true, JobID: 7, StageID: 0}, st); err != nil || act.Stage != js.Stages[0] {
+		t.Fatalf("runnable stage: action %v, error %v", act, err)
 	}
 	act, err := ActionFromResponse(&ScheduleResponse{HasAction: false}, st)
 	if err != nil || act != nil {

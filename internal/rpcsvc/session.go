@@ -169,9 +169,9 @@ func (s *session) event(req *EventRequest, deadline time.Time) (*ScheduleRespons
 // values the simulator can produce: finite non-negative times, durations,
 // memory and resource demands, stage counters within the bounds
 // checkCounters names, non-negative job counters (on arrivals and deltas)
-// and executor classes, and each free executor once. It leaves the
-// ids of Order in s.seen, the per-event scratch set event reads, and uses
-// s.free, another, for the executor ids. Called under s.mu.
+// and executor classes, and each job of Order and each free executor once.
+// It leaves the ids of Order in s.seen, the per-event scratch set event
+// reads, and uses s.free, another, for the executor ids. Called under s.mu.
 func (s *session) validate(req *EventRequest) ([]*sim.JobState, error) {
 	if req.Seq != s.seq+1 {
 		return nil, fmt.Errorf("rpcsvc: session %d: event seq %d (want %d): %w", s.id, req.Seq, s.seq+1, ErrSeqGap)
@@ -224,6 +224,9 @@ func (s *session) validate(req *EventRequest) ([]*sim.JobState, error) {
 			return nil, fmt.Errorf("rpcsvc: session %d: order references unknown job %d", s.id, id)
 		}
 		s.seen[id] = struct{}{}
+	}
+	if len(s.seen) != len(req.Order) {
+		return nil, fmt.Errorf("rpcsvc: session %d: order lists a job twice", s.id)
 	}
 	for _, d := range req.Deltas {
 		js := job(d.ID)

@@ -462,6 +462,7 @@ func TestMalformedEventIsRejected(t *testing.T) {
 		{"new job negative executors", &EventRequest{Seq: 1, NewJobs: []JobInfo{{ID: 1, Executors: -1, Stages: chain}}, Order: []int{1}, FreeExecutors: free}},
 		{"new job negative limit", &EventRequest{Seq: 1, NewJobs: []JobInfo{{ID: 1, Limit: -1, Stages: chain}}, Order: []int{1}, FreeExecutors: free}},
 		{"new job NaN arrival", &EventRequest{Seq: 1, NewJobs: []JobInfo{{ID: 1, Arrival: nan, Stages: chain}}, Order: []int{1}, FreeExecutors: free}},
+		{"job listed twice in order", second(func(r *EventRequest) { r.Order = []int{1, 1} })},
 		{"delta for a job the order omits", &EventRequest{Seq: 2, Order: []int{}, Deltas: []JobDelta{{ID: 1}}}},
 		{"delta for an unlisted new job", &EventRequest{Seq: 2, NewJobs: []JobInfo{{ID: 2, Stages: chain}}, Order: []int{1}, Deltas: []JobDelta{{ID: 2}}, FreeExecutors: free}},
 		{"delta done beyond launched", stageDelta(StageDelta{Stage: 0, TasksLaunched: 1, TasksDone: 2})},

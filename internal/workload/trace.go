@@ -1,12 +1,9 @@
 package workload
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
-	"strconv"
 
 	"repro/internal/dag"
 )
@@ -91,126 +88,4 @@ func IndustrialTrace(rng *rand.Rand, cfg IndustrialTraceConfig) []*dag.Job {
 		jobs[i] = job
 	}
 	return jobs
-}
-
-// WriteTraceCSV serialises jobs to CSV with one row per stage:
-// job_id,arrival,stage_id,num_tasks,task_duration,mem_req,cpu_req,parents
-// where parents is a ';'-separated list of stage IDs.
-func WriteTraceCSV(w io.Writer, jobs []*dag.Job) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"job_id", "arrival", "stage_id", "num_tasks", "task_duration", "mem_req", "cpu_req", "parents"}); err != nil {
-		return err
-	}
-	for _, j := range jobs {
-		for _, s := range j.Stages {
-			parents := ""
-			for i, p := range s.Parents {
-				if i > 0 {
-					parents += ";"
-				}
-				parents += strconv.Itoa(p)
-			}
-			rec := []string{
-				strconv.Itoa(j.ID),
-				strconv.FormatFloat(j.Arrival, 'g', -1, 64),
-				strconv.Itoa(s.ID),
-				strconv.Itoa(s.NumTasks),
-				strconv.FormatFloat(s.TaskDuration, 'g', -1, 64),
-				strconv.FormatFloat(s.MemReq, 'g', -1, 64),
-				strconv.FormatFloat(s.CPUReq, 'g', -1, 64),
-				parents,
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadTraceCSV parses a trace written by WriteTraceCSV (or an external trace
-// converted to the same schema) back into jobs sorted by job ID.
-func ReadTraceCSV(r io.Reader) ([]*dag.Job, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("workload: empty trace")
-	}
-	byJob := map[int]*dag.Job{}
-	type edge struct{ job, parent, child int }
-	var edges []edge
-	var order []int
-	for _, rec := range rows[1:] {
-		if len(rec) != 8 {
-			return nil, fmt.Errorf("workload: bad trace row %v", rec)
-		}
-		jobID, err := strconv.Atoi(rec[0])
-		if err != nil {
-			return nil, err
-		}
-		arrival, err := strconv.ParseFloat(rec[1], 64)
-		if err != nil {
-			return nil, err
-		}
-		stageID, err := strconv.Atoi(rec[2])
-		if err != nil {
-			return nil, err
-		}
-		tasks, err := strconv.Atoi(rec[3])
-		if err != nil {
-			return nil, err
-		}
-		dur, err := strconv.ParseFloat(rec[4], 64)
-		if err != nil {
-			return nil, err
-		}
-		mem, err := strconv.ParseFloat(rec[5], 64)
-		if err != nil {
-			return nil, err
-		}
-		cpu, err := strconv.ParseFloat(rec[6], 64)
-		if err != nil {
-			return nil, err
-		}
-		j := byJob[jobID]
-		if j == nil {
-			j = &dag.Job{ID: jobID, Name: fmt.Sprintf("trace-%d", jobID), Arrival: arrival}
-			byJob[jobID] = j
-			order = append(order, jobID)
-		}
-		for len(j.Stages) <= stageID {
-			j.Stages = append(j.Stages, nil)
-		}
-		j.Stages[stageID] = &dag.Stage{ID: stageID, NumTasks: tasks, TaskDuration: dur, MemReq: mem, CPUReq: cpu}
-		if rec[7] != "" {
-			var p int
-			start := 0
-			for i := 0; i <= len(rec[7]); i++ {
-				if i == len(rec[7]) || rec[7][i] == ';' {
-					p, err = strconv.Atoi(rec[7][start:i])
-					if err != nil {
-						return nil, err
-					}
-					edges = append(edges, edge{jobID, p, stageID})
-					start = i + 1
-				}
-			}
-		}
-	}
-	for _, e := range edges {
-		byJob[e.job].AddEdge(e.parent, e.child)
-	}
-	jobs := make([]*dag.Job, 0, len(order))
-	for _, id := range order {
-		j := byJob[id]
-		if err := j.Validate(); err != nil {
-			return nil, fmt.Errorf("workload: trace job %d: %w", id, err)
-		}
-		jobs = append(jobs, j)
-	}
-	return jobs, nil
 }

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"sort"
@@ -230,49 +229,6 @@ func TestIndustrialTraceStats(t *testing.T) {
 	}
 	if maxStages < 50 {
 		t.Fatalf("max stage count %d, want a long tail", maxStages)
-	}
-}
-
-func TestTraceCSVRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	jobs := IndustrialTrace(rng, IndustrialTraceConfig{NumJobs: 50, MeanIAT: 10, MaxStages: 30})
-	var buf bytes.Buffer
-	if err := WriteTraceCSV(&buf, jobs); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadTraceCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(jobs) {
-		t.Fatalf("round trip lost jobs: %d vs %d", len(back), len(jobs))
-	}
-	for i, j := range jobs {
-		b := back[i]
-		if b.ID != j.ID || b.NumStages() != j.NumStages() {
-			t.Fatalf("job %d mismatch", i)
-		}
-		if math.Abs(b.Arrival-j.Arrival) > 1e-9 {
-			t.Fatalf("job %d arrival mismatch", i)
-		}
-		if math.Abs(b.TotalWork()-j.TotalWork()) > 1e-6 {
-			t.Fatalf("job %d work mismatch", i)
-		}
-		for s := range j.Stages {
-			if len(b.Stages[s].Parents) != len(j.Stages[s].Parents) {
-				t.Fatalf("job %d stage %d parent mismatch", i, s)
-			}
-		}
-	}
-}
-
-func TestReadTraceCSVErrors(t *testing.T) {
-	if _, err := ReadTraceCSV(bytes.NewBufferString("")); err == nil {
-		t.Fatal("empty trace accepted")
-	}
-	bad := "job_id,arrival,stage_id,num_tasks,task_duration,mem_req,cpu_req,parents\nx,0,0,1,1,0.5,1,\n"
-	if _, err := ReadTraceCSV(bytes.NewBufferString(bad)); err == nil {
-		t.Fatal("bad job id accepted")
 	}
 }
 
