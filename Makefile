@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-compare bench-robustness examples smoke fuzz fmt vet docs-check
+.PHONY: all build test race bench bench-compare bench-robustness learning examples smoke fuzz fmt vet docs-check
 
 all: build vet fmt docs-check test
 
@@ -18,7 +18,8 @@ test:
 	$(GO) test -C bench .
 
 # Race-enabled run; -short skips the slowest training tests so this stays
-# within CI minutes (the plain `test` target runs everything).
+# within CI minutes (the plain `test` target runs everything, including the
+# learning gate, internal/exp's TestDecimaLearnsFig9a).
 race:
 	$(GO) test -race -short ./...
 
@@ -92,12 +93,47 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzCheckpoint' -fuzztime 30s ./internal/registry/
 
 # BENCH_robustness.json: the failure-regime matrix (CI `robustness` job).
-# First the fast lossy-regime gate the job is named for (decima trained
-# clean at smoke scale vs fifo), then the full scheduler × regime matrix
-# as the uploaded artifact.
+# First a fast lossy-regime table (decima trained clean at smoke scale next
+# to fifo), then the full scheduler × regime matrix as the uploaded
+# artifact. Both only print and write: nothing here asserts that decima
+# wins. The assertion that training helps is the learning gate in `make
+# test` (internal/exp's TestDecimaLearnsFig9a).
 bench-robustness:
 	$(GO) run ./cmd/decima-bench -failures lossy -scheduler decima,fifo -short
 	$(GO) run ./cmd/decima-bench -failures all -short -json BENCH_robustness.json
+
+# docs/LEARNING.md's measured table (ROADMAP item 14): Fig. 9a and Fig. 9b
+# at -scale small for three trainer seeds, each on BASE (built from a
+# temporary `git archive` checkout, as for bench-compare) and on the working
+# tree. Everything below the file's marker line is rewritten; the record
+# above it is kept. ≈3 minutes on a 2-vCPU box:
+#
+#	make learning BASE=<rev>
+LEARNING_OUT ?= $(or $(TMPDIR),/tmp)/decima-learning
+LEARNING_MARK = <!-- make learning writes everything below this line -->
+
+learning:
+	rm -rf $(LEARNING_OUT)/src && mkdir -p $(LEARNING_OUT)/src
+	git archive $(BASE) | tar -x -C $(LEARNING_OUT)/src
+	$(GO) build -C $(LEARNING_OUT)/src -o $(LEARNING_OUT)/bench-base ./cmd/decima-bench
+	$(GO) build -o $(LEARNING_OUT)/bench-head ./cmd/decima-bench
+	@set -e; out=$(LEARNING_OUT)/LEARNING.md; \
+	sed '/^$(LEARNING_MARK)$$/q' docs/LEARNING.md > $$out; \
+	grep -qx -- '$(LEARNING_MARK)' $$out || { echo "docs/LEARNING.md has no marker line"; exit 1; }; \
+	base=$$(git rev-parse --short $(BASE)); \
+	printf '\n`make learning BASE=%s`: mean avg JCT [s], `decima-bench -exp <figure> -scale small -seed <seed>`.\n\n' $$base >> $$out; \
+	echo '| figure | seed | tree | decima | sjf-cp | opt-wfair | fair | fifo |' >> $$out; \
+	echo '|---|---|---|---|---|---|---|---|' >> $$out; \
+	for fig in fig9a fig9b; do for seed in 1 11 21; do for side in base head; do \
+		tree=$$base; if [ $$side = head ]; then tree="working tree"; fi; \
+		echo "$$side $$fig seed $$seed" >&2; \
+		$(LEARNING_OUT)/bench-$$side -exp $$fig -scale small -seed $$seed > $(LEARNING_OUT)/run.txt; \
+		awk -v f=$$fig -v s=$$seed -v t="$$tree" '{ v[$$1] = $$2 } \
+			function g(k) { return k in v ? v[k] : "–" } \
+			END { printf "| %s | %s | %s | %s | %s | %s | %s | %s |\n", f, s, t, g("decima"), g("sjf-cp"), g("opt-wfair"), g("fair"), g("fifo") }' \
+			$(LEARNING_OUT)/run.txt >> $$out; \
+	done; done; done; \
+	mv $$out docs/LEARNING.md
 
 # End-to-end smoke of the serving binaries: one decima-smoke run starts real
 # decima-server and decima-fleet processes and runs five scenarios in order

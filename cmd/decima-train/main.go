@@ -40,7 +40,6 @@ func main() {
 		load      = flag.Float64("load", 0.85, "target cluster load for continuous arrivals (0 = batched)")
 		objective = flag.String("objective", "jct", "objective: jct | makespan")
 		workers   = flag.Int("workers", 0, "rollout workers (0 = one per CPU); results are identical for any value")
-		lr        = flag.Float64("lr", 3e-3, "Adam learning rate")
 		seed      = flag.Int64("seed", 1, "random seed")
 		curve     = flag.String("curve", "", "optional learning-curve CSV output path")
 		logEvery  = flag.Int("log-every", 10, "print stats every N iterations")
@@ -50,7 +49,10 @@ func main() {
 	)
 	flag.Parse()
 
-	// Opened before training, so a bad directory fails before the run.
+	// The name and the directory are checked first, so a typo costs no run.
+	if ref, err := registry.ParseRef(*publish); err != nil || ref.Version != 0 {
+		log.Fatalf("bad -publish %q: want a model name (a new version is assigned on publish)", *publish)
+	}
 	reg, err := registry.Open(*regDir)
 	if err != nil {
 		log.Fatalf("open registry: %v", err)
@@ -62,7 +64,6 @@ func main() {
 	tcfg := rl.DefaultConfig()
 	tcfg.EpisodesPerIter = *episodes
 	tcfg.Workers = *workers
-	tcfg.LR = *lr
 	if *objective == "makespan" {
 		tcfg.Objective = rl.ObjMakespan
 	}

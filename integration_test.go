@@ -30,7 +30,6 @@ func TestEndToEndTrainSaveServeSchedule(t *testing.T) {
 	agent := core.New(core.DefaultConfig(executors), rand.New(rand.NewSource(1)))
 	cfg := rl.DefaultConfig()
 	cfg.EpisodesPerIter = 2
-	cfg.InitialHorizon = 200
 	rl.NewTrainer(agent, cfg, rand.New(rand.NewSource(2))).Train(5, src, simCfg, nil)
 
 	reg, err := registry.Open(t.TempDir())

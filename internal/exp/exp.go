@@ -178,12 +178,6 @@ func newTrainer(sc Scale, simCfg sim.Config, mod func(*core.Config), rlMod func(
 	tcfg := rl.DefaultConfig()
 	tcfg.EpisodesPerIter = sc.EpisodesPerIter
 	tcfg.Workers = sc.Workers
-	tcfg.LR = 3e-3
-	tcfg.EntropyWeight = 0.2
-	tcfg.EntropyDecay = 0.999
-	tcfg.InitialHorizon = 200
-	tcfg.HorizonGrowth = 30
-	tcfg.MaxHorizon = 10000
 	if rlMod != nil {
 		rlMod(&tcfg)
 	}

@@ -8,9 +8,10 @@
 // training (internal/rl): served episodes arrive one at a time from
 // independent sessions, so there are no sibling rollouts to build the
 // input-dependent baseline from; the per-episode mean return stands in as
-// the baseline instead. Everything else is the same machinery: episodes
-// replay through core.Agent.ReplayLoss (one batched tracked forward per
-// episode), gradients are clipped and stepped with Adam.
+// the baseline instead. Everything else is internal/rl's path (rl.JCTReturns,
+// rl.Normalization, rl.LossWeights); episodes replay through
+// core.Agent.ReplayLoss (one batched tracked forward per episode), and
+// gradients are clipped and stepped with Adam.
 //
 // Determinism: the trainer has no randomness of its own. Given the same
 // episodes in the same order, TrainOnce produces bit-identical parameters
@@ -20,7 +21,6 @@ package online
 
 import (
 	"io"
-	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -30,9 +30,11 @@ import (
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/registry"
+	"repro/internal/rl"
 )
 
-// The online trainer's hyperparameters.
+// The online trainer's hyperparameters: unlike rl's recipe, every update is
+// one served episode, and the entropy weight does not decay.
 const (
 	// lr is Adam's learning rate.
 	lr = 1e-3
@@ -145,7 +147,7 @@ func (t *Trainer) TrainOnce() (int, bool) {
 // update applies one policy-gradient step from a single episode. Returns
 // use the avg-JCT objective of §5.3 relative to the episode's last
 // observation (R_k = −(JS_final − JS_k)); the baseline is the episode's
-// mean return; advantages are std-normalised as in offline training.
+// mean return; the rest is offline training's path.
 func (t *Trainer) update(steps []core.ReplayStep) bool {
 	// A recorded step with no graphs carries nothing to differentiate
 	// through; an episode from a malformed client is skipped, not a crash.
@@ -159,32 +161,17 @@ func (t *Trainer) update(steps []core.ReplayStep) bool {
 		return false
 	}
 	steps = usable
-	n := len(steps)
-	final := steps[n-1].JobSeconds
-	returns := make([]float64, n)
+	advs := rl.JCTReturns(nil, steps, steps[len(steps)-1].JobSeconds)
 	var mean float64
-	for k := range steps {
-		returns[k] = -(final - steps[k].JobSeconds)
-		mean += returns[k]
+	for _, r := range advs {
+		mean += r
 	}
-	mean /= float64(n)
-	var sq float64
-	for _, r := range returns {
-		d := r - mean
-		sq += d * d
+	mean /= float64(len(advs))
+	for k := range advs {
+		advs[k] -= mean
 	}
-	std := 1.0
-	if n > 1 {
-		std = math.Sqrt(sq/float64(n)) + 1e-8
-	}
-	scale := 1 / float64(n)
-	wLogp := make([]float64, n)
-	wEnt := make([]float64, n)
-	for k := range returns {
-		adv := (returns[k] - mean) / std
-		wLogp[k] = -adv * scale
-		wEnt[k] = -entropyWeight * scale
-	}
+	std, scale := rl.Normalization(advs)
+	wLogp, wEnt := rl.LossWeights(nil, nil, advs, std, scale, entropyWeight)
 	params := t.agent.Params()
 	nn.ZeroGrads(params)
 	loss, _ := t.agent.ReplayLoss(&t.replay, steps, wLogp, wEnt)

@@ -215,8 +215,6 @@ func TestOfflinePublishBitIdenticalAcrossWorkers(t *testing.T) {
 		cfg := rl.DefaultConfig()
 		cfg.EpisodesPerIter = 3
 		cfg.Workers = workers
-		cfg.InitialHorizon = 200
-		cfg.HorizonGrowth = 20
 		cfg.MaxHorizon = 2000
 		tr := rl.NewTrainer(agent, cfg, rand.New(rand.NewSource(101)))
 		tr.Train(2, func(rng *rand.Rand) []*dag.Job {

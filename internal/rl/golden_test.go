@@ -15,22 +15,24 @@ import (
 	"repro/internal/workload"
 )
 
-// Golden vectors captured at the parent of PR 20 (cbdf5df), which deleted
-// the per-decision tracked forward/decide and the direct tape: the trained
-// parameters and the schedules below must not move, or the deletion changed
-// arithmetic. Floating-point contraction differs across architectures, so
-// the constants hold on amd64 only.
+// Golden vectors. The rollout digests were captured at cbdf5df, before the
+// per-decision tracked forward/decide and the direct tape were deleted: the
+// schedules below must not move, or a change moved arithmetic. The parameter
+// digests were re-captured when the average-reward shift was deleted and one
+// training recipe replaced the old DefaultConfig: 904c991, the commit before
+// that change, with its Config set to the recipe, gives these same digests,
+// so the refactor itself moved no arithmetic. Floating-point contraction differs
+// across architectures, so the constants hold on amd64 only.
 const (
-	goldenParams         = 0x0a0934199a396a1d // 3 rl.Trainer iterations, any worker count
+	goldenParams         = 0x2d927cb1445f1425 // 3 rl.Trainer iterations, any worker count
 	goldenSampledRollout = 0xeec0692b0df42c8b
 	goldenGreedyRollout  = 0x1591e2a7c1e69291
 )
 
-// goldenReplayShape was captured at the parent of PR 21 (c1b7267), before the
-// fused tracked layer node, the tape arena and the tiled dB kernel: parameters
-// and per-iteration statistics after 5 iterations at the train-replay shape,
-// any worker count.
-const goldenReplayShape = 0xa5732e03238c2cfb
+// goldenReplayShape pins the parameters and per-iteration statistics after 5
+// iterations at the train-replay shape, any worker count (captured as
+// goldenParams above).
+const goldenReplayShape = 0xe72038261739f24a
 
 // digest is an FNV-1a hash over 64-bit words.
 type digest struct{ hash.Hash64 }

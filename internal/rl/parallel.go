@@ -5,7 +5,7 @@
 //
 //   - every random draw is derived from the trainer RNG on one goroutine, in
 //     a fixed order, before any worker starts (rolloutTask.seed);
-//   - each episode is a pure function of (parameters, task, config, rbar),
+//   - each episode is a pure function of (parameters, task, objective),
 //     and every worker holds a bit-identical parameter copy;
 //   - gradients are accumulated per episode and merged in episode-index
 //     order, so the floating-point summation order never depends on which
@@ -60,10 +60,10 @@ func (e *engine) sync(master *core.Agent) {
 // collect rolls out all tasks across the pool and returns the episodes in
 // task order. Workers write disjoint slice elements, so the only
 // synchronisation needed is the final join.
-func (e *engine) collect(cfg Config, rbar float64, tasks []rolloutTask, simCfg sim.Config) []*episode {
+func (e *engine) collect(obj Objective, tasks []rolloutTask, simCfg sim.Config) []*episode {
 	episodes := make([]*episode, len(tasks))
 	e.fanOut(len(tasks), func(w *worker, i int) {
-		episodes[i] = w.rollout(cfg, rbar, i, tasks[i], simCfg)
+		episodes[i] = w.rollout(obj, i, tasks[i], simCfg)
 	})
 	return episodes
 }
@@ -75,10 +75,10 @@ func (e *engine) collect(cfg Config, rbar float64, tasks []rolloutTask, simCfg s
 // *could* run it; keeping the collector's assignment keeps the episode's
 // pooled record buffers on the goroutine that owns them, and the recorded
 // owner guards against the assignment ever drifting from fanOut's.
-func (e *engine) backward(episodes []*episode, stdA, scale, entropyWeight float64) {
+func (e *engine) backward(episodes []*episode, std, scale, entropyWeight float64) {
 	e.fanOut(len(episodes), func(w *worker, i int) {
 		if ep := episodes[i]; ep.worker == w.idx {
-			w.backward(ep, stdA, scale, entropyWeight)
+			w.backward(ep, std, scale, entropyWeight)
 		} else {
 			panic("rl: episode backward scheduled on a worker that does not own its storage")
 		}

@@ -25,7 +25,7 @@ func TestRetainedStepsSurviveLaterDecisions(t *testing.T) {
 	simCfg := sim.Config{Classes: []sim.ExecutorClass{{Mem: 0.5, Count: 3}, {Mem: 1.0, Count: 2}}, MoveDelay: 2.5, FirstWaveFactor: 1.3}
 	tk := rolloutTask{jobs: smallSource(12)(rand.New(rand.NewSource(4))), horizon: 1e6, seed: 11}
 
-	ep := runEpisode(agent.Clone(rand.New(rand.NewSource(1))), quickCfg(), 0, tk, simCfg, &episode{worker: -1})
+	ep := runEpisode(agent.Clone(rand.New(rand.NewSource(1))), ObjAvgJCT, tk, simCfg, &episode{worker: -1})
 
 	ref := agent.Clone(rand.New(rand.NewSource(1)))
 	var want []core.ReplayStep

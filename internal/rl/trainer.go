@@ -9,9 +9,11 @@
 //     distribution whose mean grows each iteration, so early training sees
 //     short, manageable job sequences (and the memoryless termination
 //     prevents end-of-episode gaming);
-//   - the average-reward formulation — a moving average r̂ of per-step
-//     penalties is subtracted to optimise time-average rather than total
-//     reward (Appendix B).
+//   - no average-reward shift: Appendix B's was measured to hurt and was
+//     removed (docs/LEARNING.md).
+//
+// Every Trainer follows one recipe (the constants below), and internal/online
+// makes its loss weights with the same JCTReturns, Normalization, LossWeights.
 //
 // Rollouts decide on the inference path like every other decision (no
 // autograd graph, fused forwards, warm per-job embedding cache), recording a
@@ -46,24 +48,27 @@ const (
 	ObjMakespan
 )
 
+// The training recipe every Trainer follows.
+const (
+	// learningRate is Adam's learning rate.
+	learningRate = 3e-3
+	// initialEntropyWeight scales the exploration bonus added to the
+	// policy gradient at the first iteration; the weight is multiplied by
+	// entropyDecay after every iteration.
+	initialEntropyWeight = 0.2
+	entropyDecay         = 0.999
+	// initialHorizon is the starting mean of the exponential episode length
+	// τ, in simulated seconds; horizonGrowth is added to it every iteration
+	// (curriculum learning's ε), up to Config.MaxHorizon.
+	initialHorizon = 200
+	horizonGrowth  = 30
+)
+
 // Config parameterises training.
 type Config struct {
 	// EpisodesPerIter is N in Algorithm 1: episodes sharing one arrival
 	// sequence per iteration (the paper uses 16 workers).
 	EpisodesPerIter int
-	// LR is Adam's learning rate (paper: 1e-3).
-	LR float64
-	// EntropyWeight scales an exploration bonus added to the policy
-	// gradient; decays by EntropyDecay each iteration.
-	EntropyWeight float64
-	// EntropyDecay multiplies EntropyWeight every iteration (e.g. 0.999).
-	EntropyDecay float64
-	// InitialHorizon is the starting mean of the exponential episode
-	// length τ, in simulated seconds.
-	InitialHorizon float64
-	// HorizonGrowth is added to the mean horizon every iteration
-	// (curriculum learning's ε).
-	HorizonGrowth float64
 	// MaxHorizon caps the mean horizon.
 	MaxHorizon float64
 	// Objective selects the reward signal.
@@ -75,8 +80,6 @@ type Config struct {
 	// NoCurriculum ablates horizon growth: episodes always run to the max
 	// horizon.
 	NoCurriculum bool
-	// DifferentialReward enables the average-reward formulation.
-	DifferentialReward bool
 	// Workers sets the rollout pool size: episodes (and their backward
 	// passes) are spread over this many goroutines, each with a private
 	// agent clone. Values ≤ 0 select one worker per available CPU
@@ -86,19 +89,13 @@ type Config struct {
 	Workers int
 }
 
-// DefaultConfig returns the training configuration used across the
-// evaluation, scaled for single-core runs.
+// DefaultConfig returns the training configuration every figure trains
+// with, scaled for single-core runs.
 func DefaultConfig() Config {
 	return Config{
-		EpisodesPerIter:    4,
-		LR:                 1e-3,
-		EntropyWeight:      0.1,
-		EntropyDecay:       0.995,
-		InitialHorizon:     500,
-		HorizonGrowth:      50,
-		MaxHorizon:         20000,
-		Objective:          ObjAvgJCT,
-		DifferentialReward: true,
+		EpisodesPerIter: 4,
+		MaxHorizon:      10000,
+		Objective:       ObjAvgJCT,
 	}
 }
 
@@ -134,23 +131,23 @@ type Trainer struct {
 	Agent *core.Agent
 	Cfg   Config
 
-	opt     *nn.Adam
-	rng     *rand.Rand
-	eng     *engine
-	horizon float64
-	iter    int
-	rbar    float64 // moving average of per-step reward
-	rbarN   float64
+	opt           *nn.Adam
+	rng           *rand.Rand
+	eng           *engine
+	horizon       float64
+	entropyWeight float64
+	iter          int
 }
 
 // NewTrainer builds a trainer around the agent.
 func NewTrainer(agent *core.Agent, cfg Config, rng *rand.Rand) *Trainer {
 	return &Trainer{
-		Agent:   agent,
-		Cfg:     cfg,
-		opt:     nn.NewAdam(cfg.LR),
-		rng:     rng,
-		horizon: cfg.InitialHorizon,
+		Agent:         agent,
+		Cfg:           cfg,
+		opt:           nn.NewAdam(learningRate),
+		rng:           rng,
+		horizon:       initialHorizon,
+		entropyWeight: initialEntropyWeight,
 	}
 }
 
@@ -198,66 +195,79 @@ func (ep *episode) reset() {
 // reference path the parallel workers replicate; tests use it to inspect
 // single episodes.
 func (t *Trainer) rollout(jobs []*dag.Job, simCfg sim.Config, horizon float64, seed int64) *episode {
-	return runEpisode(t.Agent, t.Cfg, t.rbar, rolloutTask{jobs: jobs, horizon: horizon, seed: seed}, simCfg, &episode{worker: -1})
+	return runEpisode(t.Agent, t.Cfg.Objective, rolloutTask{jobs: jobs, horizon: horizon, seed: seed}, simCfg, &episode{worker: -1})
 }
 
 // computeReturns derives per-step returns R_k from the recorded steps and
 // the final simulator state into the episode's pooled returns buffer. It
-// depends only on the episode, the config and the rbar moving average
-// (frozen for the duration of an iteration), so workers can call it
+// depends only on the episode and the objective, so workers can call it
 // concurrently.
-func computeReturns(cfg Config, rbar float64, ep *episode) {
+func computeReturns(obj Objective, ep *episode) {
 	n := len(ep.steps)
-	if n == 0 {
-		ep.returns = ep.returns[:0]
+	if obj == ObjAvgJCT || n == 0 {
+		ep.returns = JCTReturns(ep.returns, ep.steps, ep.result.JobSeconds)
 		return
 	}
-	final := ep.result.JobSeconds
-	finalT := ep.steps[n-1].Time
-	if cfg.Objective == ObjMakespan {
-		finalT = math.Max(ep.result.Makespan, finalT)
+	finalT := math.Max(ep.result.Makespan, ep.steps[n-1].Time)
+	ep.returns = resizeF(ep.returns, n)
+	for k, s := range ep.steps {
+		ep.returns[k] = -(finalT - s.Time)
 	}
-	returns := resizeF(ep.returns, n)
-	switch cfg.Objective {
-	case ObjAvgJCT:
-		// R_k = Σ_{k'≥k} −(JS_{k'+1} − JS_{k'}) = −(JS_final − JS_k).
-		for k := range ep.steps {
-			returns[k] = -(final - ep.steps[k].JobSeconds)
-		}
-	case ObjMakespan:
-		for k := range ep.steps {
-			returns[k] = -(finalT - ep.steps[k].Time)
-		}
-	}
-	if cfg.DifferentialReward {
-		// Subtract the moving-average per-step reward: R_k gains
-		// +r̂·(T−k) since each of the remaining steps is shifted.
-		for k := range returns {
-			returns[k] += rbar * float64(n-k)
-		}
-	}
-	ep.returns = returns
 }
 
-// updateRbar folds an episode's per-step rewards into the moving average.
-func (t *Trainer) updateRbar(ep *episode) {
-	n := len(ep.steps)
+// JCTReturns writes the avg-JCT return of every step into dst, resized to
+// len(steps): R_k = Σ_{k'≥k} −(JS_{k'+1} − JS_{k'}) = −(final − JS_k), where
+// final is the job-seconds accrued by the episode's end (§5.3).
+func JCTReturns(dst []float64, steps []core.ReplayStep, final float64) []float64 {
+	dst = resizeF(dst, len(steps))
+	for k := range steps {
+		dst[k] = -(final - steps[k].JobSeconds)
+	}
+	return dst
+}
+
+// Normalization returns σ, the population standard deviation of the
+// advantages pooled over every episode in advs (plus 1e-8; 1 for fewer than
+// two), and the loss scale 1/N for their N steps (1 for none). Returns are
+// job-seconds, so σ adapts the original fixed reward scale to any workload,
+// and 1/N keeps the step size from growing as the curriculum grows episodes.
+func Normalization(advs ...[]float64) (std, scale float64) {
+	var n int
+	var mean, sq float64
+	for _, a := range advs {
+		for _, v := range a {
+			mean += v
+		}
+		n += len(a)
+	}
 	if n == 0 {
-		return
+		return 1, 1
 	}
-	total := ep.returns[0]
-	if t.Cfg.DifferentialReward {
-		total -= t.rbar * float64(n) // undo the shift to recover raw return
+	mean /= float64(n)
+	for _, a := range advs {
+		for _, v := range a {
+			d := v - mean
+			sq += d * d
+		}
 	}
-	perStep := total / float64(n)
-	// Exponential moving average over ~100 episodes.
-	const alpha = 0.01
-	if t.rbarN == 0 {
-		t.rbar = perStep
-	} else {
-		t.rbar = (1-alpha)*t.rbar + alpha*perStep
+	std = 1
+	if n > 1 {
+		std = math.Sqrt(sq/float64(n)) + 1e-8
 	}
-	t.rbarN++
+	return std, 1 / float64(n)
+}
+
+// LossWeights writes the per-step weights of an episode's REINFORCE loss,
+// Σ_k wLogp[k]·log π(a_k|s_k) + wEnt[k]·H_k, into wLogp and wEnt (resized to
+// len(advs)): wLogp[k] = −(advs[k]/std)·scale and wEnt[k] = −β·scale, with std
+// and scale from Normalization and β the entropy weight.
+func LossWeights(wLogp, wEnt, advs []float64, std, scale, beta float64) ([]float64, []float64) {
+	wLogp, wEnt = resizeF(wLogp, len(advs)), resizeF(wEnt, len(advs))
+	for k, a := range advs {
+		wLogp[k] = -(a / std) * scale
+		wEnt[k] = -beta * scale
+	}
+	return wLogp, wEnt
 }
 
 // baselineAt returns episode ep's return interpolated at time tt: the
@@ -314,15 +324,15 @@ func (t *Trainer) Iteration(src JobSource, simCfg sim.Config) IterStats {
 	}
 	eng := t.pool()
 	eng.sync(t.Agent)
-	episodes := eng.collect(t.Cfg, t.rbar, tasks, simCfg)
+	episodes := eng.collect(t.Cfg.Objective, tasks, simCfg)
 	if testHookCollected != nil {
 		testHookCollected(episodes)
 	}
 
 	// Advantage pass: per-step advantages against the per-time
 	// input-dependent baseline, in episode order.
-	var totalSteps int
 	var sumReturn, sumSteps float64
+	advs := make([][]float64, 0, n)
 	for i, ep := range episodes {
 		if len(ep.steps) == 0 {
 			continue
@@ -344,44 +354,15 @@ func (t *Trainer) Iteration(src JobSource, simCfg sim.Config) IterStats {
 			}
 			ep.advs[k] = ep.returns[k] - b
 		}
-		totalSteps += len(ep.steps)
-	}
-	// Normalise advantage scale: raw returns are job-seconds (hundreds to
-	// millions depending on the workload), which would otherwise swamp the
-	// gradient. The original implementation divides rewards by a fixed
-	// reward scale; normalising by the batch standard deviation adapts that
-	// scale to any workload automatically.
-	var meanA, sqA float64
-	for _, ep := range episodes {
-		for _, a := range ep.advs {
-			meanA += a
-		}
-	}
-	if totalSteps > 0 {
-		meanA /= float64(totalSteps)
-	}
-	for _, ep := range episodes {
-		for _, a := range ep.advs {
-			d := a - meanA
-			sqA += d * d
-		}
-	}
-	stdA := 1.0
-	if totalSteps > 1 {
-		stdA = math.Sqrt(sqA/float64(totalSteps)) + 1e-8
+		advs = append(advs, ep.advs)
 	}
 
 	// Update phase: each episode is replayed on its owning worker — the
 	// tracked graph the inference rollout skipped is rebuilt once, batched
 	// across the episode's decisions — and the per-episode gradients are
-	// merged in episode order on this goroutine. The loss is averaged over
-	// the batch's steps (not episodes) so the effective step size does not
-	// grow with episode length as the curriculum extends horizons.
-	scale := 1.0
-	if totalSteps > 0 {
-		scale = 1 / float64(totalSteps)
-	}
-	eng.backward(episodes, stdA, scale, t.Cfg.EntropyWeight)
+	// merged in episode order on this goroutine.
+	std, scale := Normalization(advs...)
+	eng.backward(episodes, std, scale, t.entropyWeight)
 	params := t.Agent.Params()
 	nn.ZeroGrads(params)
 	var sumEntropy float64
@@ -399,13 +380,10 @@ func (t *Trainer) Iteration(src JobSource, simCfg sim.Config) IterStats {
 	}
 	grad := nn.ClipGradNorm(params, nn.GradClip)
 	t.opt.Step(params)
-	for _, ep := range episodes {
-		t.updateRbar(ep)
-	}
 
 	// Curriculum and entropy decay.
-	t.horizon = math.Min(t.horizon+t.Cfg.HorizonGrowth, t.Cfg.MaxHorizon)
-	t.Cfg.EntropyWeight *= t.Cfg.EntropyDecay
+	t.horizon = math.Min(t.horizon+horizonGrowth, t.Cfg.MaxHorizon)
+	t.entropyWeight *= entropyDecay
 
 	stats := IterStats{
 		Iter:              t.iter,

@@ -3,6 +3,7 @@ package rl
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -34,8 +35,6 @@ func smallAgent(seed int64) *core.Agent {
 func quickCfg() Config {
 	c := DefaultConfig()
 	c.EpisodesPerIter = 2
-	c.InitialHorizon = 200
-	c.HorizonGrowth = 20
 	c.MaxHorizon = 2000
 	return c
 }
@@ -132,11 +131,6 @@ func TestTrainingImproves(t *testing.T) {
 
 	cfg := DefaultConfig()
 	cfg.EpisodesPerIter = 8
-	cfg.LR = 3e-3
-	cfg.EntropyWeight = 0.2
-	cfg.EntropyDecay = 0.999
-	cfg.InitialHorizon = 100
-	cfg.HorizonGrowth = 10
 	cfg.MaxHorizon = 1000
 	tr := NewTrainer(agent, cfg, rand.New(rand.NewSource(10)))
 
@@ -224,10 +218,8 @@ func TestMakespanObjective(t *testing.T) {
 
 func TestReturnsAreCumulativePenalties(t *testing.T) {
 	// Returns must be non-decreasing in k (penalties accumulate from the
-	// end): R_k ≤ R_{k+1} for the avg-JCT objective without differential
-	// shift.
+	// end): R_k ≤ R_{k+1} for the avg-JCT objective.
 	cfg := quickCfg()
-	cfg.DifferentialReward = false
 	agent := smallAgent(16)
 	tr := NewTrainer(agent, cfg, rand.New(rand.NewSource(17)))
 	src := smallSource(3)
@@ -265,13 +257,78 @@ func TestBaselineAtInterpolation(t *testing.T) {
 }
 
 func TestEntropyDecays(t *testing.T) {
-	cfg := quickCfg()
-	cfg.EntropyWeight = 0.5
-	cfg.EntropyDecay = 0.5
 	agent := smallAgent(20)
-	tr := NewTrainer(agent, cfg, rand.New(rand.NewSource(21)))
+	tr := NewTrainer(agent, quickCfg(), rand.New(rand.NewSource(21)))
 	tr.Iteration(smallSource(2), sim.Idealized(5))
-	if math.Abs(tr.Cfg.EntropyWeight-0.25) > 1e-12 {
-		t.Fatalf("entropy weight = %v after one decay, want 0.25", tr.Cfg.EntropyWeight)
+	if want := 0.2 * 0.999; math.Abs(tr.entropyWeight-want) > 1e-12 {
+		t.Fatalf("entropy weight = %v after one decay, want %v", tr.entropyWeight, want)
+	}
+}
+
+// TestReturnsToLossWeights pins the one path from an episode to its loss
+// weights, hand-computed for a 3-step episode under both baselines: the
+// trainer's sibling baseline (a second episode of the same sequence) and the
+// online trainer's episode mean.
+func TestReturnsToLossWeights(t *testing.T) {
+	// Job-seconds 0, 4, 10 at the decisions (t = 0, 2, 5) and 16 at the
+	// end give returns −16, −12, −6.
+	steps := []core.ReplayStep{{Time: 0, JobSeconds: 0}, {Time: 2, JobSeconds: 4}, {Time: 5, JobSeconds: 10}}
+	returns := JCTReturns(nil, steps, 16)
+	if want := []float64{-16, -12, -6}; !slices.Equal(returns, want) {
+		t.Fatalf("returns %v, want %v", returns, want)
+	}
+	// The sibling has returns −10 (t = 0) and −8 (t = 4): read at this
+	// episode's decision times it is −10, −10, −8.
+	sibling := &episode{steps: []core.ReplayStep{{Time: 0}, {Time: 4}}, returns: []float64{-10, -8}}
+	for k, want := range []float64{-10, -10, -8} {
+		if got := baselineAt(sibling, steps[k].Time); got != want {
+			t.Fatalf("sibling baseline at t=%v: %v, want %v", steps[k].Time, got, want)
+		}
+	}
+	const beta = 0.5
+	cases := []struct {
+		name     string
+		baseline []float64 // per step
+		// others are the advantages of the rest of the batch, pooled into
+		// the normalisation.
+		others   []float64
+		wantLogp []float64
+	}{
+		{
+			// Baseline −34/3: advantages −14/3, −2/3, 16/3 with
+			// σ² = (196 + 4 + 256)/27 = 152/9 and scale 1/3, so
+			// wLogp = −(a/σ)/3 = −a/√152.
+			name:     "episode mean",
+			baseline: []float64{-34.0 / 3, -34.0 / 3, -34.0 / 3},
+			wantLogp: []float64{14 / (3 * math.Sqrt(152)), 2 / (3 * math.Sqrt(152)), -16 / (3 * math.Sqrt(152))},
+		},
+		{
+			// Advantages −6, −2, 2; the sibling's against this episode (read
+			// at t = 0, 4 as −16, −12) are 6 and 4. Pooled: mean 0.8,
+			// σ² = (46.24 + 7.84 + 1.44 + 27.04 + 10.24)/5 = 18.56, scale 1/5.
+			name:     "sibling",
+			baseline: []float64{-10, -10, -8},
+			others:   []float64{6, 4},
+			wantLogp: []float64{6 / (5 * math.Sqrt(18.56)), 2 / (5 * math.Sqrt(18.56)), -2 / (5 * math.Sqrt(18.56))},
+		},
+	}
+	for _, c := range cases {
+		advs := make([]float64, len(returns))
+		for k := range advs {
+			advs[k] = returns[k] - c.baseline[k]
+		}
+		std, scale := Normalization(advs, c.others)
+		wLogp, wEnt := LossWeights(nil, nil, advs, std, scale, beta)
+		for k := range advs {
+			if math.Abs(wLogp[k]-c.wantLogp[k]) > 1e-8 {
+				t.Errorf("%s: wLogp[%d] = %v, want %v", c.name, k, wLogp[k], c.wantLogp[k])
+			}
+			if want := -beta * scale; wEnt[k] != want {
+				t.Errorf("%s: wEnt[%d] = %v, want %v", c.name, k, wEnt[k], want)
+			}
+		}
+	}
+	if std, scale := Normalization(); std != 1 || scale != 1 {
+		t.Fatalf("empty batch: σ %v, scale %v; want 1, 1", std, scale)
 	}
 }

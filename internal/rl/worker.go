@@ -62,8 +62,8 @@ func (w *worker) episodeBuf(i int) *episode {
 
 // rollout collects one episode on the worker's private agent into pooled
 // storage.
-func (w *worker) rollout(cfg Config, rbar float64, i int, tk rolloutTask, simCfg sim.Config) *episode {
-	return runEpisode(w.agent, cfg, rbar, tk, simCfg, w.episodeBuf(i))
+func (w *worker) rollout(obj Objective, i int, tk rolloutTask, simCfg sim.Config) *episode {
+	return runEpisode(w.agent, obj, tk, simCfg, w.episodeBuf(i))
 }
 
 // runEpisode rolls out one episode on the given agent, which must not be in
@@ -72,8 +72,8 @@ func (w *worker) rollout(cfg Config, rbar float64, i int, tk rolloutTask, simCfg
 // episode is replayed for its backward pass. The agent's recorder and RNG
 // are restored before returning. One RNG drives both action sampling and
 // simulator noise, so the episode is a pure function of (parameters, task,
-// config, rbar).
-func runEpisode(agent *core.Agent, cfg Config, rbar float64, tk rolloutTask, simCfg sim.Config, ep *episode) *episode {
+// objective).
+func runEpisode(agent *core.Agent, obj Objective, tk rolloutTask, simCfg sim.Config, ep *episode) *episode {
 	prevRec, prevRNG := agent.Record, agent.RNG()
 	defer func() {
 		agent.Record = prevRec
@@ -91,7 +91,7 @@ func runEpisode(agent *core.Agent, cfg Config, rbar float64, tk rolloutTask, sim
 		ep.steps = append(ep.steps, ep.arena.Retain(rs))
 	}
 	ep.result = sim.New(simCfg, workload.CloneAll(tk.jobs), agent, rng).RunUntil(tk.horizon)
-	computeReturns(cfg, rbar, ep)
+	computeReturns(obj, ep)
 	return ep
 }
 
@@ -99,23 +99,17 @@ func runEpisode(agent *core.Agent, cfg Config, rbar float64, tk rolloutTask, sim
 // graph the rollout skipped — runs one backward pass over the episode's
 // REINFORCE loss, and snapshots the resulting per-episode gradient into
 // pooled storage. It also counts the steps whose replayed log-probability
-// is not bit-identical to the recorded one (IterStats.LogProbMismatches). Per-step weights: loss = Σ −(adv/σ)·scale·logπ − β·scale·H.
-// The graph lives on the worker's replay scratch and is gone with the next
-// backward; what the trainer reads afterwards (entVals, grads) is copied out
-// here.
-func (w *worker) backward(ep *episode, stdA, scale, entropyWeight float64) {
+// is not bit-identical to the recorded one (IterStats.LogProbMismatches).
+// The per-step weights come from LossWeights. The graph lives on the
+// worker's replay scratch and is gone with the next backward; what the
+// trainer reads afterwards (entVals, grads) is copied out here.
+func (w *worker) backward(ep *episode, std, scale, entropyWeight float64) {
 	ep.mismatches = 0
 	n := len(ep.steps)
 	if n == 0 {
 		return
 	}
-	ep.wLogp = resizeF(ep.wLogp, n)
-	ep.wEnt = resizeF(ep.wEnt, n)
-	for k := 0; k < n; k++ {
-		adv := ep.advs[k] / stdA
-		ep.wLogp[k] = -adv * scale
-		ep.wEnt[k] = -entropyWeight * scale
-	}
+	ep.wLogp, ep.wEnt = LossWeights(ep.wLogp, ep.wEnt, ep.advs, std, scale, entropyWeight)
 	params := w.agent.Params()
 	nn.ZeroGrads(params)
 	loss, vals := w.agent.ReplayLoss(&w.replay, ep.steps, ep.wLogp, ep.wEnt)
